@@ -9,7 +9,8 @@ Run:  python examples/river_range_experiment.py
 
 from repro.core import Scenario, default_vab_budget
 from repro.sim.sweep import sweep_range
-from repro.sim.trials import TrialCampaign, run_campaign
+from repro.sim.parallel import run_campaign_parallel
+from repro.sim.trials import TrialCampaign
 
 RANGES = [50.0, 150.0, 250.0, 330.0, 420.0]
 ORIENTATIONS = [0.0, 30.0, 60.0]
@@ -23,7 +24,9 @@ def main() -> None:
             for s in sweep_range(Scenario.river(), RANGES)
         ]
         campaign = TrialCampaign(trials_per_point=8, seed=int(offset) + 1)
-        result = run_campaign(scenarios, campaign, label=f"{offset:.0f} deg")
+        result = run_campaign_parallel(
+            scenarios, campaign, label=f"{offset:.0f} deg", workers=1
+        )
         for p in result.points:
             print(
                 f"{offset:>6.0f} {p.range_m:>6.0f} {p.ber:>8.4f} "

@@ -85,10 +85,10 @@ def point_wall_clocks(events: Sequence[dict]) -> Dict[int, float]:
 def engine_line(metrics: dict) -> Optional[str]:
     """How the campaign's trials were dispatched, from the run's counters.
 
-    Distinguishes trials that ran on the batched point engine from those
-    that took the per-trial fallback (custom ``receiver_factory`` or a
-    receiver the batched kernel does not support). None when the run
-    predates the dispatch counters.
+    Distinguishes trials demodulated by the batched kernel from those
+    demodulated one row at a time (a receive chain the batched kernel
+    does not support: rake, equaliser, timing search, or a subclass).
+    None when the run predates the dispatch counters.
     """
     counters = metrics.get("counters", {})
     batched = int(counters.get("repro.sim.trials.batched_trials", 0))
@@ -98,8 +98,8 @@ def engine_line(metrics: dict) -> Optional[str]:
     if fallback == 0:
         return f"batched ({batched} trials)"
     if batched == 0:
-        return f"per-trial fallback ({fallback} trials)"
-    return f"mixed ({batched} batched, {fallback} per-trial fallback)"
+        return f"per-row demod ({fallback} trials)"
+    return f"mixed ({batched} batched, {fallback} per-row demod)"
 
 
 def _table(headers: Sequence[str], rows: List[Sequence[str]]) -> List[str]:

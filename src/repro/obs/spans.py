@@ -1,10 +1,9 @@
 """Hierarchical trace spans for the campaign path.
 
-Generalizes the flat per-stage timers of :mod:`repro.sim.profiling`:
-spans nest (``campaign > point > trial > channel``), and a tracer
-aggregates wall-clock and call counts per *path*, so a report can show
-both the engine-stage totals and how they roll up through trials and
-points.
+Spans nest (``point > batch > channel``), and a tracer aggregates
+wall-clock and call counts per *path*, so a report can show both the
+engine-stage totals (:meth:`SpanTracer.leaf_totals`) and how they roll
+up through batches and points.
 
 Design constraints, in priority order:
 
@@ -68,12 +67,10 @@ class SpanTracer:
     def leaf_totals(self) -> Tuple[Dict[str, float], Dict[str, int]]:
         """Totals and counts aggregated by leaf span name.
 
-        This is the flat per-stage view the legacy
-        :class:`repro.sim.profiling.StageTimings` exposes: every path is
-        attributed to its innermost name, so ``("point", "trial",
-        "channel")`` and ``("trial", "channel")`` both count as
-        ``channel`` — which makes serial and parallel runs (whose span
-        roots differ) comparable.
+        The flat per-stage view: every path is attributed to its
+        innermost name, so ``("point", "batch", "channel")`` and
+        ``("batch", "channel")`` both count as ``channel`` — which makes
+        serial and parallel runs (whose span roots differ) comparable.
         """
         totals: Dict[str, float] = {}
         counts: Dict[str, int] = {}

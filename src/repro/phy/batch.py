@@ -28,7 +28,7 @@ implementation and agree bit-for-bit by construction.
 
 Receivers with rake combining, decision-feedback equalisation, or
 timing search enabled — and ``ReaderReceiver`` subclasses — are *not*
-supported here; campaigns fall back to the per-trial loop for them
+supported here; the point pipeline demodulates their records row by row
 (see :meth:`BatchedReaderReceiver.supports`).
 """
 
@@ -86,9 +86,9 @@ def batch_supported(receiver: object) -> bool:
 
     True only for a stock :class:`ReaderReceiver` (not a subclass — an
     override of any stage method would silently be skipped) with the
-    rake, equaliser, and timing-search extensions disabled. Campaigns
-    use this to decide between the batched point path and the per-trial
-    fallback.
+    rake, equaliser, and timing-search extensions disabled. The point
+    pipeline (:func:`repro.sim.engine.simulate_point_batch`) uses this
+    to decide between batched and per-row demodulation.
     """
     return (
         type(receiver) is ReaderReceiver

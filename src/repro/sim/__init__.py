@@ -10,10 +10,10 @@ Two complementary fidelities:
   for BER-vs-range campaigns, where sync, phase tracking, and multipath
   actually bite.
 
-:mod:`repro.sim.trials` runs seeded Monte-Carlo campaigns over either,
-and :mod:`repro.sim.parallel` fans their trials out across worker
-processes (bit-identical to the serial runner) with per-point invariants
-memoized by :mod:`repro.sim.cache`.
+:mod:`repro.sim.trials` runs seeded Monte-Carlo campaigns over the
+waveform engine, and :mod:`repro.sim.parallel` runs their points
+serially (``workers=1``) or across worker processes, bit-identically,
+with per-point invariants memoized by :mod:`repro.sim.cache`.
 """
 
 from repro.sim.scenario import Scenario
@@ -21,7 +21,7 @@ from repro.sim.linkbudget import LinkBudget
 from repro.sim.engine import TrialResult, simulate_trial
 from repro.sim.downlink import DownlinkResult, simulate_downlink
 from repro.sim.multinode import MultiNodeResult, NodePlacement, simulate_slot
-from repro.sim.trials import TrialCampaign, run_campaign
+from repro.sim.trials import TrialCampaign
 from repro.sim.parallel import (
     run_campaign_parallel,
     run_observed_campaign,
@@ -33,7 +33,6 @@ from repro.sim.cache import (
     reader_node_response,
     set_channel_cache_enabled,
 )
-from repro.sim.profiling import StageTimings, collect_stage_timings
 from repro.sim.sweep import sweep_range, sweep_angles, sweep_grid
 from repro.sim.results import BERPoint, CampaignResult
 from repro.sim.confidence import (
@@ -60,7 +59,6 @@ __all__ = [
     "NodePlacement",
     "simulate_slot",
     "TrialCampaign",
-    "run_campaign",
     "run_campaign_parallel",
     "run_observed_campaign",
     "default_workers",
@@ -68,8 +66,6 @@ __all__ = [
     "clear_channel_cache",
     "channel_cache_info",
     "set_channel_cache_enabled",
-    "StageTimings",
-    "collect_stage_timings",
     "sweep_range",
     "sweep_angles",
     "sweep_grid",

@@ -26,21 +26,16 @@ import numpy as np
 from repro.acoustics.channel import ChannelResponse
 from repro.analysis.shapes.vocab import IntShaped
 from repro.acoustics.doppler import apply_doppler
-from repro.dsp.noisegen import (
-    colored_noise,
-    colored_noise_batch,
-    white_noise,
-    white_noise_batch,
-)
+from repro.dsp.noisegen import colored_noise_batch, white_noise_batch
 from repro.obs.probes import probe_signal, probe_unit_interval
-from repro.phy.batch import BatchedReaderReceiver
+from repro.obs.spans import span
+from repro.phy.batch import BatchedReaderReceiver, batch_supported
 from repro.phy.ber import ber as ber_of
 from repro.phy.bits import bits_from_bytes
-from repro.phy.frame import FrameConfig, build_frame, build_frames_batch
+from repro.phy.frame import FrameConfig, build_frames_batch
 from repro.phy.receiver import DemodResult, ReaderReceiver
 from repro.rng import fallback_rng
 from repro.sim.cache import reader_node_response
-from repro.sim.profiling import stage
 from repro.sim.scenario import Scenario
 from repro.vanatta.node import VanAttaNode
 from repro.vanatta.switching import chips_to_waveform_batch
@@ -96,6 +91,10 @@ def simulate_trial(
 ) -> TrialResult:
     """Simulate one uplink frame end to end.
 
+    A 1-row call of :func:`simulate_point_batch`, the one trial
+    pipeline: looping this function over a point's payloads and
+    generators reproduces the whole-point batch bit for bit.
+
     Args:
         scenario: environment and geometry.
         node: the backscatter node (default VAB node facing the reader).
@@ -125,94 +124,21 @@ def simulate_trial(
     """
     if rng is None:
         rng = fallback_rng()
-    if node is None:
-        node = VanAttaNode()
-    if frame_config is None:
-        frame_config = FrameConfig()
     if payload is None:
         payload = bytes(rng.integers(0, 256, size=8, dtype=np.uint8))
-
-    fs = scenario.fs
-    sps = scenario.samples_per_chip
-    theta = scenario.incidence_deg
-
-    # --- node chip waveform (idle guard, frame, idle tail) ---
-    chips = build_frame(node.node_id, payload, frame_config)
-    idle = np.zeros(IDLE_CHIPS_BEFORE, dtype=np.int64)
-    tail = np.zeros(IDLE_CHIPS_AFTER, dtype=np.int64)
-    all_chips = np.concatenate([idle, chips, tail])
-    modulation = node.modulation_waveform(all_chips, sps, fs)
-
-    # --- propagate: reader -> node ---
-    amplitude_tx = 10.0 ** (scenario.source_level_db / 20.0)
-    n_samples = len(modulation)
-    with stage("channel"):
-        tx = np.full(n_samples, amplitude_tx, dtype=np.complex128)
-        if response is None:
-            response = reader_node_response(scenario)
-        incident = response.apply(tx, fs, start_time_s=0.0)[:n_samples]
-
-    # --- reflect off the modulated array ---
-    with stage("reflect"):
-        reflected = node.reflect(
-            incident, modulation, scenario.carrier_hz, theta,
-            scenario.water.sound_speed,
-        )
-
-    # --- propagate back: node -> reader (surface animation continues) ---
-    with stage("channel"):
-        received = response.apply(
-            reflected, fs, start_time_s=response.direct_path.delay_s
-        )[:n_samples]
-
-        # Platform drift Doppler on the round trip (boat swing / current);
-        # the backscatter round trip doubles the one-way shift.
-        if scenario.platform_drift_mps:
-            received = apply_doppler(
-                received,
-                fs,
-                scenario.carrier_hz,
-                2.0 * scenario.platform_drift_mps,
-                scenario.water.sound_speed,
-            )
-
-    # --- reader-side impairments ---
-    record = received
-    leak = amplitude_tx * 10.0 ** (-si_leak_db / 20.0)
-    record = record + leak
-    if include_noise:
-        with stage("noise"):
-            ambient = colored_noise(
-                n_samples, fs, scenario.noise.psd_db, scenario.carrier_hz, rng
-            )
-            record = record + ambient * 10.0 ** (system_noise_figure_db / 20.0)
-            if si_suppression_db is not None:
-                residual_level_db = scenario.source_level_db - si_suppression_db
-                # Residual power spread across the chip bandwidth, then
-                # scaled to the simulated bandwidth so in-band density is
-                # right.
-                in_band_power = (10.0 ** (residual_level_db / 20.0)) ** 2
-                total_power = in_band_power * fs / scenario.chip_rate
-                record = record + white_noise(n_samples, total_power, rng)
-
-    # --- demodulate and score ---
-    with stage("demod"):
-        probe_signal(
-            "sim.engine.record",
-            record,
-            level_limit_db=scenario.source_level_db,
-            stage="noise" if include_noise else "reflect",
-            stage_arrays=(
-                ("channel", incident),
-                ("reflect", reflected),
-                ("channel", received),
-            ),
-        )
-        if receiver is None:
-            receiver = ReaderReceiver.for_scenario(scenario, frame_config)
-        result = receiver.demodulate(record)
-        sent_bits = bits_from_bytes(bytes(payload))
-        return _score(result, sent_bits, scenario, theta)
+    return simulate_point_batch(
+        scenario,
+        [payload],
+        [rng],
+        node=node,
+        frame_config=frame_config,
+        receiver=receiver,
+        si_leak_db=si_leak_db,
+        si_suppression_db=si_suppression_db,
+        system_noise_figure_db=system_noise_figure_db,
+        include_noise=include_noise,
+        response=response,
+    )[0]
 
 
 def simulate_point_batch(
@@ -230,29 +156,29 @@ def simulate_point_batch(
 ) -> List[TrialResult]:
     """Simulate every trial of one operating point as one batch.
 
-    The batched counterpart of :func:`simulate_trial`: all trials share
-    the scenario, node, and channel response, so the whole point runs as
-    a ``(trials, samples)`` block — one channel application, one noise
-    draw shaped per trial stream, one batched demodulation
-    (:class:`repro.phy.batch.BatchedReaderReceiver`). Per-trial results
-    are bitwise-equal to looping :func:`simulate_trial` with the same
-    payloads and generators: every stage either broadcasts a
-    trial-invariant operand or reduces along the sample axis, and the
-    per-trial noise streams draw in the same order as the scalar engine.
+    The trial pipeline: all trials share the scenario, node, and channel
+    response, so the whole point runs as a ``(trials, samples)`` block —
+    one channel application, one noise draw shaped per trial stream, one
+    batched demodulation (:class:`repro.phy.batch.BatchedReaderReceiver`).
+    A trial's result does not depend on its batch neighbours: every stage
+    either broadcasts a trial-invariant operand or reduces along the
+    sample axis, and each trial's noise stream draws in a fixed order
+    (colored bins, then the residual-SI white draw). Any sub-batch split,
+    down to 1-row :func:`simulate_trial` calls, is bitwise-equal.
 
     Args:
         scenario: environment and geometry (shared by all trials).
         payloads: payload bytes per trial; all the same length.
         rngs: one generator per trial, already advanced past any draws
-            the caller made (campaigns draw the payloads first, exactly
-            like the per-trial loop).
+            the caller made (campaigns draw the payloads first).
         node: the backscatter node. Nodes that override
             ``modulation_waveform`` or ``reflect`` fall back to per-row
             calls of those methods, keeping subclass behaviour intact.
         frame_config: PHY framing (FM0 default).
-        receiver: reader receive chain; must satisfy
-            :func:`repro.phy.batch.batch_supported` (campaigns check
-            this before dispatching here).
+        receiver: reader receive chain (built from the scenario if
+            omitted). Chains the batched kernel does not support (see
+            :func:`repro.phy.batch.batch_supported`: rake, equaliser,
+            timing search, subclasses) demodulate row by row.
         si_leak_db: static carrier leak below source level.
         si_suppression_db: post-cancellation residual floor; None = perfect.
         system_noise_figure_db: receiver noise figure over ambient.
@@ -291,14 +217,14 @@ def simulate_point_batch(
     # --- propagate: reader -> node (trial-invariant: computed once) ---
     amplitude_tx = 10.0 ** (scenario.source_level_db / 20.0)
     n_samples = modulation.shape[1]
-    with stage("channel"):
+    with span("channel"):
         tx = np.full(n_samples, amplitude_tx, dtype=np.complex128)
         if response is None:
             response = reader_node_response(scenario)
         incident = response.apply(tx, fs, start_time_s=0.0)[:n_samples]
 
     # --- reflect off the modulated array ---
-    with stage("reflect"):
+    with span("reflect"):
         if type(node) is VanAttaNode:
             reflected = node.reflect(
                 incident, modulation, scenario.carrier_hz, theta,
@@ -316,10 +242,12 @@ def simulate_point_batch(
             )
 
     # --- propagate back: node -> reader (surface animation continues) ---
-    with stage("channel"):
+    with span("channel"):
         received = response.apply(
             reflected, fs, start_time_s=response.direct_path.delay_s
         )[..., :n_samples]
+        # Platform drift Doppler on the round trip (boat swing / current);
+        # the backscatter round trip doubles the one-way shift.
         if scenario.platform_drift_mps:
             received = apply_doppler(
                 received,
@@ -334,22 +262,25 @@ def simulate_point_batch(
     leak = amplitude_tx * 10.0 ** (-si_leak_db / 20.0)
     record = record + leak
     if include_noise:
-        with stage("noise"):
-            # Per-trial streams draw in the scalar engine's order
-            # (colored bins first, then the residual-SI white draw), so
-            # a trial's noise is bitwise-equal to its per-trial run.
+        with span("noise"):
+            # Each trial's stream draws colored bins first, then the
+            # residual-SI white draw, so a trial's noise does not depend
+            # on the batch it rides in.
             ambient = colored_noise_batch(
                 n_samples, fs, scenario.noise.psd_db, scenario.carrier_hz, rngs
             )
             record = record + ambient * 10.0 ** (system_noise_figure_db / 20.0)
             if si_suppression_db is not None:
                 residual_level_db = scenario.source_level_db - si_suppression_db
+                # Residual power spread across the chip bandwidth, then
+                # scaled to the simulated bandwidth so in-band density is
+                # right.
                 in_band_power = (10.0 ** (residual_level_db / 20.0)) ** 2
                 total_power = in_band_power * fs / scenario.chip_rate
                 record = record + white_noise_batch(n_samples, total_power, rngs)
 
     # --- demodulate and score ---
-    with stage("demod"):
+    with span("demod"):
         # One cheap reduction over the whole (trials, samples) block:
         # NaN/Inf anywhere and gross level errors are caught here, and
         # (on the failure path only) attributed to the first corrupt
@@ -367,7 +298,10 @@ def simulate_point_batch(
         )
         if receiver is None:
             receiver = ReaderReceiver.for_scenario(scenario, frame_config)
-        demods = BatchedReaderReceiver(receiver).demodulate_batch(record)
+        if batch_supported(receiver):
+            demods = BatchedReaderReceiver(receiver).demodulate_batch(record)
+        else:
+            demods = [receiver.demodulate(row) for row in record]
         return [
             _score(
                 demod, bits_from_bytes(bytes(payload)), scenario, theta

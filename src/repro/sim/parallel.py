@@ -13,17 +13,15 @@ keeping the results **bit-identical** to the serial runner:
 * Results are re-assembled in trial order before aggregation, so the
   floating-point reductions in :meth:`BERPoint.from_trials` see the same
   operand order as the serial loop.
-* Campaigns on the batched point engine (see
-  :attr:`TrialCampaign.engine`) are sharded by whole operating point —
-  one ``(trials, samples)`` computation per worker chunk — while
-  per-trial campaigns keep the finer trial-slice chunking. Both shard
-  shapes reassemble to the same trial order.
+* Campaigns are sharded by whole operating point: one chunk is one
+  ``(trials, samples)`` point batch, so the span and chunk counts are
+  scheduling-independent too.
 
 Workers warm their own process-local caches (channel responses, Wenz
 shaping filters), so per-point invariants are computed once per worker,
-not once per trial. ``workers=1`` short-circuits to the in-process
-serial path — no pool, no pickling — which is also the fallback when a
-campaign carries a non-picklable factory.
+not once per trial. ``workers=1`` is the in-process serial path — no
+pool, no pickling — which is also the fallback when a campaign carries
+a non-picklable factory (with or without a supplied pool).
 
 Telemetry rides the same machinery: pass ``tracer=`` (hierarchical
 spans), ``metrics=`` (a registry), and/or ``events=`` (a JSONL event
@@ -60,7 +58,6 @@ from repro.obs.metrics import MetricsRegistry, counter, gauge, use_registry
 from repro.obs.progress import ProgressReporter
 from repro.obs.spans import SpanTracer, collect_spans
 from repro.sim.engine import TrialResult
-from repro.sim.profiling import StageTimings
 from repro.sim.results import BERPoint, CampaignResult
 from repro.sim.scenario import Scenario
 from repro.sim.trials import TrialCampaign
@@ -90,55 +87,31 @@ def default_workers() -> Effectful[int, "reads:host"]:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def split_evenly(n: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``range(n)`` into up to ``parts`` contiguous (start, stop) chunks.
-
-    Chunk sizes differ by at most one, larger chunks first — the same
-    deal ``numpy.array_split`` makes — so no worker idles more than one
-    trial's worth at a barrier.
-    """
-    if n <= 0:
-        return []
-    parts = max(1, min(parts, n))
-    base, extra = divmod(n, parts)
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    for i in range(parts):
-        stop = start + base + (1 if i < extra else 0)
-        chunks.append((start, stop))
-        start = stop
-    return chunks
-
-
 def _run_chunk(
     campaign: TrialCampaign,
     scenario: Scenario,
     point_index: int,
-    start: int,
-    stop: int,
     collect: bool,
-) -> Tuple[int, int, List[TrialResult], Optional[dict]]:
-    """Worker entry: run one contiguous slice of one point's trials.
+) -> Tuple[List[TrialResult], Optional[dict]]:
+    """Worker entry: run all of one point's trials.
 
     When collecting, the chunk's spans land in a fresh tracer and its
     metrics in a fresh registry; both cross the process boundary with
     the results so the parent can merge in trial order.
     """
     if not collect:
-        return point_index, start, campaign.run_trials(
-            scenario, point_index, start, stop
-        ), None
+        return campaign.run_trials(scenario, point_index), None
     tracer = SpanTracer()
     registry = MetricsRegistry()
     t0 = time.perf_counter()
     with use_registry(registry), collect_spans(tracer):
-        results = campaign.run_trials(scenario, point_index, start, stop)
+        results = campaign.run_trials(scenario, point_index)
     telemetry = {
         "tracer": tracer,
         "metrics": registry.as_dict(),
         "elapsed_s": time.perf_counter() - t0,
     }
-    return point_index, start, results, telemetry
+    return results, telemetry
 
 
 def _is_picklable(campaign: TrialCampaign) -> bool:
@@ -170,14 +143,13 @@ def run_campaign_parallel(
     campaign: Optional[TrialCampaign] = None,
     label: str = "campaign",
     workers: Optional[int] = None,
-    timings: Optional[StageTimings] = None,
     pool: Optional[ProcessPoolExecutor] = None,
     tracer: Optional[SpanTracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     events: Optional[EventLog] = None,
     progress: Optional[ProgressReporter] = None,
 ) -> CampaignResult:
-    """Run a campaign with trials fanned out across worker processes.
+    """Run a campaign, one point per chunk, across worker processes.
 
     Args:
         scenarios: one scenario per operating point (e.g. a range sweep).
@@ -185,16 +157,15 @@ def run_campaign_parallel(
         label: name recorded on the result.
         workers: process count; ``None`` = :func:`default_workers`,
             ``1`` = serial in-process execution (no pool).
-        timings: optional flat per-stage timing accumulator (legacy
-            view); when given, workers time their engine stages and the
-            leaf totals are merged into it.
         pool: an existing executor to reuse (left open on return).
             Back-to-back campaigns — sweeps over sweeps, the perf
             harness's timed arms — amortise worker startup and keep
             worker caches warm by sharing one pool. Omitted, a pool is
-            created and torn down per call.
+            created and torn down per call. A campaign that cannot be
+            pickled runs serially in-process even when a pool is given.
         tracer: optional hierarchical span tracer; worker-chunk spans
-            are merged into it in trial order.
+            are merged into it in trial order (per-stage totals:
+            :meth:`~repro.obs.spans.SpanTracer.leaf_totals`).
         metrics: optional metrics registry; worker-chunk metric
             snapshots are merged into it in trial order, and the runner
             records its own instruments (chunks, workers, utilization)
@@ -209,28 +180,20 @@ def run_campaign_parallel(
 
     Returns:
         Aggregated results, one :class:`BERPoint` per scenario, in
-        order — bit-identical to :func:`repro.sim.trials.run_campaign`
-        for the same campaign seed, with or without telemetry.
+        order — bit-identical for any worker count and the same
+        campaign seed, with or without telemetry.
     """
     if campaign is None:
         campaign = TrialCampaign()
     if workers is None:
         workers = default_workers()
 
-    # Telemetry sinks. The flat `timings` view folds out of a span
-    # tracer, so one chunk-side collection feeds every sink.
-    span_sinks: List[SpanTracer] = []
-    if tracer is not None:
-        span_sinks.append(tracer)
-    fold_tracer = SpanTracer() if timings is not None else None
-    if fold_tracer is not None:
-        span_sinks.append(fold_tracer)
-    collect = bool(span_sinks) or metrics is not None
+    collect = tracer is not None or metrics is not None
     t_start = time.perf_counter()
 
-    serial = pool is None and (
-        workers <= 1 or len(scenarios) == 0 or not _is_picklable(campaign)
-    )
+    serial = (
+        pool is None and (workers <= 1 or len(scenarios) == 0)
+    ) or not _is_picklable(campaign)
     effective_workers = 1 if serial else workers
     if progress is not None:
         progress.start()
@@ -258,8 +221,8 @@ def run_campaign_parallel(
                     )
                     with metrics_ctx, collect_spans(point_tracer):
                         point = campaign.run_point(scenario, point_index=i)
-                    for sink in span_sinks:
-                        sink.merge(point_tracer)
+                    if tracer is not None:
+                        tracer.merge(point_tracer)
                 else:
                     point = campaign.run_point(scenario, point_index=i)
                 out.add(point)
@@ -277,75 +240,43 @@ def run_campaign_parallel(
             if own_pool:
                 pool = ProcessPoolExecutor(max_workers=workers)
             busy_s = 0.0
-            point_busy_s = {i: 0.0 for i in range(len(scenarios))}
+            per_point: List[List[TrialResult]] = []
+            point_busy_s: List[Optional[float]] = []
             try:
-                if campaign.uses_batched_engine():
-                    # Batched campaigns amortise per-trial overhead over
-                    # whole-point batches, so shard by whole point: one
-                    # chunk = one (trials, samples) computation. This
-                    # also keeps span counts scheduling-independent —
-                    # every chunking emits exactly one `batch` span per
-                    # point. (Sub-point splits would still be bit-exact:
-                    # the kernel is batch-size invariant.)
-                    chunks_per_point = 1
-                else:
-                    # Oversplit so a straggling chunk (one worker
-                    # hitting a detection-failure-heavy slice) doesn't
-                    # serialise the campaign behind it — but keep the
-                    # total future count near 4x the worker count:
-                    # every chunk pays a pickle/dispatch round trip,
-                    # and on multi-point sweeps the points themselves
-                    # already provide interleaving.
-                    chunk_budget = max(workers * 4, 1)
-                    chunks_per_point = max(
-                        1,
-                        min(
-                            campaign.trials_per_point,
-                            workers * 2,
-                            -(-chunk_budget // max(len(scenarios), 1)),
-                        ),
-                    )
                 def _advance_on_done(future) -> None:
                     # Runs on the executor's callback thread the moment
                     # a chunk lands — independent of the ordered harvest
                     # below, which is what keeps results deterministic.
                     if future.cancelled() or future.exception() is not None:
                         return
-                    _, _, chunk_results, _ = future.result()
+                    chunk_results, _ = future.result()
                     progress.advance(len(chunk_results))
 
                 jobs = []
                 for i, scenario in enumerate(scenarios):
-                    for start, stop in split_evenly(
-                        campaign.trials_per_point, chunks_per_point
-                    ):
-                        job = pool.submit(
-                            _run_chunk, campaign, scenario, i, start,
-                            stop, collect,
-                        )
-                        if progress is not None:
-                            job.add_done_callback(_advance_on_done)
-                        jobs.append(job)
-                per_point: dict = {i: [] for i in range(len(scenarios))}
+                    job = pool.submit(_run_chunk, campaign, scenario, i, collect)
+                    if progress is not None:
+                        job.add_done_callback(_advance_on_done)
+                    jobs.append(job)
                 # Iterate in submission (= trial) order so telemetry
                 # merges are as deterministic as the results.
-                for job in jobs:
-                    point_index, start, results, telemetry = job.result()
-                    per_point[point_index].append((start, results))
+                for point_index, job in enumerate(jobs):
+                    results, telemetry = job.result()
                     chunk_elapsed = None
                     if telemetry is not None:
-                        for sink in span_sinks:
-                            sink.merge(telemetry["tracer"])
+                        if tracer is not None:
+                            tracer.merge(telemetry["tracer"])
                         if metrics is not None:
                             metrics.merge_snapshot(telemetry["metrics"])
                         chunk_elapsed = telemetry["elapsed_s"]
                         busy_s += chunk_elapsed
-                        point_busy_s[point_index] += chunk_elapsed
+                    per_point.append(results)
+                    point_busy_s.append(chunk_elapsed)
                     _emit(
                         events,
                         "chunk_done",
                         point=point_index,
-                        start=start,
+                        start=0,
                         trials=len(results),
                         elapsed_s=chunk_elapsed,
                     )
@@ -354,19 +285,14 @@ def run_campaign_parallel(
                     pool.shutdown()
 
             out = CampaignResult(label=label)
-            for i in range(len(scenarios)):
-                ordered: List[TrialResult] = []
-                for _, results in sorted(per_point[i], key=lambda item: item[0]):
-                    ordered.extend(results)
-                point = BERPoint.from_trials(ordered)
+            for i, (results, elapsed) in enumerate(zip(per_point, point_busy_s)):
+                point = BERPoint.from_trials(results)
                 out.add(point)
                 _emit(
                     events,
                     "point_end",
                     point=i,
-                    elapsed_s=(
-                        round(point_busy_s[i], 6) if collect else None
-                    ),
+                    elapsed_s=round(elapsed, 6) if elapsed is not None else None,
                     **_point_fields(point),
                 )
             if metrics is not None:
@@ -379,8 +305,6 @@ def run_campaign_parallel(
     finally:
         if progress is not None:
             progress.finish()
-        if timings is not None and fold_tracer is not None:
-            timings.merge_tracer(fold_tracer)
 
     if metrics is not None:
         with use_registry(metrics):
@@ -483,12 +407,12 @@ def run_observed_campaign(
         version=__version__,
         created_unix=round(created, 6),
         elapsed_s=round(time.perf_counter() - t0, 6),
-        workers=workers,
+        # The count that ran: a serial fallback records 1, not the request.
+        workers=int(WORKERS_GAUGE.value(metrics)),
         campaign={
             "trials_per_point": campaign.trials_per_point,
             "payload_bytes": campaign.payload_bytes,
             "si_suppression_db": campaign.si_suppression_db,
-            "engine": campaign.engine,
         },
         scenarios=[scenario_snapshot(s) for s in scenarios],
         timings=tracer.as_dict(),

@@ -1,7 +1,10 @@
 """Seeded Monte-Carlo campaigns over the waveform simulator.
 
 A campaign fixes everything except the RNG and runs ``n`` independent
-trials per operating point. Seeding uses ``numpy.random.SeedSequence``
+trials per operating point, each point as one batch through
+:func:`repro.sim.engine.simulate_point_batch`. Multi-point sweeps run
+through :func:`repro.sim.parallel.run_campaign_parallel` (``workers=1``
+for the serial in-process path). Seeding uses ``numpy.random.SeedSequence``
 spawning, so campaigns are reproducible and every trial draws independent
 noise/payloads — the same discipline the paper's 1,500-trial evaluation
 needs to make BER-vs-range curves trustworthy.
@@ -21,18 +24,18 @@ from repro.phy.batch import batch_supported
 from repro.phy.frame import FrameConfig
 from repro.phy.receiver import ReaderReceiver
 from repro.sim.cache import reader_node_response
-from repro.sim.engine import TrialResult, simulate_point_batch, simulate_trial
-from repro.sim.results import BERPoint, CampaignResult
+from repro.sim.engine import TrialResult, simulate_point_batch
+from repro.sim.results import BERPoint
 from repro.sim.scenario import Scenario
 from repro.vanatta.node import VanAttaNode
 
 BATCHED_TRIALS_COUNTER = counter(
     "repro.sim.trials.batched_trials",
-    "trials run through the batched point engine",
+    "trials demodulated by the batched kernel",
 )
 FALLBACK_TRIALS_COUNTER = counter(
     "repro.sim.trials.fallback_trials",
-    "trials run through the per-trial fallback loop",
+    "trials demodulated one row at a time (unsupported receive chains)",
 )
 
 
@@ -75,16 +78,9 @@ class TrialCampaign:
         si_suppression_db: reader residual-SI floor (see the engine).
         receiver_factory: builds the reader receive chain per scenario;
             None uses the engine's default (lets studies switch on the
-            equaliser, rake, or custom thresholds).
-        engine: trial execution engine. ``"auto"`` (default) runs each
-            point as one batched ``(trials, samples)`` computation when
-            the receive chain supports it
-            (:func:`repro.phy.batch.batch_supported`) and no custom
-            ``receiver_factory`` is set, falling back to the per-trial
-            loop otherwise; ``"batched"`` requires the batched path
-            (raises if the receiver cannot run on it); ``"per-trial"``
-            forces the scalar loop. Both engines are bit-identical, so
-            the choice is purely a speed/compatibility knob.
+            equaliser, rake, or custom thresholds). Chains the batched
+            kernel does not support demodulate row by row inside the
+            batched point pipeline.
     """
 
     trials_per_point: int = 25
@@ -94,36 +90,14 @@ class TrialCampaign:
     node_factory: Callable[[], VanAttaNode] = VanAttaNode
     si_suppression_db: Optional[float] = 130.0
     receiver_factory: Optional[Callable[[Scenario], "object"]] = None
-    engine: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.engine not in ("auto", "batched", "per-trial"):
-            raise ValueError(
-                "engine must be 'auto', 'batched', or 'per-trial'"
-            )
-
-    def uses_batched_engine(self) -> bool:
-        """Whether points will (likely) run on the batched engine.
-
-        A scheduling hint for :mod:`repro.sim.parallel` — batched points
-        should be sharded whole, not split into per-trial chunks. For
-        ``engine="auto"`` this predicts from the campaign alone (custom
-        ``receiver_factory`` means per-trial); the authoritative check
-        against the constructed receiver happens in :meth:`run_trials`.
-        """
-        if self.engine == "per-trial":
-            return False
-        if self.engine == "batched":
-            return True
-        return self.receiver_factory is None
 
     def trial_seeds(self, point_index: int) -> List[np.random.SeedSequence]:
         """The spawned per-trial seed sequences for one operating point.
 
-        Centralised so every execution strategy — the serial loop below,
-        the process-pool runner in :mod:`repro.sim.parallel`, or a
-        sliced re-run of a few trials — derives the *same* per-trial
-        entropy and stays bit-identical.
+        Centralised so every execution strategy — a whole point, the
+        process-pool runner in :mod:`repro.sim.parallel`, or a sliced
+        re-run of a few trials — derives the *same* per-trial entropy
+        and stays bit-identical.
         """
         seq = np.random.SeedSequence(entropy=(self.seed, point_index))
         return seq.spawn(self.trials_per_point)
@@ -142,9 +116,8 @@ class TrialCampaign:
         the seed engine rebuilt all three inside every trial, which is
         where most of a campaign's non-noise time went.
         """
-        # Generator derivation is hoisted out of the traced per-trial
-        # loop: every trial's stream exists before the first trial runs,
-        # which keeps the seeding contract in one visible place (VAB002).
+        # Every trial's stream exists before the point runs, which keeps
+        # the seeding contract in one visible place (VAB002).
         generators = [
             np.random.default_rng(child)
             for child in self.trial_seeds(point_index)[start:stop]
@@ -156,69 +129,27 @@ class TrialCampaign:
             else ReaderReceiver.for_scenario(scenario, self.frame_config)
         )
         response = reader_node_response(scenario)
-
-        if self.engine == "batched" and not batch_supported(receiver):
-            raise ValueError(
-                "engine='batched' needs a receive chain the batched "
-                "kernel supports (stock ReaderReceiver, no rake/"
-                "equaliser/timing search); use engine='auto' to fall "
-                "back automatically"
+        with span("batch"):
+            # Payloads draw first from each trial's stream, then the
+            # point pipeline advances every stream through its noise.
+            payloads = [
+                bytes(rng.integers(0, 256, size=self.payload_bytes, dtype=np.uint8))
+                for rng in generators
+            ]
+            results = simulate_point_batch(
+                scenario,
+                payloads,
+                generators,
+                node=node,
+                frame_config=self.frame_config,
+                receiver=receiver,
+                si_suppression_db=self.si_suppression_db,
+                response=response,
             )
-        use_batched = self.engine == "batched" or (
-            self.engine == "auto"
-            and self.receiver_factory is None
-            and batch_supported(receiver)
-        )
-        if use_batched:
-            # Whole-point batched path: payloads draw first from each
-            # trial's stream (same order as the loop below), then the
-            # batch engine advances every stream through its noise
-            # draws.
-            with span("batch"):
-                payloads = [
-                    bytes(
-                        rng.integers(
-                            0, 256, size=self.payload_bytes, dtype=np.uint8
-                        )
-                    )
-                    for rng in generators
-                ]
-                results = simulate_point_batch(
-                    scenario,
-                    payloads,
-                    generators,
-                    node=node,
-                    frame_config=self.frame_config,
-                    receiver=receiver,
-                    si_suppression_db=self.si_suppression_db,
-                    response=response,
-                )
+        if batch_supported(receiver):
             BATCHED_TRIALS_COUNTER.inc(len(results))
-            _probe_trial_accounting(results)
-            return results
-
-        # Per-trial fallback: custom receive chains (factories often
-        # enable rake/equaliser extensions or subclass the receiver) and
-        # campaigns pinned to engine="per-trial".
-        FALLBACK_TRIALS_COUNTER.inc(len(generators))
-        results: List[TrialResult] = []
-        for rng in generators:
-            with span("trial"):
-                payload = bytes(
-                    rng.integers(0, 256, size=self.payload_bytes, dtype=np.uint8)
-                )
-                results.append(
-                    simulate_trial(
-                        scenario,
-                        node=node,
-                        payload=payload,
-                        rng=rng,
-                        frame_config=self.frame_config,
-                        receiver=receiver,
-                        si_suppression_db=self.si_suppression_db,
-                        response=response,
-                    )
-                )
+        else:
+            FALLBACK_TRIALS_COUNTER.inc(len(results))
         _probe_trial_accounting(results)
         return results
 
@@ -227,26 +158,3 @@ class TrialCampaign:
         with span("point"):
             return BERPoint.from_trials(self.run_trials(scenario, point_index))
 
-
-def run_campaign(
-    scenarios: Sequence[Scenario],
-    campaign: Optional[TrialCampaign] = None,
-    label: str = "campaign",
-) -> CampaignResult:
-    """Run a campaign across a sequence of operating points.
-
-    Args:
-        scenarios: one scenario per operating point (e.g. a range sweep).
-        campaign: campaign configuration (defaults if omitted).
-        label: name recorded on the result.
-
-    Returns:
-        Aggregated results, one :class:`BERPoint` per scenario, in order.
-    """
-    if campaign is None:
-        campaign = TrialCampaign()
-    out = CampaignResult(label=label)
-    with span("campaign"):
-        for i, scenario in enumerate(scenarios):
-            out.add(campaign.run_point(scenario, point_index=i))
-    return out

@@ -43,7 +43,6 @@ from repro.sim.export import (
     save_manifest,
 )
 from repro.sim.parallel import run_observed_campaign
-from repro.sim.profiling import StageTimings, collect_stage_timings
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign
 
@@ -127,26 +126,6 @@ class TestSpans:
         clone = pickle.loads(pickle.dumps(tracer))
         assert clone.counts == tracer.counts
         assert clone._stack == []
-
-    def test_stage_timings_facade_still_aggregates(self):
-        with collect_stage_timings() as timings:
-            with span("channel"):
-                time.sleep(0.001)
-            with span("channel"):
-                pass
-        report = timings.as_dict()
-        assert report["channel"]["count"] == 2
-        assert report["channel"]["total_s"] > 0.0
-
-    def test_stage_timings_merge_tracer_uses_leaves(self):
-        tracer = SpanTracer()
-        tracer.add(("point", "trial", "demod"), 0.5)
-        tracer.add(("trial", "demod"), 0.5)
-        timings = StageTimings()
-        timings.merge_tracer(tracer)
-        report = timings.as_dict()
-        assert report["demod"]["count"] == 2
-        assert report["demod"]["total_s"] == pytest.approx(1.0)
 
 
 class TestMetrics:
@@ -318,10 +297,10 @@ class TestManifestRoundTrip:
         assert engine_line({"counters": {batched: 8}}) == "batched (8 trials)"
         assert engine_line(
             {"counters": {fallback: 3}}
-        ) == "per-trial fallback (3 trials)"
+        ) == "per-row demod (3 trials)"
         assert engine_line(
             {"counters": {batched: 5, fallback: 2}}
-        ) == "mixed (5 batched, 2 per-trial fallback)"
+        ) == "mixed (5 batched, 2 per-row demod)"
 
     def test_event_log_is_lazy(self, tmp_path):
         log = EventLog(tmp_path / "never.jsonl")

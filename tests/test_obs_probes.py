@@ -19,7 +19,9 @@ from repro.obs.probes import (
     set_probe_mode,
 )
 from repro.sim.scenario import Scenario
-from repro.sim.trials import TrialCampaign, run_campaign
+from repro.phy.receiver import ReaderReceiver
+from repro.sim.parallel import run_campaign_parallel
+from repro.sim.trials import TrialCampaign
 from repro.vanatta.node import VanAttaNode
 
 
@@ -135,7 +137,9 @@ def tiny_campaign(**kwargs):
 
 
 def run_one_point(campaign):
-    return run_campaign([Scenario.river(range_m=60.0)], campaign)
+    return run_campaign_parallel(
+        [Scenario.river(range_m=60.0)], campaign, workers=1
+    )
 
 
 class TestFaultInjection:
@@ -154,7 +158,7 @@ class TestFaultInjection:
         monkeypatch.setattr(engine_module, "colored_noise_batch", poisoned)
         with probes("raise"):
             with pytest.raises(ProbeViolation) as err:
-                run_one_point(tiny_campaign(engine="batched"))
+                run_one_point(tiny_campaign())
         assert err.value.probe == "sim.engine.record"
         assert err.value.stage == "noise"
 
@@ -172,22 +176,30 @@ class TestFaultInjection:
         monkeypatch.setattr(VanAttaNode, "reflect", poisoned)
         with probes("raise"):
             with pytest.raises(ProbeViolation) as err:
-                run_one_point(tiny_campaign(engine="batched"))
+                run_one_point(tiny_campaign())
         assert err.value.probe == "sim.engine.record"
         assert err.value.stage == "reflect"
 
     def test_scalar_engine_catches_nan_too(self, monkeypatch):
-        real = engine_module.colored_noise
+        # A rake chain demodulates row by row; the record probe still
+        # sees the whole block first.
+        real = engine_module.colored_noise_batch
 
         def poisoned(*args, **kwargs):
             noise = real(*args, **kwargs)
-            noise[len(noise) // 2] = np.nan
+            noise[..., noise.shape[-1] // 2] = np.nan
             return noise
 
-        monkeypatch.setattr(engine_module, "colored_noise", poisoned)
+        monkeypatch.setattr(engine_module, "colored_noise_batch", poisoned)
+        rake = tiny_campaign(
+            receiver_factory=lambda sc: ReaderReceiver.for_scenario(
+                sc, rake_taps=2
+            )
+        )
         with probes("raise"):
             with pytest.raises(ProbeViolation) as err:
-                run_one_point(tiny_campaign(engine="per-trial"))
+                run_one_point(rake)
+        assert err.value.probe == "sim.engine.record"
         assert err.value.stage == "noise"
 
     def test_count_mode_surfaces_the_fault_as_metrics(self, monkeypatch):
@@ -201,7 +213,7 @@ class TestFaultInjection:
         monkeypatch.setattr(engine_module, "colored_noise_batch", poisoned)
         registry = MetricsRegistry()
         with use_registry(registry), probes("count"):
-            run_one_point(tiny_campaign(engine="batched"))
+            run_one_point(tiny_campaign())
         counters = registry.as_dict()["counters"]
         assert counters["repro.obs.probes.violations"] >= 1
         assert (

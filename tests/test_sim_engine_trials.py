@@ -11,7 +11,8 @@ from repro.core import Scenario
 from repro.sim.engine import TrialResult, simulate_trial
 from repro.sim.results import BERPoint, CampaignResult
 from repro.sim.sweep import sweep_range
-from repro.sim.trials import TrialCampaign, run_campaign
+from repro.sim.parallel import run_campaign_parallel
+from repro.sim.trials import TrialCampaign
 from repro.vanatta.array import VanAttaArray
 from repro.vanatta.node import VanAttaNode
 
@@ -127,15 +128,19 @@ class TestCampaigns:
 
     def test_run_campaign_over_sweep(self):
         scenarios = sweep_range(Scenario.river(), [30.0, 60.0])
-        result = run_campaign(scenarios, TrialCampaign(trials_per_point=3, seed=5),
-                              label="smoke")
+        result = run_campaign_parallel(
+            scenarios, TrialCampaign(trials_per_point=3, seed=5),
+            label="smoke", workers=1,
+        )
         assert result.label == "smoke"
         assert len(result.points) == 2
         assert result.total_trials == 6
 
     def test_ber_degrades_with_range(self):
         scenarios = sweep_range(Scenario.river(), [50.0, 600.0])
-        result = run_campaign(scenarios, TrialCampaign(trials_per_point=5, seed=6))
+        result = run_campaign_parallel(
+            scenarios, TrialCampaign(trials_per_point=5, seed=6), workers=1
+        )
         assert result.points[0].ber < result.points[1].ber
 
     def test_max_range_at_ber(self):

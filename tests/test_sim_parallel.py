@@ -7,6 +7,8 @@ numbers they return.
 """
 
 import importlib.util
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +18,13 @@ from repro.acoustics.noise import NoiseConditions, total_noise_psd_db
 from repro.core import Scenario
 from repro.dsp import noisegen
 from repro.obs import MetricsRegistry, SpanTracer
+from repro.obs.manifest import read_events
+from repro.phy.receiver import ReaderReceiver
 from repro.sim import cache
-from repro.sim.parallel import run_campaign_parallel, split_evenly
-from repro.sim.profiling import StageTimings
+from repro.sim.parallel import run_campaign_parallel, run_observed_campaign
 from repro.sim.results import BERPoint
 from repro.sim.sweep import sweep_range
-from repro.sim.trials import TrialCampaign, run_campaign
+from repro.sim.trials import TrialCampaign
 from repro.vanatta.node import VanAttaNode
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,31 +32,13 @@ ROOT = Path(__file__).resolve().parent.parent
 RANGES = [50.0, 330.0]
 
 
-class TestSplitEvenly:
-    def test_covers_range_contiguously(self):
-        for n in (1, 2, 7, 25, 100):
-            for parts in (1, 2, 3, 4, 9, n, n + 5):
-                chunks = split_evenly(n, parts)
-                assert chunks[0][0] == 0
-                assert chunks[-1][1] == n
-                for (_, stop), (start, _) in zip(chunks, chunks[1:]):
-                    assert stop == start
-
-    def test_sizes_differ_by_at_most_one_larger_first(self):
-        chunks = split_evenly(25, 4)
-        sizes = [stop - start for start, stop in chunks]
-        assert sizes == [7, 6, 6, 6]
-
-    def test_never_emits_empty_chunks(self):
-        assert split_evenly(2, 8) == [(0, 1), (1, 2)]
-        assert split_evenly(0, 4) == []
-
-
 class TestParallelDeterminism:
     def test_parallel_bit_identical_to_serial(self):
         scenarios = sweep_range(Scenario.river(), RANGES)
         campaign = TrialCampaign(trials_per_point=8, seed=2023)
-        serial = run_campaign(scenarios, campaign, label="det")
+        serial = run_campaign_parallel(
+            scenarios, campaign, label="det", workers=1
+        )
         parallel = run_campaign_parallel(
             scenarios, campaign, label="det", workers=4
         )
@@ -64,18 +49,52 @@ class TestParallelDeterminism:
     def test_workers_one_matches_serial_runner(self):
         scenarios = sweep_range(Scenario.river(), RANGES)
         campaign = TrialCampaign(trials_per_point=4, seed=7)
-        serial = run_campaign(scenarios, campaign)
+        points = [
+            campaign.run_point(scenario, point_index=i)
+            for i, scenario in enumerate(scenarios)
+        ]
         inproc = run_campaign_parallel(scenarios, campaign, workers=1)
-        assert inproc.points == serial.points
+        assert inproc.points == points
 
     def test_non_picklable_campaign_falls_back_to_serial(self):
         scenarios = sweep_range(Scenario.river(), [50.0])
         campaign = TrialCampaign(
             trials_per_point=3, seed=5, node_factory=lambda: VanAttaNode()
         )
-        serial = run_campaign(scenarios, campaign)
+        serial = run_campaign_parallel(scenarios, campaign, workers=1)
         fallback = run_campaign_parallel(scenarios, campaign, workers=4)
         assert fallback.points == serial.points
+
+    def test_non_picklable_campaign_with_a_pool_falls_back_too(self):
+        scenarios = sweep_range(Scenario.river(), [50.0])
+        campaign = TrialCampaign(
+            trials_per_point=3, seed=5, node_factory=lambda: VanAttaNode()
+        )
+        serial = run_campaign_parallel(scenarios, campaign, workers=1)
+        metrics = MetricsRegistry()
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            pooled = run_campaign_parallel(
+                scenarios, campaign, workers=2, pool=pool, metrics=metrics
+            )
+        assert pooled.points == serial.points
+        assert metrics.gauges["repro.sim.parallel.workers"] == 1
+
+    def test_manifest_records_the_effective_worker_count(self, tmp_path):
+        scenarios = sweep_range(Scenario.river(), [50.0])
+        campaign = TrialCampaign(
+            trials_per_point=2, seed=5, node_factory=lambda: VanAttaNode()
+        )
+        events_path = tmp_path / "events.jsonl"
+        _, manifest = run_observed_campaign(
+            scenarios, campaign, workers=4, events_path=events_path,
+            progress=False,
+        )
+        start = [
+            e for e in read_events(events_path)
+            if e["event"] == "campaign_start"
+        ]
+        assert manifest.workers == start[0]["workers"] == 1
 
     def test_sliced_trials_reassemble_to_the_full_point(self):
         scenario = Scenario.river().at_range(150.0)
@@ -88,27 +107,28 @@ class TestParallelDeterminism:
 
     def test_stage_timings_cover_the_engine_stages(self):
         scenarios = sweep_range(Scenario.river(), [50.0])
-        timings = StageTimings()
+        tracer = SpanTracer()
         run_campaign_parallel(
             scenarios, TrialCampaign(trials_per_point=2, seed=1),
-            workers=1, timings=timings,
+            workers=1, tracer=tracer,
         )
-        report = timings.as_dict()
-        # Batched engine: stages run once per point batch, not per trial.
+        totals, counts = tracer.leaf_totals()
+        # Stages run once per point batch, not per trial.
         for stage in ("batch", "channel", "reflect", "noise", "demod"):
-            assert report[stage]["count"] >= 1
-            assert report[stage]["total_s"] >= 0.0
+            assert counts[stage] >= 1
+            assert totals[stage] >= 0.0
 
     def test_telemetry_does_not_perturb_results(self):
         scenarios = sweep_range(Scenario.river(), RANGES)
         campaign = TrialCampaign(trials_per_point=6, seed=2023)
-        bare = run_campaign(scenarios, campaign, label="obs")
+        bare = run_campaign_parallel(
+            scenarios, campaign, label="obs", workers=1
+        )
         tracer = SpanTracer()
         metrics = MetricsRegistry()
-        timings = StageTimings()
         observed = run_campaign_parallel(
             scenarios, campaign, label="obs", workers=4,
-            tracer=tracer, metrics=metrics, timings=timings,
+            tracer=tracer, metrics=metrics,
         )
         # Full telemetry on, fanned out over 4 workers: still identical.
         assert observed.points == bare.points
@@ -136,16 +156,22 @@ class TestParallelDeterminism:
         assert serial_counts["batch"] == 2
         assert serial_counts["demod"] == 2
 
-    def test_per_trial_engine_still_emits_trial_spans(self):
+    def test_per_row_demod_runs_inside_one_batch_per_point(self):
         scenarios = sweep_range(Scenario.river(), RANGES)
         campaign = TrialCampaign(
-            trials_per_point=6, seed=17, engine="per-trial"
+            trials_per_point=6, seed=17,
+            receiver_factory=lambda sc: ReaderReceiver.for_scenario(
+                sc, rake_taps=2
+            ),
         )
         tracer = SpanTracer()
         run_campaign_parallel(scenarios, campaign, workers=1, tracer=tracer)
         _, counts = tracer.leaf_totals()
-        assert counts["trial"] == 2 * 6
-        assert "batch" not in counts
+        # Rows demodulate one at a time, but channel and noise still run
+        # once per point.
+        for stage in ("batch", "channel", "noise", "demod"):
+            assert counts[stage] == (2 if stage != "channel" else 4)
+        assert "trial" not in counts
 
     def test_parallel_metrics_match_serial_totals(self):
         cache.clear_channel_cache()

@@ -38,8 +38,8 @@ GATED_ARMS = (
     "optimized_serial", "optimized_parallel", "arrayfactor", "lint_warm"
 )
 """Arms whose regressions fail the check. ``seed_baseline`` is an
-emulation of historical code, ``serial_fallback`` is the pinned
-per-trial path kept for exotic receiver configs, and
+emulation of historical code, ``serial_fallback`` is a loop of 1-row
+``simulate_trial`` calls (the per-call cost the batch amortises), and
 ``arrayfactor_loop`` is the per-pair reference loop the batched
 array-factor kernel is scored against — informational only."""
 

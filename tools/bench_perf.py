@@ -8,9 +8,9 @@ Measures trials/sec of four execution arms on the same seeded campaign
   Wenz evaluation, and rebuilding the receiver per trial. (The baseline
   still gets this PR's O(n) DC blocker and memoized preamble templates,
   so reported speedups are *conservative* relative to the true seed.)
-* ``serial_fallback`` — the cached engine pinned to the per-trial loop
-  (``engine="per-trial"``), one process. This is the path custom
-  ``receiver_factory`` campaigns take.
+* ``serial_fallback`` — the cached engine driven as a loop of 1-row
+  ``simulate_trial`` calls (per-point invariants hoisted), one process:
+  the per-row cost the whole-point batch amortises.
 * ``optimized_serial`` — the cached engine on the batched point path
   (one ``(trials, samples)`` block per point), one process.
 * ``optimized_parallel`` — the batched engine sharded by point over a
@@ -28,10 +28,11 @@ A fifth pair of arms benchmarks the Van Atta array-factor kernel
 batched-vs-loop parity check enforced on full runs.
 
 Also records per-stage wall-clock (channel / reflect / noise / demod)
-via :mod:`repro.sim.profiling`, the run's metrics-registry snapshot
-(cache hits/misses, receiver failures, batch sizes — see
-:mod:`repro.obs.metrics`), and verifies two bit-identity contracts —
-parallel == serial, and batched == per-trial fallback — then writes
+from the serial arm's span tracer (:meth:`SpanTracer.leaf_totals`), the
+run's metrics-registry snapshot (cache hits/misses, receiver failures,
+batch sizes — see :mod:`repro.obs.metrics`), and verifies two
+bit-identity contracts — parallel == serial, and whole-point batch ==
+the 1-row ``simulate_trial`` loop — then writes
 everything (stamped with the batched kernel's
 ``batched_engine_version``) to the next ``BENCH_<n>.json`` — the files
 ``tools/bench_compare.py`` diffs to machine-check the perf trajectory.
@@ -66,8 +67,10 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.analysis import tree_fingerprint
 from repro.dsp import noisegen
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import SpanTracer
 from repro.obs.probes import probe_mode
 from repro.phy.batch import BATCHED_ENGINE_VERSION
+from repro.phy.receiver import ReaderReceiver
 from repro.vanatta.array import VanAttaArray
 from repro.vanatta.fastfield import (
     FASTFIELD_ENGINE_VERSION,
@@ -77,10 +80,10 @@ from repro.vanatta.fastfield import (
 from repro.sim import cache
 from repro.sim.engine import simulate_trial
 from repro.sim.parallel import run_campaign_parallel
-from repro.sim.profiling import StageTimings
+from repro.sim.results import BERPoint, CampaignResult
 from repro.sim.scenario import Scenario
 from repro.sim.sweep import sweep_range
-from repro.sim.trials import TrialCampaign, run_campaign
+from repro.sim.trials import TrialCampaign
 
 DEFAULT_RANGES_M = [50.0, 150.0, 250.0, 330.0, 450.0, 600.0]
 
@@ -174,6 +177,53 @@ def run_baseline(
                 )
                 n += 1
     return n
+
+
+def run_per_row(
+    scenarios: Sequence[Scenario], campaign: TrialCampaign, label: str
+) -> CampaignResult:
+    """The campaign as a loop of 1-row ``simulate_trial`` calls.
+
+    Per-point invariants (node, receiver, channel response) are hoisted
+    as a campaign would; every trial then pays the pipeline's per-call
+    overhead alone. The reference of the ``batched_bit_identical`` gate.
+    """
+    out = CampaignResult(label=label)
+    for i, scenario in enumerate(scenarios):
+        node = campaign.node_factory()
+        receiver = ReaderReceiver.for_scenario(scenario, campaign.frame_config)
+        response = cache.reader_node_response(scenario)
+        results = []
+        for child in campaign.trial_seeds(i):
+            rng = np.random.default_rng(child)
+            payload = bytes(
+                rng.integers(0, 256, size=campaign.payload_bytes, dtype=np.uint8)
+            )
+            results.append(simulate_trial(
+                scenario,
+                node=node,
+                payload=payload,
+                rng=rng,
+                frame_config=campaign.frame_config,
+                receiver=receiver,
+                si_suppression_db=campaign.si_suppression_db,
+                response=response,
+            ))
+        out.add(BERPoint.from_trials(results))
+    return out
+
+
+def stage_timings(tracer: SpanTracer) -> dict:
+    """Per-stage view of a tracer: {stage: {total_s, count, mean_ms}}."""
+    totals, counts = tracer.leaf_totals()
+    return {
+        name: {
+            "total_s": round(totals[name], 6),
+            "count": counts[name],
+            "mean_ms": round(1e3 * totals[name] / max(counts[name], 1), 6),
+        }
+        for name in sorted(totals)
+    }
 
 
 def _arm(elapsed_s: float, trials: int) -> dict:
@@ -306,35 +356,36 @@ def run_bench(
     campaign = TrialCampaign(trials_per_point=trials_per_point, seed=seed)
 
     # Warm imports / BLAS / code paths so no arm pays first-call costs.
-    run_campaign(scenarios[:1], TrialCampaign(trials_per_point=2, seed=seed))
+    run_campaign_parallel(
+        scenarios[:1], TrialCampaign(trials_per_point=2, seed=seed), workers=1
+    )
     run_baseline(scenarios[:1], TrialCampaign(trials_per_point=2, seed=seed))
 
     t0 = time.perf_counter()
     n_base = run_baseline(scenarios, campaign)
     baseline = _arm(time.perf_counter() - t0, n_base)
 
-    # Per-trial fallback arm: the cached engine with the batched path
-    # pinned off — the reference both for the batched speedup and for
-    # the batched == per-trial bit-identity gate.
-    fallback_campaign = dataclasses.replace(campaign, engine="per-trial")
+    # Per-row arm: the cached engine one trial per call — the reference
+    # both for the batched speedup and for the batched == per-row
+    # bit-identity gate.
     cache.clear_channel_cache()
     noisegen.clear_noise_cache()
-    run_campaign(scenarios[:1], dataclasses.replace(
-        fallback_campaign, trials_per_point=2))
-    t0 = time.perf_counter()
-    fallback = run_campaign(
-        scenarios, fallback_campaign, label="bench-fallback"
+    run_per_row(
+        scenarios[:1], dataclasses.replace(campaign, trials_per_point=2),
+        label="warm",
     )
+    t0 = time.perf_counter()
+    fallback = run_per_row(scenarios, campaign, label="bench-fallback")
     fallback_arm = _arm(time.perf_counter() - t0, fallback.total_trials)
 
     cache.clear_channel_cache()
     noisegen.clear_noise_cache()
-    serial_timings = StageTimings()
+    serial_tracer = SpanTracer()
     serial_metrics = MetricsRegistry()
     t0 = time.perf_counter()
     serial = run_campaign_parallel(
         scenarios, campaign, label="bench-serial", workers=1,
-        timings=serial_timings, metrics=serial_metrics,
+        tracer=serial_tracer, metrics=serial_metrics,
     )
     serial_arm = _arm(time.perf_counter() - t0, serial.total_trials)
 
@@ -400,7 +451,7 @@ def run_bench(
                 (serial_arm["trials_per_sec"] or 0.0) / fallback_rate, 2
             ),
         },
-        "stage_timings": serial_timings.as_dict(),
+        "stage_timings": stage_timings(serial_tracer),
         "metrics": metrics,
         "cache": {
             "hits": counters.get("repro.sim.cache.hits", 0),
@@ -482,7 +533,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     if not record["batched_bit_identical"]:
         print(
-            "ERROR: batched campaign diverged from the per-trial fallback",
+            "ERROR: batched campaign diverged from the 1-row simulate_trial loop",
             file=sys.stderr,
         )
         return 1

@@ -24,12 +24,13 @@ result = run_campaign_parallel(
 )
 ```
 
-Results are **bit-identical** to the serial `run_campaign` for the same
-seed: per-trial entropy comes from `TrialCampaign.trial_seeds`
+Results are **bit-identical** for any worker count and the same seed:
+per-trial entropy comes from `TrialCampaign.trial_seeds`
 (`SeedSequence((seed, point)).spawn(n)`) regardless of which worker runs
-a trial, and chunks are re-assembled in trial order before aggregation.
+a point, and results are re-assembled in point order before aggregation.
 `workers=1` runs serially in-process; campaigns carrying non-picklable
-factories fall back to the same path automatically.
+factories fall back to the same path automatically, even when a `pool=`
+is supplied.
 
 Speed comes mostly from memoization, which is on by default and
 invisible in the returned numbers:
@@ -45,7 +46,8 @@ Caches are process-local and keyed by value; invalidate explicitly
 after mutating water/surface tables in place.
 
 Per-stage wall-clock (channel / reflect / noise / demod) is available
-via `collect_stage_timings` or the `timings=` argument. The perf
+from a `SpanTracer` passed as `tracer=`: `tracer.leaf_totals()` folds
+its span paths into per-stage totals and counts. The perf
 harness `tools/bench_perf.py` times the seed-style serial path against
 the cached serial and parallel engines and writes the next
 `BENCH_<n>.json` (arms `seed_baseline` / `optimized_serial` /
