@@ -29,6 +29,21 @@ def doppler_factor(
     return radial_velocity_mps / sound_speed_mps
 
 
+def _gather_runs(signal: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``signal[..., idx]`` as a new C-ordered block, copied run by run.
+
+    ``idx`` is a resampling map of slope near one, so it splits into a
+    few runs of consecutive indices, and each run is one slice copy —
+    cheaper than an index gather, also from a strided view.
+    """
+    n = len(idx)
+    out = np.empty(signal.shape[:-1] + (n,), dtype=signal.dtype)
+    cuts = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        out[..., lo:hi] = signal[..., idx[lo] : idx[lo] + hi - lo]
+    return out
+
+
 def apply_doppler(
     signal: np.ndarray,
     fs: float,
@@ -52,7 +67,8 @@ def apply_doppler(
         sound_speed_mps: medium sound speed.
 
     Returns:
-        Doppler-distorted complex baseband samples (same length).
+        Doppler-distorted complex baseband samples (same shape), as a
+        new C-contiguous array.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     n_samples = signal.shape[-1]
@@ -68,8 +84,15 @@ def apply_doppler(
     i0 = np.floor(src_pos).astype(int)
     i1 = np.minimum(i0 + 1, n_samples - 1)
     frac = src_pos - i0
-    warped = (1.0 - frac) * signal[..., i0] + frac * signal[..., i1]
+    # The weights and the rotation are applied in place on C-ordered
+    # gathers (a ``signal[..., i0]`` gather of a 2-D block comes back in
+    # F order).
+    warped = _gather_runs(signal, i0)
+    warped *= 1.0 - frac
+    ahead = _gather_runs(signal, i1)
+    ahead *= frac
+    warped += ahead
     # Carrier shift.
     f_d = doppler_shift_hz(carrier_hz, radial_velocity_mps, sound_speed_mps)
-    rotation = np.exp(2j * np.pi * f_d * n / fs)
-    return warped * rotation
+    warped *= np.exp(2j * np.pi * f_d * n / fs)
+    return warped

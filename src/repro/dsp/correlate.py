@@ -75,16 +75,25 @@ def normalized_correlation_batch(
         raise ValueError("template has zero energy")
     spectrum = np.fft.fft(signals, n=n, axis=1)
     spectrum *= np.conj(np.fft.fft(template, n=n))[None, :]
-    raw = np.fft.ifft(spectrum, axis=1)[:, : n - m + 1]
+    # Only the magnitude of the valid lags is kept, and the complex
+    # blocks are released before the energy chain allocates.
+    correlation = np.abs(np.fft.ifft(spectrum, axis=1)[:, : n - m + 1])
+    del spectrum
     # |z|^2 without the hypot of abs(): re^2 + im^2 (the scalar path's
     # abs()**2 differs only at the last ulp, within this function's
-    # documented 1e-12 tolerance to the time-domain form).
-    power = signals.real**2 + signals.imag**2
-    cumulative = np.cumsum(power, axis=1)
-    local_energy = cumulative[:, m - 1 :].copy()
-    local_energy[:, 1:] -= cumulative[:, : n - m]
-    denom = np.sqrt(np.maximum(local_energy * t_energy, 1e-30))
-    return np.abs(raw) / denom
+    # documented 1e-12 tolerance to the time-domain form). The energy
+    # chain runs in place.
+    cumulative = np.square(signals.real)
+    cumulative += np.square(signals.imag)
+    np.cumsum(cumulative, axis=1, out=cumulative)
+    denom = np.empty((trials, n - m + 1))
+    denom[:, 0] = cumulative[:, m - 1]
+    np.subtract(cumulative[:, m:], cumulative[:, : n - m], out=denom[:, 1:])
+    denom *= t_energy
+    np.maximum(denom, 1e-30, out=denom)
+    np.sqrt(denom, out=denom)
+    correlation /= denom
+    return correlation
 
 
 def matched_filter(signal: np.ndarray, pulse: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ pay for the shaping filter once per operating point.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -185,8 +185,32 @@ def colored_noise(
     # white bins then scale so E[|x[t]|^2] = integral of PSD.
     bins = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     bins *= _shaping_amplitude(n, fs, psd_db_fn, carrier_hz)
-    noise = np.fft.ifft(bins) * np.sqrt(n)
-    return noise.astype(np.complex128)
+    noise = np.fft.ifft(bins)
+    noise *= np.sqrt(n)
+    return noise
+
+
+def _draw_complex_rows(
+    rows: np.ndarray,
+    scale: Union[float, np.ndarray],
+    rngs: Sequence[np.random.Generator],
+) -> None:
+    """Fill ``rows[t]`` with ``scale * (N + 1j N)`` drawn from ``rngs[t]``.
+
+    Each generator draws its row's real parts, then its imaginary parts
+    — the request order of ``rng.standard_normal(n) + 1j *
+    rng.standard_normal(n)`` — into one reused ``(2, n)`` buffer, and
+    the scaled draws are written straight into the real and imaginary
+    planes of ``rows``. Scaling a part by a real factor is the same
+    float multiply the complex product would do, so the values are
+    bitwise those of the expression form without its temporaries.
+    """
+    draw = np.empty((2, rows.shape[1]))
+    real, imag = rows.real, rows.imag
+    for t, rng in enumerate(rngs):
+        rng.standard_normal(out=draw)
+        np.multiply(draw[0], scale, out=real[t])
+        np.multiply(draw[1], scale, out=imag[t])
 
 
 def white_noise_batch(
@@ -202,9 +226,7 @@ def white_noise_batch(
     if power < 0:
         raise ValueError("power must be non-negative")
     rows = np.empty((len(rngs), n), dtype=np.complex128)
-    scale = np.sqrt(power / 2.0)
-    for t, rng in enumerate(rngs):
-        rows[t] = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    _draw_complex_rows(rows, np.sqrt(power / 2.0), rngs)
     return rows
 
 
@@ -226,9 +248,9 @@ def colored_noise_batch(
     """
     if n <= 0:
         return np.zeros((len(rngs), 0), dtype=np.complex128)
+    amplitude = _shaping_amplitude(n, fs, psd_db_fn, carrier_hz)
     bins = np.empty((len(rngs), n), dtype=np.complex128)
-    for t, rng in enumerate(rngs):
-        bins[t] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    bins *= _shaping_amplitude(n, fs, psd_db_fn, carrier_hz)[None, :]
-    noise = np.fft.ifft(bins, axis=1) * np.sqrt(n)
-    return noise.astype(np.complex128)
+    _draw_complex_rows(bins, amplitude, rngs)
+    noise = np.fft.ifft(bins, axis=1)
+    noise *= np.sqrt(n)
+    return noise

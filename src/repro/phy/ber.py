@@ -64,6 +64,13 @@ def required_snr_db(target_ber: float, coherent: bool = True) -> DB:
     return 10.0 * math.log10(snr)
 
 
+def _bit_array(bits: Sequence[int]) -> np.ndarray:
+    """Bits as an int64 array; ndarrays convert without a Python list."""
+    if isinstance(bits, np.ndarray):
+        return bits.astype(np.int64, copy=False)
+    return np.asarray(list(bits), dtype=np.int64)
+
+
 def count_bit_errors(sent: Sequence[int], received: Sequence[int]) -> int:
     """Hamming distance over the overlapping prefix; missing bits count as errors.
 
@@ -71,8 +78,8 @@ def count_bit_errors(sent: Sequence[int], received: Sequence[int]) -> int:
     receiver never produced are charged as errors rather than ignored —
     matching how over-water experiments score trials.
     """
-    sent = np.asarray(list(sent), dtype=np.int64)
-    received = np.asarray(list(received), dtype=np.int64)
+    sent = _bit_array(sent)
+    received = _bit_array(received)
     overlap = min(len(sent), len(received))
     errors = int(np.count_nonzero(sent[:overlap] != received[:overlap]))
     errors += len(sent) - overlap if len(sent) > overlap else 0
@@ -81,7 +88,7 @@ def count_bit_errors(sent: Sequence[int], received: Sequence[int]) -> int:
 
 def ber(sent: Sequence[int], received: Sequence[int]) -> float:
     """Bit error rate of a trial (errors / sent bits)."""
-    sent = list(sent)
-    if not sent:
+    sent = _bit_array(sent)
+    if not len(sent):
         raise ValueError("need at least one sent bit")
     return count_bit_errors(sent, received) / len(sent)

@@ -201,8 +201,8 @@ def detect_preamble_batch(
     if seg_corr.shape[1] == 0 or n_starts <= 0:
         return empty
 
-    combined = np.zeros((trials, n_starts))
-    for r in range(repeats):
+    combined = seg_corr[:, :n_starts].copy()
+    for r in range(1, repeats):
         combined += seg_corr[:, r * period : r * period + n_starts]
     combined /= repeats
 
@@ -226,12 +226,18 @@ def detect_preamble_batch(
         # :func:`repro.dsp.correlate.peak_to_sidelobe` row by row: the
         # peak/sidelobe division is the same float op, and an all-
         # blanked or all-zero sidelobe maps to inf either way.
-        masked = combined[hits].copy()
-        guard_span = (
-            np.abs(np.arange(n_starts)[None, :] - peak[hits, None])
-            <= samples_per_chip
+        # The window is written through a (hits, 2 sps + 1) index
+        # gather; indices clipped at the record ends land inside it.
+        # When every row hit, ``combined`` (not read again) is blanked
+        # in place.
+        masked = combined if len(hits) == trials else combined[hits]
+        guard = np.clip(
+            peak[hits, None]
+            + np.arange(-samples_per_chip, samples_per_chip + 1)[None, :],
+            0,
+            n_starts - 1,
         )
-        masked[guard_span] = -1.0
+        masked[np.arange(len(hits))[:, None], guard] = -1.0
         side = masked.max(axis=1)
         with np.errstate(divide="ignore"):
             psl[hits] = np.where(

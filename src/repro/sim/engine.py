@@ -258,9 +258,12 @@ def simulate_point_batch(
             )
 
     # --- reader-side impairments ---
-    record = received
+    # ``record`` is a fresh block (the leak sum), so the noise is added
+    # in place; ``incident``, ``reflected`` and ``received`` are never
+    # written — the record probe attributes a corrupt record to the
+    # first corrupt stage output among them.
     leak = amplitude_tx * 10.0 ** (-si_leak_db / 20.0)
-    record = record + leak
+    record = received + leak
     if include_noise:
         with span("noise"):
             # Each trial's stream draws colored bins first, then the
@@ -269,7 +272,8 @@ def simulate_point_batch(
             ambient = colored_noise_batch(
                 n_samples, fs, scenario.noise.psd_db, scenario.carrier_hz, rngs
             )
-            record = record + ambient * 10.0 ** (system_noise_figure_db / 20.0)
+            ambient *= 10.0 ** (system_noise_figure_db / 20.0)
+            record += ambient
             if si_suppression_db is not None:
                 residual_level_db = scenario.source_level_db - si_suppression_db
                 # Residual power spread across the chip bandwidth, then
@@ -277,7 +281,7 @@ def simulate_point_batch(
                 # right.
                 in_band_power = (10.0 ** (residual_level_db / 20.0)) ** 2
                 total_power = in_band_power * fs / scenario.chip_rate
-                record = record + white_noise_batch(n_samples, total_power, rngs)
+                record += white_noise_batch(n_samples, total_power, rngs)
 
     # --- demodulate and score ---
     with span("demod"):

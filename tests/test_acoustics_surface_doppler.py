@@ -112,6 +112,34 @@ class TestDoppler:
             np.mean(np.abs(x) ** 2), rel=0.02
         )
 
+    @pytest.mark.parametrize("v", [0.04, -0.04, 1.2, -1.2, 40.0, -40.0])
+    def test_apply_matches_gather_form_bitwise(self, v):
+        # Reference: the interpolate-then-rotate expression over an index
+        # gather. Large |v| makes many index runs and clips the tail.
+        fs, c = 16_000.0, 1480.0
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 530)) + 1j * rng.standard_normal((3, 530))
+        x = x[:, :500]  # strided rows, as a block cut to length
+        n = np.arange(500)
+        src = np.clip(n / (1.0 + doppler_factor(v, c)), 0, 499)
+        i0 = np.floor(src).astype(int)
+        i1 = np.minimum(i0 + 1, 499)
+        frac = src - i0
+        rotation = np.exp(2j * np.pi * doppler_shift_hz(F, v, c) * n / fs)
+        want = ((1.0 - frac) * x[..., i0] + frac * x[..., i1]) * rotation
+        got = apply_doppler(x, fs, F, v, c)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        for row in range(3):
+            assert np.array_equal(apply_doppler(x[row], fs, F, v, c), got[row])
+
+    @pytest.mark.parametrize("v", [0.0, 0.5])
+    def test_apply_returns_c_order_for_any_layout(self, v):
+        x = np.exp(1j * np.linspace(0, 10, 4 * 256)).reshape(4, 256)
+        for layout in (x, np.asfortranarray(x), x[:, ::-1], x.T):
+            y = apply_doppler(layout, 16_000.0, F, v)
+            assert y.flags.c_contiguous
+            assert y.shape == layout.shape
+
     @given(st.floats(min_value=-3.0, max_value=3.0))
     def test_apply_finite(self, v):
         x = np.ones(128, dtype=complex)

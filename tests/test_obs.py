@@ -117,6 +117,19 @@ class TestSpans:
         assert totals["demod"] == pytest.approx(3.0)
         assert counts["demod"] == 2
 
+    def test_batched_demod_stages_are_spanned_once_per_point(self):
+        campaign = TrialCampaign(trials_per_point=4, seed=3)
+        with collect_spans() as tracer:
+            for index, range_m in enumerate((100.0, 200.0)):
+                campaign.run_point(Scenario.river(range_m), index)
+        _, counts = tracer.leaf_totals()
+        stages = ("suppress", "detect", "cfo", "slice", "parse")
+        for stage in stages:
+            assert counts[stage] == 2, stage
+            # Nested inside the engine's demod span, so a report shows
+            # them as the batched receiver's share of demod time.
+            assert tracer.counts[("point", "batch", "demod", stage)] == 2
+
     def test_pickle_drops_live_stack(self):
         import pickle
 

@@ -162,6 +162,25 @@ class TestFaultInjection:
         assert err.value.probe == "sim.engine.record"
         assert err.value.stage == "noise"
 
+    def test_nan_white_noise_is_attributed_to_noise_stage(
+        self, monkeypatch
+    ):
+        # The record is assembled in place; blaming "channel" here would
+        # mean the noise was added into the channel output itself.
+        real = engine_module.white_noise_batch
+
+        def poisoned(*args, **kwargs):
+            noise = real(*args, **kwargs)
+            noise[..., noise.shape[-1] // 2] = np.nan
+            return noise
+
+        monkeypatch.setattr(engine_module, "white_noise_batch", poisoned)
+        with probes("raise"):
+            with pytest.raises(ProbeViolation) as err:
+                run_one_point(tiny_campaign())
+        assert err.value.probe == "sim.engine.record"
+        assert err.value.stage == "noise"
+
     def test_nan_reflection_is_attributed_to_reflect_stage(
         self, monkeypatch
     ):

@@ -38,6 +38,8 @@ from repro.phy.frame import (
     parse_frames_batch,
 )
 from repro.phy.receiver import ReaderReceiver
+from repro.sim.scenario import Scenario
+from repro.sim.trials import TrialCampaign
 
 
 class TestBatchSupportGate:
@@ -125,6 +127,54 @@ class TestDemodulateBatch:
         silent = batched.demodulate_batch(np.zeros((3, 4096)))
         assert [r.success for r in silent] == [False] * 3
         assert [r.detection for r in silent] == [None] * 3
+
+
+@pytest.fixture(scope="module")
+def river_record():
+    """The record block the point pipeline demodulates for river(330 m)."""
+    captured = []
+    real = BatchedReaderReceiver.demodulate_batch
+
+    def capture(self, records):
+        captured.append(np.array(records))
+        return real(self, records)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BatchedReaderReceiver, "demodulate_batch", capture)
+        TrialCampaign(trials_per_point=6, seed=2023).run_trials(
+            Scenario.river(330.0), 0
+        )
+    return captured[0]
+
+
+def _demod_fields(result):
+    return (
+        result.frame,
+        result.detection,
+        result.snr_db,
+        result.success,
+        result.cfo_hz,
+        result.chip_soft.tobytes(),
+    )
+
+
+class TestDemodMemoryOrder:
+    """A record's result must not depend on how its block is laid out."""
+
+    def test_c_f_and_strided_layouts_give_equal_results(self, river_record):
+        rx = ReaderReceiver.for_scenario(Scenario.river(330.0))
+        batched = BatchedReaderReceiver(rx)
+        trials, n = river_record.shape
+        wide = np.zeros((trials, 2 * n), dtype=np.complex128)
+        wide[:, ::2] = river_record
+
+        def demod(records):
+            return [_demod_fields(r) for r in batched.demodulate_batch(records)]
+
+        want = demod(river_record)
+        assert any(fields[1] is not None for fields in want)
+        assert demod(np.asfortranarray(river_record)) == want
+        assert demod(wide[:, ::2]) == want
 
 
 class TestBatchedCorrelation:

@@ -126,6 +126,16 @@ class TestErrorCounting:
         with pytest.raises(ValueError):
             ber([], [1])
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+    def test_arrays_score_like_lists(self, dtype):
+        sent, received = [1, 0, 1, 1, 0], [1, 1, 1]
+        sent_array = np.array(sent, dtype=dtype)
+        received_array = np.array(received, dtype=dtype)
+        assert count_bit_errors(sent_array, received_array) == 3
+        assert ber(sent_array, received_array) == ber(sent, received)
+        with pytest.raises(ValueError):
+            ber(np.zeros(0, dtype=dtype), received_array)
+
     @given(bit_lists.filter(lambda b: len(b) > 0))
     @settings(max_examples=30)
     def test_ber_bounded(self, bits):

@@ -32,7 +32,7 @@ from repro.geometry.placement import Pose
 from repro.geometry.vec3 import Vec3
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.phy.receiver import ReaderReceiver
-from repro.sim.engine import simulate_trial
+from repro.sim.engine import simulate_point_batch, simulate_trial
 from repro.sim.parallel import run_campaign_parallel
 from repro.sim.results import BERPoint
 from repro.sim.sweep import sweep_range
@@ -188,6 +188,23 @@ class TestPipelineMatchesGoldens:
         build, _ = CASES[name]
         got = campaign_for(name).run_trials(build(), 0)
         assert [encode(r) for r in got] == goldens[name]
+
+    def test_noise_free_whole_point_reproduces_golden(self, goldens):
+        # Without noise the record is the channel output plus the leak,
+        # still in the layout the Doppler stage returned; the demod must
+        # not depend on that layout.
+        campaign = campaign_for("river-100")
+        generators = [
+            np.random.default_rng(s) for s in campaign.trial_seeds(0)
+        ]
+        payloads = [
+            bytes(rng.integers(0, 256, size=8, dtype=np.uint8))
+            for rng in generators
+        ]
+        got = simulate_point_batch(
+            Scenario.river(100.0), payloads, generators, include_noise=False,
+        )
+        assert [encode(r) for r in got] == goldens[NOISE_FREE]
 
     def test_goldens_cover_every_case(self, goldens):
         assert set(goldens) == {*CASES, NOISE_FREE}

@@ -45,9 +45,11 @@ invisible in the returned numbers:
 Caches are process-local and keyed by value; invalidate explicitly
 after mutating water/surface tables in place.
 
-Per-stage wall-clock (channel / reflect / noise / demod) is available
-from a `SpanTracer` passed as `tracer=`: `tracer.leaf_totals()` folds
-its span paths into per-stage totals and counts. The perf
+Per-stage wall-clock (channel / reflect / noise / demod, and inside
+demod the batched receiver's suppress / detect / cfo / slice / parse)
+is available from a `SpanTracer` passed as `tracer=`:
+`tracer.leaf_totals()` folds its span paths into per-stage totals and
+counts. The perf
 harness `tools/bench_perf.py` times the seed-style serial path against
 the cached serial and parallel engines and writes the next
 `BENCH_<n>.json` (arms `seed_baseline` / `optimized_serial` /
