@@ -20,7 +20,7 @@ import math
 from typing import Optional
 
 from repro.acoustics.constants import WaterProperties
-from repro.analysis.units.vocab import DB_PER_KM, HZ
+from repro.contracts import DB_PER_KM, HZ
 
 
 def absorption_thorp(frequency_hz: HZ) -> DB_PER_KM:

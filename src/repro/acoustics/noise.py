@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.units.vocab import DB, HZ, MPS
+from repro.contracts import DB, HZ, MPS
 
 
 def wenz_turbulence_psd_db(frequency_hz: HZ) -> DB:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.acoustics.absorption import absorption_db_per_km
 from repro.acoustics.constants import REFERENCE_DISTANCE_M, WaterProperties
-from repro.analysis.units.vocab import DB, HZ, LINEAR, METERS
+from repro.contracts import DB, HZ, LINEAR, METERS
 
 SPHERICAL_EXPONENT = 20.0
 PRACTICAL_EXPONENT = 15.0

@@ -9,10 +9,15 @@ per-file rules (``VAB001``..``VAB005``; see
 :mod:`repro.analysis.rules`), a flow-sensitive, interprocedural
 dimensional-analysis engine (``VAB006``..``VAB010``; see
 :mod:`repro.analysis.units`) that tracks units through assignments,
-arithmetic, and call boundaries, and a shape/dtype dataflow engine
+arithmetic, and call boundaries, a shape/dtype dataflow engine
 (``VAB011``..``VAB016``; see :mod:`repro.analysis.shapes`) that tracks
 symbolic ndarray shapes, dtypes, and determinism taints through the
-batched kernels.
+batched kernels, and an effect/purity engine (``VAB017``..``VAB022``;
+see :mod:`repro.analysis.effects`). The three engines are rows of one
+table (:mod:`repro.analysis.engines`) run by one incremental driver
+(:mod:`repro.analysis.incremental`); the annotations they read come
+from the dependency-free :mod:`repro.contracts`, so runtime code never
+imports this package.
 
 Run it via ``python tools/vablint.py src/repro``, the ``repro lint``
 CLI subcommand, or the API::

@@ -7,14 +7,13 @@ subpackage tracks **effects**: which functions read ambient state
 globals, process-global RNG streams), which mutate state, and which
 callables cross the ProcessPool process boundary.  Contracts are
 declared with the ``Pure[T]`` / ``Effectful[T, atoms...]`` vocabulary
-(:mod:`~repro.analysis.effects.vocab`), known stdlib/numpy/repro
-signatures live in a curated database
-(:mod:`~repro.analysis.effects.sigdb`), and a flow-sensitive,
-interprocedural fixed-point engine
+of :mod:`repro.contracts`, known stdlib/numpy/repro signatures live in
+a curated database (:mod:`~repro.analysis.effects.sigdb`), and a
+flow-sensitive, interprocedural fixed-point engine
 (:mod:`~repro.analysis.effects.engine`) rides the same
 :class:`~repro.analysis.units.symbols.ModuleInfo` symbol tables and the
-same incremental cache driver (:mod:`repro.analysis.incremental`) as
-the other two engines.
+same incremental driver (:mod:`repro.analysis.incremental`) as the
+other two engines.
 
 Entry points::
 
@@ -29,84 +28,25 @@ The rules run under the same ``--units`` CLI flag as VAB006..VAB016 —
 no new CLI surface.
 """
 
-from repro.analysis.effects.cache import (
-    DEFAULT_CACHE_NAME,
-    ENGINE_VERSION,
-    EffectsReport,
-    analyze_effects,
-    effects_cache_path,
-)
-from repro.analysis.effects.engine import (
-    EffectSummary,
-    run_effect_fixed_point,
-    seed_effect_summaries,
-)
-from repro.analysis.effects.vocab import (
-    ATOMS,
-    EffectTag,
-    Effectful,
-    Pure,
-)
+from pathlib import Path
+from typing import Optional, Sequence, Set
 
-EFFECT_RULES = {
-    "VAB017": (
-        "hidden-cache-input",
-        "a hidden input (environ, wall-clock, filesystem, host config, "
-        "mutable global, ambient RNG) reaches a memoized or "
-        "content-addressed computation whose cache key cannot see it — "
-        "cached results go stale silently and poison dedupe for every "
-        "user sharing the store",
-    ),
-    "VAB018": (
-        "cache-hit-divergence",
-        "a side effect (global/argument mutation, file write) escapes a "
-        "memoized function: it happens on the computing call and never "
-        "again on a cache hit, so warm and cold runs diverge",
-    ),
-    "VAB019": (
-        "worker-rng-indiscipline",
-        "a callable dispatched across the process boundary draws from "
-        "an ambient RNG stream instead of a SeedSequence-derived "
-        "generator threaded through its parameters — worker results "
-        "stop being reproducible",
-    ),
-    "VAB020": (
-        "unpicklable-submit",
-        "a lambda or closure-capturing nested function crosses the "
-        "ProcessPool submit path: it cannot pickle (or silently "
-        "re-binds its closure in the worker)",
-    ),
-    "VAB021": (
-        "version-stamp-completeness",
-        "a *_ENGINE_VERSION constant never flows into an "
-        "engine_versions={...} manifest stamp, so results computed by "
-        "different engine versions collide under one run_key",
-    ),
-    "VAB022": (
-        "host-dependent-result",
-        "a host-configuration read (os.cpu_count(), TTY/CI detection, "
-        "locale) flows into a returned value without a declared "
-        'Effectful[..., "reads:host"] grant — stored results must not '
-        "depend on the machine that computed them",
-    ),
-}
-"""rule id -> (name, summary) for the effects engine's findings."""
+from repro.analysis.incremental import EngineReport, analyze_incremental
 
-EFFECT_RULE_IDS = tuple(sorted(EFFECT_RULES))
 
-__all__ = [
-    "analyze_effects",
-    "effects_cache_path",
-    "EffectsReport",
-    "ENGINE_VERSION",
-    "DEFAULT_CACHE_NAME",
-    "EFFECT_RULES",
-    "EFFECT_RULE_IDS",
-    "EffectSummary",
-    "EffectTag",
-    "Pure",
-    "Effectful",
-    "ATOMS",
-    "seed_effect_summaries",
-    "run_effect_fixed_point",
-]
+def analyze_effects(
+    files: Sequence[Path],
+    cache_path: Optional[Path] = None,
+    force_dirty: Optional[Set[str]] = None,
+) -> EngineReport:
+    """Run the effect/purity analysis engine over ``files``.
+
+    With ``cache_path`` the run is incremental with the same contract as
+    ``analyze_units``; without it every file is analyzed cold.
+    """
+    from repro.analysis.engines import engine_named  # the table imports us
+
+    return analyze_incremental(engine_named("effects"), files, cache_path, force_dirty)
+
+
+__all__ = ["analyze_effects"]

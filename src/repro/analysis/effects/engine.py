@@ -7,7 +7,7 @@ engines, reusing their symbol tables
 1. **Seeding** — every function gets an :class:`EffectSummary` whose
    declared contract comes from ``Pure[...]`` / ``Effectful[...]`` /
    ``Annotated[T, TAG]`` annotations
-   (:mod:`repro.analysis.effects.vocab`) read straight off the
+   (:mod:`repro.contracts`) read straight off the
    annotation AST, plus flags for memoization decorators and
    ``rng``-style parameters.  Stamp sites — ``engine_versions={...}``
    dict literals — become pseudo-summaries so VAB021 sees them across
@@ -54,13 +54,20 @@ The rules:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.dataflow import FlowBase, ModuleAnalysis
 from repro.analysis.effects import sigdb
 from repro.analysis.effects.vocab import (
     CONTRACT_FACTORIES,
     HIDDEN_INPUT_ATOMS,
+    SIDE_EFFECT_ATOMS,
+    TAG_CONSTANTS,
+)
+from repro.analysis.findings import Finding
+from repro.analysis.units.symbols import FunctionInfo, ModuleInfo
+from repro.contracts import (
     MUTATES_ARG_ATOM,
     MUTATES_GLOBAL_ATOM,
     READS_ENVIRON_ATOM,
@@ -68,13 +75,8 @@ from repro.analysis.effects.vocab import (
     READS_GLOBAL_ATOM,
     READS_HOST_ATOM,
     RNG_AMBIENT_ATOM,
-    SIDE_EFFECT_ATOMS,
-    TAG_CONSTANTS,
     WRITES_FILE_ATOM,
 )
-from repro.analysis.findings import Finding
-from repro.analysis.units.engine import method_index
-from repro.analysis.units.symbols import FunctionInfo, ModuleInfo
 
 MAX_FIXED_POINT_PASSES = 16
 """Safety bound; effect chains through the campaign runner are deeper
@@ -140,16 +142,11 @@ class EffectSummary:
             stamped=tuple(str(s) for s in raw.get("stamped", ())),  # type: ignore[union-attr]
         )
 
-
-@dataclass
-class EffectModuleAnalysis:
-    """Per-file output of one engine pass."""
-
-    findings: List[Finding] = field(default_factory=list)
-    refs: Set[str] = field(default_factory=set)
-    inferred_effects: Dict[str, Tuple[Tuple[str, str], ...]] = field(
-        default_factory=dict
-    )
+    def absorb(self, effects: Tuple[Tuple[str, str], ...]) -> "EffectSummary":
+        """This summary with the effect set inferred from the body."""
+        if self.effects == effects:
+            return self
+        return replace(self, effects=effects)
 
 
 @dataclass(frozen=True)
@@ -357,23 +354,21 @@ def _root_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-class _EffectFlow:
+class _EffectFlow(FlowBase):
     """Walks one function body, collecting effect hits and rule findings."""
+
+    fn: FunctionInfo
 
     def __init__(
         self,
         info: ModuleInfo,
-        analysis: EffectModuleAnalysis,
+        analysis: ModuleAnalysis,
         summaries: Dict[str, EffectSummary],
         methods: Dict[str, Tuple[str, ...]],
         fn: FunctionInfo,
         mutable_globals: Set[str],
     ) -> None:
-        self.info = info
-        self.analysis = analysis
-        self.summaries = summaries
-        self.methods = methods
-        self.fn = fn
+        super().__init__(info, analysis, summaries, methods, fn)
         self.mutable_globals = mutable_globals
         self.summary = summaries.get(fn.qualname)
         self.declared: Optional[Tuple[str, ...]] = (
@@ -392,17 +387,6 @@ class _EffectFlow:
             self.params.add(arg.arg)
             self.env[arg.arg] = _PLAIN
 
-    # -- plumbing ---------------------------------------------------------
-
-    def _emit(self, node: ast.AST, rule_id: str, message: str) -> None:
-        self.analysis.findings.append(Finding(
-            path=str(self.info.path),
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule_id=rule_id,
-            message=message,
-        ))
-
     def _hit(self, node: ast.AST, atom: str, origin: str) -> None:
         self.hits.append(EffectHit(
             atom=atom,
@@ -410,12 +394,6 @@ class _EffectFlow:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
         ))
-
-    # -- statement flow ---------------------------------------------------
-
-    def run(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
 
     def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -818,39 +796,10 @@ class _EffectFlow:
                     break
         return True
 
-    def _resolve_summary(
-        self, node: ast.Call, resolved: Optional[str]
-    ) -> Optional[EffectSummary]:
-        candidates: List[str] = []
-        if resolved is not None:
-            candidates.append(resolved)
-            if "." not in resolved:
-                candidates.append(f"{self.info.module}.{resolved}")
-        if isinstance(node.func, ast.Attribute):
-            if (
-                isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("self", "cls")
-                and self.fn.class_name is not None
-            ):
-                candidates.append(
-                    f"{self.info.module}.{self.fn.class_name}.{node.func.attr}"
-                )
-            else:
-                unique = self.methods.get(node.func.attr, ())
-                if len(unique) == 1:
-                    candidates.append(unique[0])
-        for candidate in candidates:
-            summary = self.summaries.get(candidate)
-            if summary is not None:
-                self.analysis.refs.add(summary.qualname)
-                return summary
-        self.analysis.refs.update(c for c in candidates if "." in c)
-        return None
-
 
 def _check_memoized(
     info: ModuleInfo,
-    analysis: EffectModuleAnalysis,
+    analysis: ModuleAnalysis,
     fn: FunctionInfo,
     summary: Optional[EffectSummary],
     hits: Sequence[EffectHit],
@@ -895,7 +844,7 @@ def _check_memoized(
 
 def _check_worker_entry(
     info: ModuleInfo,
-    analysis: EffectModuleAnalysis,
+    analysis: ModuleAnalysis,
     fn: FunctionInfo,
     summary: Optional[EffectSummary],
     hits: Sequence[EffectHit],
@@ -927,7 +876,7 @@ def _check_worker_entry(
 
 def _check_version_stamps(
     info: ModuleInfo,
-    analysis: EffectModuleAnalysis,
+    analysis: ModuleAnalysis,
     summaries: Dict[str, EffectSummary],
 ) -> None:
     """VAB021: every version constant must reach a stamp site."""
@@ -967,9 +916,9 @@ def analyze_effect_module(
     info: ModuleInfo,
     summaries: Dict[str, EffectSummary],
     methods: Dict[str, Tuple[str, ...]],
-) -> EffectModuleAnalysis:
+) -> ModuleAnalysis:
     """One engine pass over one module with the given summary table."""
-    analysis = EffectModuleAnalysis()
+    analysis = ModuleAnalysis()
     module_globals = _module_globals(info)
     mutable = _mutable_globals(info, module_globals)
     _check_version_stamps(info, analysis, summaries)
@@ -984,50 +933,7 @@ def analyze_effect_module(
             for hit in flow.hits
             if hit.atom != MUTATES_ARG_ATOM
         })
-        analysis.inferred_effects[fn.qualname] = tuple(propagatable)
+        analysis.inferred[fn.qualname] = tuple(propagatable)
     analysis.findings.sort()
     return analysis
 
-
-def run_effect_fixed_point(
-    infos: Sequence[ModuleInfo],
-    summaries: Dict[str, EffectSummary],
-) -> Tuple[Dict[str, EffectModuleAnalysis], Dict[str, EffectSummary], int]:
-    """Iterate analysis passes until the effect summaries stabilise.
-
-    Args:
-        infos: modules to (re-)analyze this run.
-        summaries: global summary table (seeded; may contain cached
-            summaries for modules *not* in ``infos``).  Mutated in
-            place as effect sets are inferred.
-
-    Returns:
-        (per-path analyses, final summary table, passes run).
-    """
-    ordered = sorted(infos, key=lambda info: info.path.as_posix())
-    analyses: Dict[str, EffectModuleAnalysis] = {}
-    passes = 0
-    for _ in range(MAX_FIXED_POINT_PASSES):
-        passes += 1
-        methods = method_index(summaries)
-        changed = False
-        for info in ordered:
-            analysis = analyze_effect_module(info, summaries, methods)
-            analyses[info.path.as_posix()] = analysis
-            for qualname, effects in sorted(analysis.inferred_effects.items()):
-                summary = summaries.get(qualname)
-                if summary is not None and summary.effects != effects:
-                    summaries[qualname] = EffectSummary(
-                        qualname=summary.qualname,
-                        path=summary.path,
-                        effects=effects,
-                        declared=summary.declared,
-                        has_rng_param=summary.has_rng_param,
-                        memoized=summary.memoized,
-                        kind=summary.kind,
-                        stamped=summary.stamped,
-                    )
-                    changed = True
-        if not changed:
-            break
-    return analyses, summaries, passes

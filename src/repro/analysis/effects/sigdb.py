@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet
 
-from repro.analysis.effects.vocab import (
+from repro.contracts import (
     MUTATES_GLOBAL_ATOM,
     READS_CLOCK_ATOM,
     READS_ENVIRON_ATOM,
-    READS_FILE_ATOM,
     READS_HOST_ATOM,
-    RNG_AMBIENT_ATOM,
 )
 
 EFFECT_CALLS: Dict[str, str] = {

@@ -1,78 +1,29 @@
-"""Effect-contract vocabulary for the effect/purity analysis engine.
+"""Effect-atom classes and contract names for the effects engine.
 
-The determinism-critical paths (:mod:`repro.sim.cache`,
-:mod:`repro.sim.parallel`, :mod:`repro.obs.ledger`, :mod:`repro.rng`)
-annotate functions with *effect contracts*::
-
-    from repro.analysis.effects.vocab import Effectful, Pure
-
-    def _site_key(channel, source, receiver) -> Pure[tuple]: ...
-
-    def default_workers() -> Effectful[int, "reads:host"]: ...
-
-``Pure[T]`` declares "the result depends only on the arguments and the
-call has no observable side effects" — the property memoization and the
-content-addressed ledger rely on.  ``Effectful[T, atoms...]`` declares
-a specific *grant*: the named effects are intentional and documented,
-so the engine reports only effects the contract does **not** cover.
-
-Both factories produce ``Annotated[T, EffectTag(...)]``, so at runtime
-the annotations are inert (annotated modules use ``from __future__
-import annotations``) and the static engine reads them straight off the
-annotation AST.  For modules under the mypy typed-API gate the same
-contracts can be spelled with plain ``typing.Annotated`` and the tag
-constants — mypy ignores ``Annotated`` metadata::
-
-    from typing import Annotated
-    from repro.analysis.effects.vocab import READS_HOST
-
-    def default_root() -> Annotated[Path, READS_HOST]: ...
-
-Effect atoms
-------------
-* ``reads:environ`` — reads ``os.environ`` / ``os.getenv``,
-* ``reads:clock`` — wall-clock reads (``time.time``, ``datetime.now``),
-* ``reads:file`` — filesystem reads,
-* ``reads:host`` — host-configuration reads (``os.cpu_count``, TTY/CI
-  detection, locale),
-* ``reads:global`` — reads a *mutable* module-level global,
-* ``mutates:global`` — writes a module-level global,
-* ``mutates:arg`` — mutates a caller-owned argument in place,
-* ``writes:file`` — filesystem writes,
-* ``rng:ambient`` — draws from a process-global RNG stream instead of a
-  passed ``SeedSequence``-derived generator.
-
-The vocabulary is stdlib-only on purpose — the analysis framework must
-import without numpy.
+The contracts runtime code writes — ``Pure[T]``, ``Effectful[T,
+atoms...]`` and the ``Annotated[T, READS_HOST]``-style tag constants —
+live in :mod:`repro.contracts`. This module is the engine's side of
+that vocabulary: which atoms are hidden inputs and which are side
+effects, and the names it recognises in annotation ASTs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Annotated, Any, Dict, Tuple
+from typing import Dict, Tuple
 
-READS_ENVIRON_ATOM = "reads:environ"
-READS_CLOCK_ATOM = "reads:clock"
-READS_FILE_ATOM = "reads:file"
-READS_HOST_ATOM = "reads:host"
-READS_GLOBAL_ATOM = "reads:global"
-MUTATES_GLOBAL_ATOM = "mutates:global"
-MUTATES_ARG_ATOM = "mutates:arg"
-WRITES_FILE_ATOM = "writes:file"
-RNG_AMBIENT_ATOM = "rng:ambient"
-
-ATOMS: Tuple[str, ...] = (
-    READS_ENVIRON_ATOM,
-    READS_CLOCK_ATOM,
-    READS_FILE_ATOM,
-    READS_HOST_ATOM,
-    READS_GLOBAL_ATOM,
-    MUTATES_GLOBAL_ATOM,
+from repro import contracts
+from repro.contracts import (
     MUTATES_ARG_ATOM,
-    WRITES_FILE_ATOM,
+    MUTATES_GLOBAL_ATOM,
+    READS_CLOCK_ATOM,
+    READS_ENVIRON_ATOM,
+    READS_FILE_ATOM,
+    READS_GLOBAL_ATOM,
+    READS_HOST_ATOM,
     RNG_AMBIENT_ATOM,
+    WRITES_FILE_ATOM,
+    EffectTag,
 )
-"""Every effect atom the engine tracks."""
 
 HIDDEN_INPUT_ATOMS = frozenset({
     READS_ENVIRON_ATOM,
@@ -93,113 +44,14 @@ SIDE_EFFECT_ATOMS = frozenset({
 """Atoms that do not re-occur on a cache hit — divergence between the
 first (computing) call and every later (cached) call."""
 
-
-@dataclass(frozen=True)
-class EffectTag:
-    """Metadata payload carried inside ``Annotated[T, EffectTag(...)]``.
-
-    ``atoms == ()`` is the ``Pure`` contract; a non-empty tuple is an
-    ``Effectful`` grant of exactly those atoms.
-    """
-
-    atoms: Tuple[str, ...]
-
-
-class _PureFactory:
-    """``Pure[T]`` -> ``Annotated[T, EffectTag(())]``."""
-
-    def __getitem__(self, item: Any) -> Any:
-        return Annotated[item, EffectTag(())]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "Pure"
-
-
-class _EffectfulFactory:
-    """``Effectful[T, "atom", ...]`` -> ``Annotated[T, EffectTag(...)]``."""
-
-    def __getitem__(self, item: Any) -> Any:
-        if not isinstance(item, tuple):
-            item = (item,)
-        inner, atoms = item[0], tuple(item[1:])
-        if not atoms:
-            raise TypeError(
-                "Effectful[...] needs at least one effect atom; "
-                "declare purity with Pure[T]"
-            )
-        for atom in atoms:
-            if atom not in ATOMS:
-                raise TypeError(
-                    f"unknown effect atom {atom!r}; expected one of "
-                    f"{', '.join(ATOMS)}"
-                )
-        return Annotated[inner, EffectTag(atoms)]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "Effectful"
-
-
-Pure = _PureFactory()
-Effectful = _EffectfulFactory()
-
-# mypy-friendly spelling: ``Annotated[T, READS_HOST]``.  The engine
-# matches these constants by (resolved) name in annotation ASTs.
-PURE = EffectTag(())
-READS_ENVIRON = EffectTag((READS_ENVIRON_ATOM,))
-READS_CLOCK = EffectTag((READS_CLOCK_ATOM,))
-READS_FILE = EffectTag((READS_FILE_ATOM,))
-READS_HOST = EffectTag((READS_HOST_ATOM,))
-READS_GLOBAL = EffectTag((READS_GLOBAL_ATOM,))
-MUTATES_GLOBAL = EffectTag((MUTATES_GLOBAL_ATOM,))
-MUTATES_ARG = EffectTag((MUTATES_ARG_ATOM,))
-WRITES_FILE = EffectTag((WRITES_FILE_ATOM,))
-RNG_AMBIENT = EffectTag((RNG_AMBIENT_ATOM,))
-
 TAG_CONSTANTS: Dict[str, EffectTag] = {
-    "PURE": PURE,
-    "READS_ENVIRON": READS_ENVIRON,
-    "READS_CLOCK": READS_CLOCK,
-    "READS_FILE": READS_FILE,
-    "READS_HOST": READS_HOST,
-    "READS_GLOBAL": READS_GLOBAL,
-    "MUTATES_GLOBAL": MUTATES_GLOBAL,
-    "MUTATES_ARG": MUTATES_ARG,
-    "WRITES_FILE": WRITES_FILE,
-    "RNG_AMBIENT": RNG_AMBIENT,
+    name: value
+    for name, value in vars(contracts).items()
+    if isinstance(value, EffectTag)
 }
-"""Constant name -> tag, as the engine matches them in annotation ASTs."""
+"""Constant name (``PURE``, ``READS_HOST``, ...) -> tag, as the engine
+matches them in annotation ASTs."""
 
 CONTRACT_FACTORIES: Tuple[str, ...] = ("Pure", "Effectful")
 """Factory names the engine recognises in ``Pure[...]``/``Effectful[...]``
 annotation subscripts."""
-
-
-__all__ = [
-    "ATOMS",
-    "HIDDEN_INPUT_ATOMS",
-    "SIDE_EFFECT_ATOMS",
-    "EffectTag",
-    "Pure",
-    "Effectful",
-    "PURE",
-    "READS_ENVIRON",
-    "READS_CLOCK",
-    "READS_FILE",
-    "READS_HOST",
-    "READS_GLOBAL",
-    "MUTATES_GLOBAL",
-    "MUTATES_ARG",
-    "WRITES_FILE",
-    "RNG_AMBIENT",
-    "TAG_CONSTANTS",
-    "CONTRACT_FACTORIES",
-    "READS_ENVIRON_ATOM",
-    "READS_CLOCK_ATOM",
-    "READS_FILE_ATOM",
-    "READS_HOST_ATOM",
-    "READS_GLOBAL_ATOM",
-    "MUTATES_GLOBAL_ATOM",
-    "MUTATES_ARG_ATOM",
-    "WRITES_FILE_ATOM",
-    "RNG_AMBIENT_ATOM",
-]

@@ -43,6 +43,17 @@ class Finding:
             "message": self.message,
         }
 
+    @staticmethod
+    def from_dict(raw: Dict[str, Any]) -> "Finding":
+        """Inverse of :meth:`to_dict`."""
+        return Finding(
+            path=str(raw["path"]),
+            line=int(raw["line"]),
+            col=int(raw["col"]),
+            rule_id=str(raw["rule"]),
+            message=str(raw["message"]),
+        )
+
     def render(self) -> str:
         """One-line ``path:line:col: VABxxx message`` rendering."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"

@@ -1,12 +1,19 @@
-"""Shared incremental driver for the interprocedural analysis engines.
+"""Shared incremental driver and cache for the dataflow engines.
 
-Both dataflow engines — units (:mod:`repro.analysis.units`) and shapes
-(:mod:`repro.analysis.shapes`) — have the same incremental structure:
-per-file results keyed on the sha256 of the file's bytes plus an engine
-version, function summaries as the interprocedural currency, and
-call-graph dependent invalidation via each file's cached reference set.
-This module holds that machinery once; the engines plug in their
-extract/seed/fixed-point callables and summary codecs.
+The units, shapes and effects engines share one incremental structure:
+per-file results keyed on the sha256 of the file's bytes plus the
+engine's version, function summaries as the interprocedural currency,
+and call-graph dependent invalidation via each file's cached reference
+set. This module runs any engine record from
+:mod:`repro.analysis.engines` that way.
+
+All engines share one cache file, keyed by engine name::
+
+    {"units": {"version": "1.0.0", "files": {path: entry, ...}},
+     "shapes": {...}, "effects": {...}}
+
+Each engine reads and rewrites only its own section, so bumping one
+engine's version invalidates that engine's entries alone.
 
 A warm run:
 
@@ -29,14 +36,54 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set
 
+from repro.analysis.dataflow import run_fixed_point
 from repro.analysis.findings import PARSE_ERROR_RULE, Finding
 from repro.analysis.suppressions import SuppressionIndex
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.engines import Engine
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+_DAMAGE = (AttributeError, KeyError, TypeError, ValueError)
+"""What decoding a well-formed JSON document of the wrong shape raises."""
+
+
+@dataclass
+class EngineReport:
+    """Output of one (possibly incremental) engine run.
+
+    Attributes:
+        findings: the engine's suppression-filtered findings, sorted.
+        errors: parse failures (VAB000).
+        files: number of files covered (analyzed + reused).
+        analyzed: files re-parsed and re-analyzed this run.
+        reused: files served entirely from the cache.
+        passes: fixed-point passes the engine ran.
+        engine_version: the engine/cache version string.
+    """
+
+    findings: List[Finding] = field(default_factory=list)
+    errors: List[Finding] = field(default_factory=list)
+    files: int = 0
+    analyzed: List[str] = field(default_factory=list)
+    reused: List[str] = field(default_factory=list)
+    passes: int = 0
+    engine_version: str = ""
+
+    @property
+    def clean(self) -> bool:
+        return not self.findings and not self.errors
+
+    def stats(self) -> Dict[str, object]:
+        """JSON-safe summary embedded in reports and manifests."""
+        return {
+            "engine_version": self.engine_version,
+            "files": self.files,
+            "analyzed": len(self.analyzed),
+            "reused": len(self.reused),
+            "passes": self.passes,
+        }
 
 
 @dataclass
@@ -44,63 +91,70 @@ class CacheEntry:
     """Everything remembered about one analyzed file."""
 
     sha: str
-    findings: List[Dict[str, object]] = field(default_factory=list)
-    summaries: List[Dict[str, object]] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
+    summaries: List[Any] = field(default_factory=list)
     refs: List[str] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "sha": self.sha,
-            "findings": self.findings,
-            "summaries": self.summaries,
+            "findings": [f.to_dict() for f in self.findings],
+            "summaries": [s.to_dict() for s in self.summaries],
             "refs": self.refs,
         }
 
     @staticmethod
-    def from_dict(raw: Dict[str, object]) -> "CacheEntry":
+    def from_dict(
+        raw: Dict[str, Any], summary_from_dict: Callable[[Dict[str, Any]], Any]
+    ) -> "CacheEntry":
         return CacheEntry(
             sha=str(raw["sha"]),
-            findings=list(raw.get("findings", [])),  # type: ignore[arg-type]
-            summaries=list(raw.get("summaries", [])),  # type: ignore[arg-type]
-            refs=list(raw.get("refs", [])),  # type: ignore[arg-type]
+            findings=[Finding.from_dict(f) for f in raw.get("findings", [])],
+            summaries=[summary_from_dict(s) for s in raw.get("summaries", [])],
+            refs=[str(r) for r in raw.get("refs", [])],
         )
 
 
-class AnalysisCache:
-    """On-disk store of per-file analysis results for one engine."""
+def _read_sections(path: Optional[Path]) -> Dict[str, Dict[str, Any]]:
+    """The well-formed engine sections of a cache file.
 
-    def __init__(self, entries: Optional[Dict[str, CacheEntry]] = None) -> None:
-        self.entries: Dict[str, CacheEntry] = entries or {}
+    A missing, unreadable or malformed file — including the older
+    one-file-per-engine format — has none.
+    """
+    if path is None:
+        return {}
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return {}
+    if not isinstance(raw, dict):
+        return {}
+    return {
+        name: section
+        for name, section in raw.items()
+        if isinstance(section, dict)
+        and isinstance(section.get("version"), str)
+        and isinstance(section.get("files"), dict)
+    }
 
-    @classmethod
-    def load(cls, path: Optional[Path], engine_version: str) -> "AnalysisCache":
-        """Read a cache file; any mismatch or damage yields an empty cache."""
-        if path is None or not Path(path).is_file():
-            return cls()
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return cls()
-        if raw.get("engine") != engine_version:
-            return cls()
-        entries = {
-            str(key): CacheEntry.from_dict(value)
-            for key, value in raw.get("files", {}).items()
+
+def _load_entries(
+    section: Optional[Dict[str, Any]], engine: "Engine"
+) -> Optional[Dict[str, CacheEntry]]:
+    """Decode one engine's section; None when absent, stale or damaged."""
+    if section is None or section["version"] != engine.version:
+        return None
+    try:
+        return {
+            str(key): CacheEntry.from_dict(raw, engine.summary_from_dict)
+            for key, raw in section["files"].items()
         }
-        return cls(entries)
+    except _DAMAGE:
+        return None
 
-    def save(self, path: Path, engine_version: str) -> None:
-        """Persist the cache (deterministic JSON; sorted keys)."""
-        payload = {
-            "engine": engine_version,
-            "files": {
-                key: self.entries[key].to_dict() for key in sorted(self.entries)
-            },
-        }
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _filtered(findings: Sequence[Finding], source: str) -> List[Finding]:
@@ -110,13 +164,13 @@ def _filtered(findings: Sequence[Finding], source: str) -> List[Finding]:
 
 def _dependent_closure(
     dirty: Set[str],
-    cache: AnalysisCache,
+    entries: Dict[str, CacheEntry],
     qualname_owner: Dict[str, str],
 ) -> Set[str]:
     """Dirty files plus every cached file that (transitively) refers to
     a function defined in a dirty file."""
     ref_edges: Dict[str, Set[str]] = {}
-    for path, entry in cache.entries.items():
+    for path, entry in entries.items():
         deps = {qualname_owner[q] for q in entry.refs if q in qualname_owner}
         deps.discard(path)
         ref_edges[path] = deps
@@ -132,28 +186,15 @@ def _dependent_closure(
 
 
 def analyze_incremental(
+    engine: "Engine",
     files: Sequence[Path],
-    cache_path: Optional[Path],
-    *,
-    engine_version: str,
-    report: Any,
-    extract: Callable[[Path, str], Any],
-    seed: Callable[[Sequence[Any]], Dict[str, Any]],
-    fixed_point: Callable[..., Any],
-    summary_from_dict: Callable[[Dict[str, object]], Any],
+    cache_path: Optional[Path] = None,
     force_dirty: Optional[Set[str]] = None,
-) -> Any:
-    """Run one engine over ``files``, incrementally when ``cache_path``.
+) -> EngineReport:
+    """Run ``engine`` over ``files``, incrementally when ``cache_path``.
 
-    ``report`` is the engine's report object (``UnitsReport`` /
-    ``ShapesReport``); its ``findings``/``errors``/``analyzed``/
-    ``reused``/``files``/``passes`` fields are filled in place and the
-    same object is returned.  ``extract`` parses one file (raising
-    ``SyntaxError`` for VAB000), ``seed`` builds the initial summary
-    table from the parsed modules, ``fixed_point`` is the engine's
-    ``run_*_fixed_point``, and ``summary_from_dict`` decodes one cached
-    summary record.  Summaries must expose ``qualname``, ``path`` and
-    ``to_dict()``; analyses must expose ``findings`` and ``refs``.
+    Summaries must expose ``qualname``, ``path`` and ``to_dict()``;
+    module analyses must expose ``findings`` and ``refs``.
 
     ``force_dirty`` (posix path strings) marks files dirty regardless of
     their content hash; their call-graph dependents are invalidated the
@@ -161,6 +202,7 @@ def analyze_incremental(
     engines re-check every dependent of a touched file even when the
     dependents themselves did not change.
     """
+    report = EngineReport(engine_version=engine.version)
     sources: Dict[str, str] = {}
     shas: Dict[str, str] = {}
     ordered: List[str] = []
@@ -178,26 +220,27 @@ def analyze_incremental(
         shas[key] = _sha256(data)
         sources[key] = data.decode("utf-8", errors="replace")
 
-    cache = AnalysisCache.load(cache_path, engine_version)
-    cache.entries = {k: v for k, v in cache.entries.items() if k in shas}
+    sections = _read_sections(cache_path)
+    loaded = _load_entries(sections.get(engine.name), engine)
+    entries = {k: v for k, v in (loaded or {}).items() if k in shas}
 
     qualname_owner: Dict[str, str] = {}
-    for path, entry in cache.entries.items():
-        for raw in entry.summaries:
-            qualname_owner[str(raw["qualname"])] = path
+    for path, entry in entries.items():
+        for summary in entry.summaries:
+            qualname_owner[summary.qualname] = path
 
     dirty = {
         key for key in ordered
-        if key not in cache.entries or cache.entries[key].sha != shas[key]
+        if key not in entries or entries[key].sha != shas[key]
     }
     if force_dirty:
         dirty |= force_dirty & set(ordered)
-    dirty = _dependent_closure(dirty, cache, qualname_owner) & set(ordered)
+    dirty = _dependent_closure(dirty, entries, qualname_owner) & set(ordered)
 
     infos: List[Any] = []
     for key in sorted(dirty):
         try:
-            infos.append(extract(Path(key), sources[key]))
+            infos.append(engine.extract(Path(key), sources[key]))
         except SyntaxError as exc:
             report.errors.append(Finding(
                 path=key, line=exc.lineno or 1, col=(exc.offset or 1) - 1,
@@ -205,19 +248,17 @@ def analyze_incremental(
                 message=f"could not parse file: {exc.msg}",
             ))
             dirty.discard(key)
-            cache.entries.pop(key, None)
+            entries.pop(key, None)
 
     summaries: Dict[str, Any] = {}
-    for path, entry in cache.entries.items():
+    for path, entry in entries.items():
         if path in dirty:
             continue
-        for raw in entry.summaries:
-            summary = summary_from_dict(raw)
+        for summary in entry.summaries:
             summaries[summary.qualname] = summary
-    summaries.update(seed(infos))
+    summaries.update(engine.seed(infos))
 
-    analyses, summaries, passes = fixed_point(infos, summaries)
-    report.passes = passes
+    analyses, summaries, report.passes = run_fixed_point(engine, infos, summaries)
 
     summary_by_path: Dict[str, List[Any]] = {}
     for summary in summaries.values():
@@ -229,31 +270,30 @@ def analyze_incremental(
             fresh = _filtered(analysis.findings if analysis else [], sources[key])
             report.findings.extend(fresh)
             report.analyzed.append(key)
-            cache.entries[key] = CacheEntry(
+            entries[key] = CacheEntry(
                 sha=shas[key],
-                findings=[f.to_dict() for f in fresh],
-                summaries=[
-                    s.to_dict() for s in sorted(
-                        summary_by_path.get(key, []), key=lambda s: s.qualname
-                    )
-                ],
+                findings=fresh,
+                summaries=sorted(
+                    summary_by_path.get(key, []), key=lambda s: s.qualname
+                ),
                 refs=sorted(analysis.refs) if analysis else [],
             )
-        elif key in cache.entries:
-            entry = cache.entries[key]
-            report.findings.extend(
-                Finding(
-                    path=str(raw["path"]), line=int(raw["line"]),  # type: ignore[arg-type]
-                    col=int(raw["col"]), rule_id=str(raw["rule"]),  # type: ignore[arg-type]
-                    message=str(raw["message"]),
-                )
-                for raw in entry.findings
-            )
+        elif key in entries:
+            report.findings.extend(entries[key].findings)
             report.reused.append(key)
 
     report.files = len(report.analyzed) + len(report.reused)
     report.findings.sort()
     report.errors.sort()
-    if cache_path is not None:
-        cache.save(Path(cache_path), engine_version)
+    # A fully warm run leaves the section as it was: skip the rewrite.
+    if cache_path is not None and entries != loaded:
+        sections[engine.name] = {
+            "version": engine.version,
+            "files": {key: entries[key].to_dict() for key in sorted(entries)},
+        }
+        Path(cache_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(cache_path).write_text(
+            json.dumps(sections, indent=1, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
     return report

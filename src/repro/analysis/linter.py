@@ -58,22 +58,27 @@ class LintReport:
     errors: List[Finding] = field(default_factory=list)
     files: int = 0
     rules: List[str] = field(default_factory=list)
-    units_stats: Optional[Dict[str, object]] = None
-    """Units-engine run stats (:meth:`UnitsReport.stats`) when the
-    dimensional analysis ran; None for suffix-only lint runs."""
-    shapes_stats: Optional[Dict[str, object]] = None
-    """Shapes-engine run stats (:meth:`ShapesReport.stats`) when the
-    shape/dtype dataflow analysis ran (it rides the ``--units`` flag);
-    None for suffix-only lint runs."""
-    effects_stats: Optional[Dict[str, object]] = None
-    """Effects-engine run stats (:meth:`EffectsReport.stats`) when the
-    effect/purity analysis ran (it rides the ``--units`` flag); None
-    for suffix-only lint runs."""
+    engine_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    """Engine name -> run stats (:meth:`EngineReport.stats`) for each
+    dataflow engine that ran, in engine-table order; empty for
+    suffix-only lint runs."""
     timings: Dict[str, float] = field(default_factory=dict)
-    """Wall-clock seconds per stage (``rules``/``units``/``shapes``/
-    ``effects``).  Only rendered under ``--stats`` — the timing values
-    are run-dependent and must stay out of the deterministic report
+    """Wall-clock seconds per stage (``rules`` and each engine name).
+    Only rendered under ``--stats`` — the timing values are
+    run-dependent and must stay out of the deterministic report
     payload."""
+
+    @property
+    def units_stats(self) -> Optional[Dict[str, object]]:
+        return self.engine_stats.get("units")
+
+    @property
+    def shapes_stats(self) -> Optional[Dict[str, object]]:
+        return self.engine_stats.get("shapes")
+
+    @property
+    def effects_stats(self) -> Optional[Dict[str, object]]:
+        return self.engine_stats.get("effects")
 
     @property
     def clean(self) -> bool:
@@ -227,9 +232,8 @@ def lint_paths(
             (VAB011..VAB016, :mod:`repro.analysis.shapes`) and the
             effect/purity analysis (VAB017..VAB022,
             :mod:`repro.analysis.effects`).
-        units_cache: optional cache file for incremental units runs;
-            the shapes and effects engines derive sibling cache files
-            from it.
+        units_cache: optional cache file for incremental engine runs,
+            shared by all three engines (one section each).
         engine_paths: when given, the interprocedural engines analyze
             this (usually wider) file set instead of ``paths`` — a
             ``--changed`` run scopes the per-file rules to the touched
@@ -244,23 +248,18 @@ def lint_paths(
     """
     # Engine rules (VAB006..VAB022) live outside the per-file registry,
     # so select/disable lists are validated against the union and split.
-    from repro.analysis.effects import EFFECT_RULE_IDS
-    from repro.analysis.shapes import SHAPE_RULE_IDS
-    from repro.analysis.units import UNIT_RULE_IDS
+    # The engines are imported here, not at module level: most
+    # lint_paths callers (fingerprints, the perf gate) never run them.
+    from repro.analysis.engines import ENGINES
 
     registry_ids = set(rule_catalogue())
-    unit_ids_all = set(UNIT_RULE_IDS)
-    shape_ids_all = set(SHAPE_RULE_IDS)
-    effect_ids_all = set(EFFECT_RULE_IDS)
+    engine_ids = {r for engine in ENGINES for r in engine.rules}
 
     def _split(ids: Optional[List[str]], label: str) -> Optional[List[str]]:
         if ids is None:
             return None
         upper = [i.upper() for i in ids]
-        unknown = sorted(
-            set(upper) - registry_ids - unit_ids_all - shape_ids_all
-            - effect_ids_all
-        )
+        unknown = sorted(set(upper) - registry_ids - engine_ids)
         if unknown:
             raise KeyError(f"unknown rule id(s) in {label}: {', '.join(unknown)}")
         return [i for i in upper if i in registry_ids]
@@ -283,81 +282,31 @@ def lint_paths(
         for finding in findings:
             (report.errors if finding.is_error else report.findings).append(finding)
     if units:
-        # Imported lazily: the dataflow engines are optional machinery
-        # and most lint_paths callers (fingerprints, the perf gate)
-        # never need them.
-        from repro.analysis.effects import analyze_effects, effects_cache_path
-        from repro.analysis.shapes import analyze_shapes, shapes_cache_path
-        from repro.analysis.units import UNIT_RULE_IDS, analyze_units
-
         dropped = {r.upper() for r in disable or []}
         wanted = {r.upper() for r in select} if select is not None else None
-
-        def _active(all_ids: Sequence[str]) -> List[str]:
-            ids = [r for r in all_ids if r not in dropped]
-            if wanted is not None:
-                ids = [r for r in ids if r in wanted]
-            return ids
-
         engine_files = (
             discover_files(engine_paths, exclude=exclude)
             if engine_paths is not None
             else files
         )
-
-        unit_ids = _active(UNIT_RULE_IDS)
-        t0 = time.monotonic()
-        units_report = analyze_units(
-            engine_files,
-            cache_path=Path(units_cache) if units_cache else None,
-            force_dirty=engine_force_dirty,
-        )
-        report.timings["units"] = time.monotonic() - t0
-        report.rules.extend(unit_ids)
-        report.units_stats = units_report.stats()
-        keep = set(unit_ids)
-        report.findings.extend(
-            f for f in units_report.findings if f.rule_id in keep
-        )
-        report.errors.extend(units_report.errors)
-
-        # The shapes pass rides the same flag with a sibling cache file.
-        shape_ids = _active(SHAPE_RULE_IDS)
-        t0 = time.monotonic()
-        shapes_report = analyze_shapes(
-            engine_files,
-            cache_path=shapes_cache_path(Path(units_cache))
-            if units_cache
-            else None,
-            force_dirty=engine_force_dirty,
-        )
-        report.timings["shapes"] = time.monotonic() - t0
-        report.rules.extend(shape_ids)
-        report.shapes_stats = shapes_report.stats()
-        keep_shapes = set(shape_ids)
-        report.findings.extend(
-            f for f in shapes_report.findings if f.rule_id in keep_shapes
-        )
-        report.errors.extend(shapes_report.errors)
-
-        # So does the effect/purity pass.
-        effect_ids = _active(EFFECT_RULE_IDS)
-        t0 = time.monotonic()
-        effects_report = analyze_effects(
-            engine_files,
-            cache_path=effects_cache_path(Path(units_cache))
-            if units_cache
-            else None,
-            force_dirty=engine_force_dirty,
-        )
-        report.timings["effects"] = time.monotonic() - t0
-        report.rules.extend(effect_ids)
-        report.effects_stats = effects_report.stats()
-        keep_effects = set(effect_ids)
-        report.findings.extend(
-            f for f in effects_report.findings if f.rule_id in keep_effects
-        )
-        report.errors.extend(effects_report.errors)
+        for engine in ENGINES:
+            keep = [
+                r for r in engine.rule_ids
+                if r not in dropped and (wanted is None or r in wanted)
+            ]
+            t0 = time.monotonic()
+            engine_report = engine.analyze(
+                engine_files,
+                cache_path=Path(units_cache) if units_cache else None,
+                force_dirty=engine_force_dirty,
+            )
+            report.timings[engine.name] = time.monotonic() - t0
+            report.rules.extend(keep)
+            report.engine_stats[engine.name] = engine_report.stats()
+            report.findings.extend(
+                f for f in engine_report.findings if f.rule_id in keep
+            )
+            report.errors.extend(engine_report.errors)
         # A syntax-broken file surfaces VAB000 from every pass; keep one.
         unique = {
             (f.path, f.line, f.col, f.rule_id, f.message): f

@@ -10,7 +10,7 @@ GitHub code-scanning upload.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.analysis.linter import LintReport
 from repro.analysis.registry import rule_catalogue
@@ -39,24 +39,9 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
         )
         lines.append(f"{total} finding(s) in {report.files} files"
                      + (f" [{by_rule}]" if by_rule else ""))
-    if report.units_stats is not None:
-        stats = report.units_stats
+    for name, stats in report.engine_stats.items():
         lines.append(
-            f"units: engine {stats['engine_version']}, "
-            f"{stats['analyzed']} analyzed, {stats['reused']} cached, "
-            f"{stats['passes']} passes"
-        )
-    if report.shapes_stats is not None:
-        stats = report.shapes_stats
-        lines.append(
-            f"shapes: engine {stats['engine_version']}, "
-            f"{stats['analyzed']} analyzed, {stats['reused']} cached, "
-            f"{stats['passes']} passes"
-        )
-    if report.effects_stats is not None:
-        stats = report.effects_stats
-        lines.append(
-            f"effects: engine {stats['engine_version']}, "
+            f"{name}: engine {stats['engine_version']}, "
             f"{stats['analyzed']} analyzed, {stats['reused']} cached, "
             f"{stats['passes']} passes"
         )
@@ -81,12 +66,7 @@ def render_json(report: LintReport, stats: bool = False) -> str:
         "errors": [f.to_dict() for f in report.errors],
         "counts": report.counts_by_rule(),
     }
-    if report.units_stats is not None:
-        payload["units"] = report.units_stats
-    if report.shapes_stats is not None:
-        payload["shapes"] = report.shapes_stats
-    if report.effects_stats is not None:
-        payload["effects"] = report.effects_stats
+    payload.update(report.engine_stats)
     if stats:
         payload["stats"] = stats_payload(report)
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
@@ -101,26 +81,14 @@ def render_catalogue() -> str:
     effect/purity engine's rules (VAB017..VAB022); the engine rules run
     only under ``--units`` and live outside the registry.
     """
+    from repro.analysis.engines import engine_rules
+
     lines = []
     for rule_id, cls in rule_catalogue().items():
         lines.append(f"{rule_id} {cls.name} — {cls.summary}")
-    for rule_id, name, summary in _engine_rules():
+    for rule_id, name, summary in engine_rules():
         lines.append(f"{rule_id} {name} — {summary} (requires --units)")
     return "\n".join(lines)
-
-
-def _engine_rules() -> List[Tuple[str, str, str]]:
-    """(rule_id, name, summary) for every ``--units`` engine rule."""
-    from repro.analysis.effects import EFFECT_RULES
-    from repro.analysis.shapes import SHAPE_RULES
-    from repro.analysis.units import UNIT_RULES
-
-    rows: List[Tuple[str, str, str]] = []
-    for table in (UNIT_RULES, SHAPE_RULES, EFFECT_RULES):
-        for rule_id in sorted(table):
-            name, summary = table[rule_id]
-            rows.append((rule_id, name, summary))
-    return rows
 
 
 def render_stats(report: LintReport) -> str:
@@ -134,13 +102,7 @@ def render_stats(report: LintReport) -> str:
         f"rules: {report.files} files in "
         f"{report.timings.get('rules', 0.0):.3f}s"
     )
-    for label, stats in (
-        ("units", report.units_stats),
-        ("shapes", report.shapes_stats),
-        ("effects", report.effects_stats),
-    ):
-        if stats is None:
-            continue
+    for label, stats in report.engine_stats.items():
         lines.append(
             f"{label}: {stats['analyzed']} analyzed (cache miss), "
             f"{stats['reused']} reused (cache hit), "
@@ -157,22 +119,19 @@ def stats_payload(report: LintReport) -> Dict[str, object]:
             k: round(v, 6) for k, v in sorted(report.timings.items())
         },
     }
-    for label, stats in (
-        ("units", report.units_stats),
-        ("shapes", report.shapes_stats),
-        ("effects", report.effects_stats),
-    ):
-        if stats is not None:
-            payload[label] = {
-                "hits": stats["reused"],
-                "misses": stats["analyzed"],
-                "passes": stats["passes"],
-            }
+    for label, stats in report.engine_stats.items():
+        payload[label] = {
+            "hits": stats["reused"],
+            "misses": stats["analyzed"],
+            "passes": stats["passes"],
+        }
     return payload
 
 
 def _sarif_rules() -> List[Dict[str, object]]:
     """The full VAB catalogue as SARIF ``reportingDescriptor`` objects."""
+    from repro.analysis.engines import engine_rules
+
     rules: List[Dict[str, object]] = [{
         "id": "VAB000",
         "name": "parse-error",
@@ -184,7 +143,7 @@ def _sarif_rules() -> List[Dict[str, object]]:
             "name": cls.name,
             "shortDescription": {"text": cls.summary},
         })
-    for rule_id, name, summary in _engine_rules():
+    for rule_id, name, summary in engine_rules():
         rules.append({
             "id": rule_id,
             "name": name,

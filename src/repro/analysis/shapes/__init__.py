@@ -3,15 +3,14 @@
 Where :mod:`repro.analysis.units` tracks physical units through the
 call graph, this subpackage tracks **ndarray shapes, dtypes, and
 determinism taints** through the batched kernels: symbolic dimension
-names seeded from ``Shaped["trials", "samples"]``-style ``Annotated``
-contracts (:mod:`~repro.analysis.shapes.vocab`), a curated signature
-database for the numpy surface the repo uses
-(:mod:`~repro.analysis.shapes.sigdb`), and a flow-sensitive,
-interprocedural fixed-point engine
+names seeded from the ``Shaped["trials", "samples"]``-style contracts
+of :mod:`repro.contracts`, a curated signature database for the numpy
+surface the repo uses (:mod:`~repro.analysis.shapes.sigdb`), and a
+flow-sensitive, interprocedural fixed-point engine
 (:mod:`~repro.analysis.shapes.engine`) built on the same
 :class:`~repro.analysis.units.symbols.ModuleInfo` symbol tables and the
-same incremental cache driver (:mod:`repro.analysis.incremental`) as
-the units engine.
+same incremental driver (:mod:`repro.analysis.incremental`) as the
+units engine.
 
 Entry points::
 
@@ -26,84 +25,25 @@ The rules run under the same ``--units`` CLI flag as VAB006..VAB010 —
 no new CLI surface.
 """
 
-from repro.analysis.shapes.cache import (
-    DEFAULT_CACHE_NAME,
-    ENGINE_VERSION,
-    ShapesReport,
-    analyze_shapes,
-    shapes_cache_path,
-)
-from repro.analysis.shapes.engine import (
-    ShapeSummary,
-    run_shape_fixed_point,
-    seed_shape_summaries,
-)
-from repro.analysis.shapes.vocab import (
-    ComplexShaped,
-    FloatShaped,
-    IntShaped,
-    ShapeTag,
-    Shaped,
-    ShapeVal,
-)
+from pathlib import Path
+from typing import Optional, Sequence, Set
 
-SHAPE_RULES = {
-    "VAB011": (
-        "silent-broadcast",
-        "elementwise arithmetic between arrays whose symbolic shapes "
-        "cannot broadcast (or broadcast to the wrong block) — the "
-        "missing-keepdims / wrong-batch-axis class of bug",
-    ),
-    "VAB012": (
-        "batch-collapsing-reduction",
-        "reductions over a wrong or unspecified axis on a named batch "
-        "block: an axis-less .sum()/.mean() silently collapses the "
-        "batch dimension; an out-of-range axis is a latent IndexError",
-    ),
-    "VAB013": (
-        "complex-downcast",
-        "complex->real downcasts: float()/int() of a complex value, "
-        "complex expressions stored into real-dtype buffers, ordered "
-        "comparisons on complex arrays, complex returns declared real",
-    ),
-    "VAB014": (
-        "shared-array-mutation",
-        "in-place mutation of an array that crosses a worker/cache "
-        "boundary (sim.parallel payloads, sim.cache entries are shared "
-        "and read-only by contract — copy before writing)",
-    ),
-    "VAB015": (
-        "unordered-accumulation",
-        "order-dependent accumulation or RNG draws driven by set "
-        "iteration — float sums and generator streams are only "
-        "reproducible over a deterministic order (sort first)",
-    ),
-    "VAB016": (
-        "shape-contract-violation",
-        "interprocedural shape-contract conflicts: arguments whose "
-        "inferred shape/dtype contradicts the callee's Shaped[...] "
-        "contract, or returns contradicting the declared contract",
-    ),
-}
-"""rule id -> (name, summary) for the shape engine's findings."""
+from repro.analysis.incremental import EngineReport, analyze_incremental
 
-SHAPE_RULE_IDS = tuple(sorted(SHAPE_RULES))
 
-__all__ = [
-    "analyze_shapes",
-    "shapes_cache_path",
-    "ShapesReport",
-    "ENGINE_VERSION",
-    "DEFAULT_CACHE_NAME",
-    "SHAPE_RULES",
-    "SHAPE_RULE_IDS",
-    "ShapeSummary",
-    "ShapeTag",
-    "ShapeVal",
-    "Shaped",
-    "ComplexShaped",
-    "FloatShaped",
-    "IntShaped",
-    "seed_shape_summaries",
-    "run_shape_fixed_point",
-]
+def analyze_shapes(
+    files: Sequence[Path],
+    cache_path: Optional[Path] = None,
+    force_dirty: Optional[Set[str]] = None,
+) -> EngineReport:
+    """Run the shape/dtype dataflow engine over ``files``.
+
+    With ``cache_path`` the run is incremental with the same contract as
+    ``analyze_units``; without it every file is analyzed cold.
+    """
+    from repro.analysis.engines import engine_named  # the table imports us
+
+    return analyze_incremental(engine_named("shapes"), files, cache_path, force_dirty)
+
+
+__all__ = ["analyze_shapes"]

@@ -6,7 +6,7 @@ The engine mirrors the three-layer architecture of
 
 1. **Seeding** — every function gets a :class:`ShapeSummary` whose
    parameter/return shapes come from ``Shaped["trials", "samples"]``
-   contracts (:mod:`repro.analysis.shapes.vocab`) read straight off the
+   contracts (:mod:`repro.contracts`) read straight off the
    annotation AST.
 2. **Flow analysis** — each body is interpreted statement by statement
    over a name -> :class:`~repro.analysis.shapes.vocab.ShapeVal`
@@ -51,16 +51,12 @@ The rules:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.findings import Finding
+from repro.analysis.dataflow import FlowBase, ModuleAnalysis
 from repro.analysis.shapes import sigdb
 from repro.analysis.shapes.vocab import (
-    BOOL,
-    COMPLEX,
-    FLOAT,
-    INT,
     SCALAR_BOOL,
     SCALAR_COMPLEX,
     SCALAR_FLOAT,
@@ -69,9 +65,6 @@ from repro.analysis.shapes.vocab import (
     SHAPED_FACTORIES,
     SHARED_UNKNOWN,
     UNKNOWN,
-    UNKNOWN_DIM,
-    VARIADIC,
-    Dim,
     ShapeVal,
     broadcast_dims,
     contract_conflict,
@@ -79,8 +72,8 @@ from repro.analysis.shapes.vocab import (
     format_dims,
     promote_dtype,
 )
-from repro.analysis.units.engine import method_index
 from repro.analysis.units.symbols import FunctionInfo, ModuleInfo
+from repro.contracts import BOOL, COMPLEX, FLOAT, INT, UNKNOWN_DIM, VARIADIC, Dim
 
 MAX_FIXED_POINT_PASSES = 4
 """Safety bound; the delegating-wrapper chains converge in <= 3."""
@@ -136,14 +129,11 @@ class ShapeSummary:
             path=str(raw["path"]),
         )
 
-
-@dataclass
-class ShapeModuleAnalysis:
-    """Per-file output of one engine pass."""
-
-    findings: List[Finding] = field(default_factory=list)
-    refs: Set[str] = field(default_factory=set)
-    inferred_returns: Dict[str, ShapeVal] = field(default_factory=dict)
+    def absorb(self, val: ShapeVal) -> "ShapeSummary":
+        """This summary with a return shape inferred from the body."""
+        if self.returns == val:
+            return self
+        return replace(self, returns=val, return_source="inferred")
 
 
 def _dims_from_annotation_slice(node: ast.expr) -> Optional[Tuple[Dim, ...]]:
@@ -229,23 +219,19 @@ def _reduction_dtype(tag: str, dtype: Optional[str]) -> Optional[str]:
     return dtype
 
 
-class _ShapeFlow:
+class _ShapeFlow(FlowBase):
     """Interprets one function (or the module top level) in order."""
 
     def __init__(
         self,
         info: ModuleInfo,
-        analysis: ShapeModuleAnalysis,
+        analysis: ModuleAnalysis,
         summaries: Dict[str, ShapeSummary],
         methods: Dict[str, Tuple[str, ...]],
         fn: Optional[FunctionInfo],
         module_env: Optional[Dict[str, ShapeVal]] = None,
     ) -> None:
-        self.info = info
-        self.analysis = analysis
-        self.summaries = summaries
-        self.methods = methods
-        self.fn = fn
+        super().__init__(info, analysis, summaries, methods, fn)
         self.module_env = module_env or {}
         self.env: Dict[str, ShapeVal] = {}
         self.return_vals: List[ShapeVal] = []
@@ -262,26 +248,6 @@ class _ShapeFlow:
                     self.env[name] = ShapeVal(
                         self.env[name].dims, self.env[name].dtype, shared=True
                     )
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _emit(self, node: ast.AST, rule_id: str, message: str) -> None:
-        self.analysis.findings.append(Finding(
-            path=str(self.info.path),
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule_id=rule_id,
-            message=message,
-        ))
-
-    def _where(self) -> str:
-        return self.fn.name + "()" if self.fn is not None else "module level"
-
-    # -- statement flow ---------------------------------------------------
-
-    def run(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
 
     def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -1022,38 +988,6 @@ class _ShapeFlow:
                 return self._dtype_of_node(kw.value)
         return default
 
-    def _resolve_summary(
-        self, node: ast.Call, resolved: Optional[str]
-    ) -> Optional[ShapeSummary]:
-        candidates: List[str] = []
-        if resolved is not None:
-            candidates.append(resolved)
-            if "." not in resolved:
-                candidates.append(f"{self.info.module}.{resolved}")
-        if isinstance(node.func, ast.Attribute):
-            if (
-                isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("self", "cls")
-                and self.fn is not None
-                and self.fn.class_name is not None
-            ):
-                candidates.append(
-                    f"{self.info.module}.{self.fn.class_name}.{node.func.attr}"
-                )
-            else:
-                unique = self.methods.get(node.func.attr, ())
-                if len(unique) == 1:
-                    candidates.append(unique[0])
-        for candidate in candidates:
-            summary = self.summaries.get(candidate)
-            if summary is not None:
-                self.analysis.refs.add(summary.qualname)
-                return summary
-        # Remember unresolved candidates too: if the target appears in a
-        # later run (new file), this caller must be re-analyzed.
-        self.analysis.refs.update(c for c in candidates if "." in c)
-        return None
-
     def _check_call_args(
         self,
         node: ast.Call,
@@ -1102,9 +1036,9 @@ def analyze_shape_module(
     info: ModuleInfo,
     summaries: Dict[str, ShapeSummary],
     methods: Dict[str, Tuple[str, ...]],
-) -> ShapeModuleAnalysis:
+) -> ModuleAnalysis:
     """One engine pass over one module with the given summary table."""
-    analysis = ShapeModuleAnalysis()
+    analysis = ModuleAnalysis()
     module_flow = _ShapeFlow(info, analysis, summaries, methods, fn=None)
     module_flow.run(info.tree.body)
     module_env = dict(module_flow.env)
@@ -1117,7 +1051,7 @@ def analyze_shape_module(
         if summary is not None and summary.return_source != "contract":
             inferred = _merge_returns(flow.return_vals)
             if inferred is not None:
-                analysis.inferred_returns[fn.qualname] = inferred
+                analysis.inferred[fn.qualname] = inferred
     analysis.findings.sort()
     return analysis
 
@@ -1138,43 +1072,3 @@ def _merge_returns(vals: Sequence[ShapeVal]) -> Optional[ShapeVal]:
         return None
     return ShapeVal(dims, dtype, shared=shared)
 
-
-def run_shape_fixed_point(
-    infos: Sequence[ModuleInfo],
-    summaries: Dict[str, ShapeSummary],
-) -> Tuple[Dict[str, ShapeModuleAnalysis], Dict[str, ShapeSummary], int]:
-    """Iterate analysis passes until the summary table stabilises.
-
-    Args:
-        infos: modules to (re-)analyze this run.
-        summaries: global summary table (seeded; may contain cached
-            summaries for modules *not* in ``infos``). Mutated in place
-            as return shapes are inferred.
-
-    Returns:
-        (per-path analyses, final summary table, passes run).
-    """
-    ordered = sorted(infos, key=lambda info: info.path.as_posix())
-    analyses: Dict[str, ShapeModuleAnalysis] = {}
-    passes = 0
-    for _ in range(MAX_FIXED_POINT_PASSES):
-        passes += 1
-        methods = method_index(summaries)
-        changed = False
-        for info in ordered:
-            analysis = analyze_shape_module(info, summaries, methods)
-            analyses[info.path.as_posix()] = analysis
-            for qualname, val in sorted(analysis.inferred_returns.items()):
-                summary = summaries.get(qualname)
-                if summary is not None and summary.returns != val:
-                    summaries[qualname] = ShapeSummary(
-                        qualname=summary.qualname,
-                        params=summary.params,
-                        returns=val,
-                        return_source="inferred",
-                        path=summary.path,
-                    )
-                    changed = True
-        if not changed:
-            break
-    return analyses, summaries, passes

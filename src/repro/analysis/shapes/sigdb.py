@@ -14,7 +14,7 @@ mutate their receiver in place.
 
 from __future__ import annotations
 
-from repro.analysis.shapes.vocab import BOOL, COMPLEX, FLOAT, INT
+from repro.contracts import BOOL, COMPLEX, FLOAT, INT
 
 # --- elementwise: shape preserved, dtype transformed -----------------------
 # tag -> how the output dtype relates to the input dtype:

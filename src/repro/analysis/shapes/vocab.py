@@ -1,21 +1,18 @@
-"""Shape-contract vocabulary for the shape/dtype dataflow engine.
+"""Shape/dtype lattice and broadcast rules for the shape dataflow engine.
 
 The batched APIs in :mod:`repro.phy.batch`, :mod:`repro.vanatta.fastfield`
 and :mod:`repro.sim.engine` annotate ndarray parameters and returns with
-symbolic shape contracts::
+the symbolic shape contracts of :mod:`repro.contracts`::
 
-    from repro.analysis.shapes.vocab import ComplexShaped, FloatShaped
+    from repro.contracts import ComplexShaped
 
     def suppress_carrier_batch(
         self, records: ComplexShaped["trials", "samples"]
     ) -> ComplexShaped["trials", "samples"]: ...
 
-``Shaped[...]`` subscription produces ``Annotated[Any, ShapeTag(...)]``,
-so at runtime the annotations are inert (every annotated module uses
-``from __future__ import annotations``; nothing is evaluated) and the
-static engine reads them straight off the AST.  The vocabulary is
-stdlib-only on purpose — the analysis framework must import without
-numpy.
+The static engine reads them straight off the annotation AST. This
+module holds what the engine infers about a value (:class:`ShapeVal`)
+and the rules it combines values by.
 
 Dimension tokens
 ----------------
@@ -37,19 +34,9 @@ guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Annotated, Optional, Tuple, Union
+from typing import Optional, Tuple
 
-Dim = Union[str, int]
-
-UNKNOWN_DIM = "?"
-VARIADIC = "..."
-
-COMPLEX = "complex"
-FLOAT = "float"
-INT = "int"
-BOOL = "bool"
-
-DTYPES = (COMPLEX, FLOAT, INT, BOOL)
+from repro.contracts import BOOL, COMPLEX, FLOAT, INT, UNKNOWN_DIM, VARIADIC, Dim
 
 SHAPED_FACTORIES = {
     "Shaped": None,
@@ -58,43 +45,6 @@ SHAPED_FACTORIES = {
     "IntShaped": INT,
 }
 """Factory name -> dtype claim, as the engine matches them in the AST."""
-
-
-@dataclass(frozen=True)
-class ShapeTag:
-    """Metadata payload carried inside ``Annotated[Any, ShapeTag(...)]``."""
-
-    dims: Tuple[Dim, ...]
-    dtype: Optional[str] = None
-
-
-class _ShapedFactory:
-    """``Shaped["trials", "samples"]`` -> ``Annotated[Any, ShapeTag(...)]``."""
-
-    def __init__(self, name: str, dtype: Optional[str]) -> None:
-        self._name = name
-        self._dtype = dtype
-
-    def __getitem__(self, dims: Any) -> Any:
-        if not isinstance(dims, tuple):
-            dims = (dims,)
-        canon = tuple(VARIADIC if d is Ellipsis else d for d in dims)
-        for d in canon:
-            if not isinstance(d, (str, int)):
-                raise TypeError(
-                    f"{self._name}[...] dimensions must be str names, int "
-                    f"literals, '?', or '...'; got {d!r}"
-                )
-        return Annotated[Any, ShapeTag(canon, self._dtype)]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return self._name
-
-
-Shaped = _ShapedFactory("Shaped", None)
-ComplexShaped = _ShapedFactory("ComplexShaped", COMPLEX)
-FloatShaped = _ShapedFactory("FloatShaped", FLOAT)
-IntShaped = _ShapedFactory("IntShaped", INT)
 
 
 @dataclass(frozen=True)
@@ -258,39 +208,3 @@ def contract_conflict(
         if dims_conflict(d, a):
             return f"dim {a!r} where contract requires {d!r}"
     return None
-
-
-def shape_from_tag(tag: ShapeTag) -> ShapeVal:
-    return ShapeVal(dims=tag.dims, dtype=tag.dtype)
-
-
-__all__ = [
-    "Dim",
-    "UNKNOWN_DIM",
-    "VARIADIC",
-    "COMPLEX",
-    "FLOAT",
-    "INT",
-    "BOOL",
-    "DTYPES",
-    "SHAPED_FACTORIES",
-    "ShapeTag",
-    "Shaped",
-    "ComplexShaped",
-    "FloatShaped",
-    "IntShaped",
-    "ShapeVal",
-    "UNKNOWN",
-    "SHARED_UNKNOWN",
-    "SET_VAL",
-    "SCALAR_COMPLEX",
-    "SCALAR_FLOAT",
-    "SCALAR_INT",
-    "SCALAR_BOOL",
-    "promote_dtype",
-    "format_dims",
-    "dims_conflict",
-    "broadcast_dims",
-    "contract_conflict",
-    "shape_from_tag",
-]

@@ -3,8 +3,8 @@
 Where :mod:`repro.analysis.rules` checks unit *spelling* on single
 statements (VAB003), this subpackage actually tracks units through the
 code: a project-wide symbol table and call graph over ``src/repro``,
-unit facts seeded from ``Annotated``-style annotations
-(:mod:`~repro.analysis.units.vocab`), ``_db``/``_hz``/``_m`` name
+unit facts seeded from the ``DB``/``HZ``/``METERS``-style annotation
+aliases of :mod:`repro.contracts`, ``_db``/``_hz``/``_m`` name
 suffixes, and a curated physics signature database
 (:mod:`~repro.analysis.units.sigdb`), propagated flow-sensitively
 through assignments, tuple unpacking, and arithmetic, and across call
@@ -20,10 +20,15 @@ Entry points::
 
 ``analyze_units(files, cache_path=...)`` is incremental — unchanged
 files and their untouched call-graph dependents are served from the
-cache (:mod:`~repro.analysis.units.cache`). The differential baseline
-workflow for CI lives in :mod:`~repro.analysis.units.baseline`.
+shared engine cache (:mod:`repro.analysis.incremental`). The
+differential baseline workflow for CI lives in
+:mod:`~repro.analysis.units.baseline`.
 """
 
+from pathlib import Path
+from typing import Optional, Sequence, Set
+
+from repro.analysis.incremental import EngineReport, analyze_incremental
 from repro.analysis.units.baseline import (
     apply_baseline,
     diff_against_baseline,
@@ -31,62 +36,28 @@ from repro.analysis.units.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.units.cache import (
-    ENGINE_VERSION,
-    UnitsCache,
-    UnitsReport,
-    analyze_units,
-)
-from repro.analysis.units.engine import (
-    FunctionSummary,
-    run_fixed_point,
-    seed_summaries,
-)
-from repro.analysis.units.symbols import ModuleInfo, extract_module
 
-UNIT_RULES = {
-    "VAB006": (
-        "db-domain-product",
-        "multiplying or dividing two dB-domain quantities; log-domain "
-        "values compose additively — convert to linear first",
-    ),
-    "VAB007": (
-        "db-linear-mix",
-        "additive arithmetic or bindings mixing dB-domain and "
-        "linear-domain quantities",
-    ),
-    "VAB008": (
-        "hz-rad-confusion",
-        "Hz vs rad/s (and kHz) mismatches: frequency-family conflicts in "
-        "arithmetic, call arguments, and trig/filter calls expecting radians",
-    ),
-    "VAB009": (
-        "m-km-mix",
-        "metre vs kilometre mixing in range expressions, including dB/km "
-        "coefficients multiplied by metres without / 1e3",
-    ),
-    "VAB010": (
-        "call-site-unit-conflict",
-        "interprocedural conflicts: argument units contradicting the "
-        "callee's parameter units, or returns contradicting declarations",
-    ),
-}
-"""rule id -> (name, summary) for the units engine's findings."""
 
-UNIT_RULE_IDS = tuple(sorted(UNIT_RULES))
+def analyze_units(
+    files: Sequence[Path],
+    cache_path: Optional[Path] = None,
+    force_dirty: Optional[Set[str]] = None,
+) -> EngineReport:
+    """Run the dimensional-analysis engine over ``files``.
+
+    With ``cache_path`` the run is incremental: unchanged files (whose
+    call-graph dependencies are also unchanged) are served from the
+    cache without re-parsing, and the cache is rewritten afterwards.
+    Without it, every file is analyzed cold.  ``force_dirty`` paths are
+    re-analyzed (with their dependents) even when their sha matches.
+    """
+    from repro.analysis.engines import engine_named  # the table imports us
+
+    return analyze_incremental(engine_named("units"), files, cache_path, force_dirty)
+
 
 __all__ = [
     "analyze_units",
-    "UnitsReport",
-    "UnitsCache",
-    "ENGINE_VERSION",
-    "UNIT_RULES",
-    "UNIT_RULE_IDS",
-    "FunctionSummary",
-    "ModuleInfo",
-    "extract_module",
-    "seed_summaries",
-    "run_fixed_point",
     "finding_key",
     "apply_baseline",
     "load_baseline",

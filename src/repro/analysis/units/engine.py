@@ -4,7 +4,7 @@ The engine runs in three layers:
 
 1. **Seeding** — every function gets a :class:`FunctionSummary` whose
    parameter/return units come from annotations
-   (:mod:`repro.analysis.units.vocab`), the curated signature database
+   (:mod:`repro.contracts`), the curated signature database
    (:mod:`repro.analysis.units.sigdb`), or ``_db``-style name suffixes,
    in that priority order.
 2. **Flow analysis** — each function body is interpreted statement by
@@ -38,10 +38,10 @@ The rules:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.findings import Finding
+from repro.analysis.dataflow import FlowBase, ModuleAnalysis
 from repro.analysis.units import sigdb
 from repro.analysis.units.symbols import FunctionInfo, ModuleInfo
 from repro.analysis.units.vocab import (
@@ -112,14 +112,11 @@ class FunctionSummary:
             path=str(raw["path"]),
         )
 
-
-@dataclass
-class ModuleAnalysis:
-    """Per-file output of one engine pass."""
-
-    findings: List[Finding] = field(default_factory=list)
-    refs: Set[str] = field(default_factory=set)
-    inferred_returns: Dict[str, str] = field(default_factory=dict)
+    def absorb(self, unit: str) -> "FunctionSummary":
+        """This summary with a return unit inferred from the body."""
+        if self.returns == unit:
+            return self
+        return replace(self, returns=unit, return_source="inferred")
 
 
 def seed_summaries(infos: Sequence[ModuleInfo]) -> Dict[str, FunctionSummary]:
@@ -135,16 +132,6 @@ def seed_summaries(infos: Sequence[ModuleInfo]) -> Dict[str, FunctionSummary]:
                 path=info.path.as_posix(),
             )
     return table
-
-
-def method_index(table: Dict[str, FunctionSummary]) -> Dict[str, Tuple[str, ...]]:
-    """bare method name -> qualnames, for unique-name attribute fallback."""
-    index: Dict[str, Tuple[str, ...]] = {}
-    for qualname in sorted(table):
-        parts = qualname.split(".")
-        if len(parts) >= 2 and parts[-2][:1].isupper():
-            index[parts[-1]] = index.get(parts[-1], ()) + (qualname,)
-    return index
 
 
 def _conflict(a: Unit, b: Unit) -> Optional[Tuple[str, str]]:
@@ -187,7 +174,7 @@ def _call_conflict(arg_unit: Unit, param_unit: Unit) -> Optional[Tuple[str, str]
     return None
 
 
-class _FunctionFlow:
+class _FunctionFlow(FlowBase):
     """Interprets one function (or the module top level) in order."""
 
     def __init__(
@@ -199,37 +186,13 @@ class _FunctionFlow:
         fn: Optional[FunctionInfo],
         module_env: Optional[Dict[str, Unit]] = None,
     ) -> None:
-        self.info = info
-        self.analysis = analysis
-        self.summaries = summaries
-        self.methods = methods
-        self.fn = fn
+        super().__init__(info, analysis, summaries, methods, fn)
         self.module_env = module_env or {}
         self.env: Dict[str, Unit] = {}
         self.return_units: List[Unit] = []
         if fn is not None:
             for param in fn.params:
                 self.env[param.name] = param.unit
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _emit(self, node: ast.AST, rule_id: str, message: str) -> None:
-        self.analysis.findings.append(Finding(
-            path=str(self.info.path),
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule_id=rule_id,
-            message=message,
-        ))
-
-    def _where(self) -> str:
-        return self.fn.name + "()" if self.fn is not None else "module level"
-
-    # -- statement flow ---------------------------------------------------
-
-    def run(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
 
     def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -501,38 +464,6 @@ class _FunctionFlow:
             return unit_from_name(callee_name), None
         return None, None
 
-    def _resolve_summary(
-        self, node: ast.Call, resolved: Optional[str]
-    ) -> Optional[FunctionSummary]:
-        candidates: List[str] = []
-        if resolved is not None:
-            candidates.append(resolved)
-            if "." not in resolved:
-                candidates.append(f"{self.info.module}.{resolved}")
-        if isinstance(node.func, ast.Attribute):
-            if (
-                isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("self", "cls")
-                and self.fn is not None
-                and self.fn.class_name is not None
-            ):
-                candidates.append(
-                    f"{self.info.module}.{self.fn.class_name}.{node.func.attr}"
-                )
-            else:
-                unique = self.methods.get(node.func.attr, ())
-                if len(unique) == 1:
-                    candidates.append(unique[0])
-        for candidate in candidates:
-            summary = self.summaries.get(candidate)
-            if summary is not None:
-                self.analysis.refs.add(summary.qualname)
-                return summary
-        # Remember unresolved candidates too: if the target appears in a
-        # later run (new file), this caller must be re-analyzed.
-        self.analysis.refs.update(c for c in candidates if "." in c)
-        return None
-
     def _check_call_args(
         self,
         node: ast.Call,
@@ -602,47 +533,7 @@ def analyze_module(
             units = {u for u in flow.return_units
                      if u not in (None, SCALAR_UNIT, PI_SCALAR_UNIT, LOG10_RESULT)}
             if len(units) == 1:
-                analysis.inferred_returns[fn.qualname] = units.pop()
+                analysis.inferred[fn.qualname] = units.pop()
     analysis.findings.sort()
     return analysis
 
-
-def run_fixed_point(
-    infos: Sequence[ModuleInfo],
-    summaries: Dict[str, FunctionSummary],
-) -> Tuple[Dict[str, ModuleAnalysis], Dict[str, FunctionSummary], int]:
-    """Iterate analysis passes until the summary table stabilises.
-
-    Args:
-        infos: modules to (re-)analyze this run.
-        summaries: global summary table (seeded; may contain cached
-            summaries for modules *not* in ``infos``). Mutated in place
-            as return units are inferred.
-
-    Returns:
-        (per-path analyses, final summary table, passes run).
-    """
-    ordered = sorted(infos, key=lambda info: info.path.as_posix())
-    analyses: Dict[str, ModuleAnalysis] = {}
-    passes = 0
-    for _ in range(MAX_FIXED_POINT_PASSES):
-        passes += 1
-        methods = method_index(summaries)
-        changed = False
-        for info in ordered:
-            analysis = analyze_module(info, summaries, methods)
-            analyses[info.path.as_posix()] = analysis
-            for qualname, unit in sorted(analysis.inferred_returns.items()):
-                summary = summaries.get(qualname)
-                if summary is not None and summary.returns != unit:
-                    summaries[qualname] = FunctionSummary(
-                        qualname=summary.qualname,
-                        params=summary.params,
-                        returns=unit,
-                        return_source="inferred",
-                        path=summary.path,
-                    )
-                    changed = True
-        if not changed:
-            break
-    return analyses, summaries, passes

@@ -101,24 +101,10 @@ class ModuleInfo:
         return ".".join([head] + parts[1:])
 
 
-def _annotation_unit(
-    info_aliases: Dict[str, str], node: Optional[ast.AST]
-) -> Optional[str]:
-    """Unit declared by an annotation AST node, via the vocab aliases."""
-    if node is None:
-        return None
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    parts.reverse()
-    head = info_aliases.get(parts[0], parts[0])
-    qualname = ".".join([head] + parts[1:])
-    return unit_from_annotation_name(qualname)
+def _annotation_unit(info: ModuleInfo, node: Optional[ast.AST]) -> Optional[str]:
+    """Unit declared by an annotation AST node (a unit alias name)."""
+    qualname = info.resolve(node) if node is not None else None
+    return unit_from_annotation_name(qualname) if qualname is not None else None
 
 
 def _param_seeds(
@@ -133,7 +119,7 @@ def _param_seeds(
     sig_units = dict(sig.params) if sig is not None else {}
     seeds: List[ParamSeed] = []
     for arg in ordered:
-        unit = _annotation_unit(info.aliases, arg.annotation)
+        unit = _annotation_unit(info, arg.annotation)
         source = "annotation"
         if unit is None and arg.arg in sig_units:
             unit, source = sig_units[arg.arg], "sigdb"
@@ -147,7 +133,7 @@ def _return_seed(
     info: ModuleInfo, qualname: str, name: str, node: ast.AST
 ) -> Tuple[Optional[str], str]:
     """(unit, source) the function's return value is declared to carry."""
-    unit = _annotation_unit(info.aliases, node.returns)
+    unit = _annotation_unit(info, node.returns)
     if unit is not None:
         return unit, "annotation"
     sig = sigdb.lookup(qualname)

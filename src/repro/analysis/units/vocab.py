@@ -1,69 +1,52 @@
-"""The unit vocabulary: tags, annotation aliases, and unit algebra.
+"""Unit algebra and name-suffix seeding for the dimensional-analysis engine.
 
-This is the shared language of the dimensional-analysis engine
-(:mod:`repro.analysis.units.engine`) and the physics code it checks.
-Three things live here:
+The unit tokens (``"dB"``, ``"Hz"``, ``"m"``, ...) and the annotation
+aliases runtime code writes (``def tl(d: METERS) -> DB``) live in
+:mod:`repro.contracts`; this module is the engine's side of that
+vocabulary:
 
-* :class:`UnitTag` and the canonical unit tokens (``"dB"``, ``"Hz"``,
-  ``"m"``, ...) grouped into *families* (level, length, frequency,
-  time, angle, ...). Two units of the same family measure the same
-  physical dimension in different conventions — exactly the mix-ups
-  (dB vs linear, Hz vs rad/s, m vs km) that silently shift link-budget
-  results by orders of magnitude.
-* The **annotation aliases** — ``DB``, ``HZ``, ``METERS``, ... — which
-  are plain ``typing.Annotated[float, UnitTag(...)]`` types. Annotating
-  a parameter or return as ``def tl(d: METERS) -> DB`` costs nothing at
-  runtime, stays mypy-clean, and seeds the interprocedural engine with
-  ground-truth units it propagates through the call graph.
-* The **algebra**: which unit survives arithmetic
+* the tokens grouped into *families* (level, length, frequency, time,
+  angle, ...). Two units of the same family measure the same physical
+  dimension in different conventions — exactly the mix-ups (dB vs
+  linear, Hz vs rad/s, m vs km) that silently shift link-budget results
+  by orders of magnitude;
+* alias recognition (:func:`unit_from_annotation_name`) and name-suffix
+  seeding (:func:`unit_from_name`: ``snr_db``, ``range_m``), so
+  unannotated code still participates;
+* the **algebra**: which unit survives arithmetic
   (:func:`combine_additive`, :func:`combine_multiplicative`,
   :func:`combine_divisive`) and which constants act as unit
   conversions (``distance_m / 1e3`` is a km, not a fraction of a m).
-
-Name-suffix seeding (``snr_db``, ``range_m``) uses
-:func:`unit_from_name`, so unannotated code still participates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-try:  # Annotated is typing_extensions-only before 3.9; stdlib after.
-    from typing import Annotated
-except ImportError:  # pragma: no cover - 3.8 fallback, untested
-    Annotated = None  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
-class UnitTag:
-    """The runtime marker carried inside an ``Annotated`` unit alias."""
-
-    unit: str
-
-    def __repr__(self) -> str:
-        return f"UnitTag({self.unit!r})"
-
+from repro import contracts
+from repro.contracts import (
+    DB_PER_KM_UNIT,
+    DB_UNIT,
+    DBM_UNIT,
+    DEG_UNIT,
+    HZ_UNIT,
+    KHZ_UNIT,
+    KM_UNIT,
+    LINEAR_UNIT,
+    M_UNIT,
+    MPS_UNIT,
+    MS_UNIT,
+    OHM_UNIT,
+    RAD_PER_S_UNIT,
+    RAD_UNIT,
+    S_UNIT,
+    UnitTag,
+)
 
 # ---------------------------------------------------------------------------
-# canonical unit tokens and families
+# pseudo-units and families
 # ---------------------------------------------------------------------------
 
-DB_UNIT = "dB"
-DBM_UNIT = "dBm"
-DB_PER_KM_UNIT = "dB/km"
-LINEAR_UNIT = "linear"
-HZ_UNIT = "Hz"
-KHZ_UNIT = "kHz"
-RAD_PER_S_UNIT = "rad/s"
-RAD_UNIT = "rad"
-DEG_UNIT = "deg"
-M_UNIT = "m"
-KM_UNIT = "km"
-MPS_UNIT = "m/s"
-S_UNIT = "s"
-MS_UNIT = "ms"
-OHM_UNIT = "ohm"
 SCALAR_UNIT = "scalar"
 """Dimensionless ratio that is *not* in the dB domain."""
 
@@ -102,65 +85,27 @@ def family_of(unit: str) -> Optional[str]:
     return _FAMILY_OF.get(unit)
 
 
-def same_family_conflict(a: str, b: str) -> bool:
-    """True when ``a`` and ``b`` measure one dimension in different units."""
-    fam_a, fam_b = family_of(a), family_of(b)
-    return fam_a is not None and fam_a == fam_b and a != b
-
-
 # ---------------------------------------------------------------------------
-# annotation aliases (the public vocabulary)
+# annotation aliases
 # ---------------------------------------------------------------------------
-
-DB = Annotated[float, UnitTag(DB_UNIT)]
-DBM = Annotated[float, UnitTag(DBM_UNIT)]
-DB_PER_KM = Annotated[float, UnitTag(DB_PER_KM_UNIT)]
-LINEAR = Annotated[float, UnitTag(LINEAR_UNIT)]
-HZ = Annotated[float, UnitTag(HZ_UNIT)]
-KHZ = Annotated[float, UnitTag(KHZ_UNIT)]
-RAD_PER_S = Annotated[float, UnitTag(RAD_PER_S_UNIT)]
-RAD = Annotated[float, UnitTag(RAD_UNIT)]
-DEG = Annotated[float, UnitTag(DEG_UNIT)]
-METERS = Annotated[float, UnitTag(M_UNIT)]
-KM = Annotated[float, UnitTag(KM_UNIT)]
-MPS = Annotated[float, UnitTag(MPS_UNIT)]
-SECONDS = Annotated[float, UnitTag(S_UNIT)]
-MS = Annotated[float, UnitTag(MS_UNIT)]
-OHM = Annotated[float, UnitTag(OHM_UNIT)]
 
 ANNOTATION_UNITS: Dict[str, str] = {
-    "DB": DB_UNIT,
-    "DBM": DBM_UNIT,
-    "DB_PER_KM": DB_PER_KM_UNIT,
-    "LINEAR": LINEAR_UNIT,
-    "HZ": HZ_UNIT,
-    "KHZ": KHZ_UNIT,
-    "RAD_PER_S": RAD_PER_S_UNIT,
-    "RAD": RAD_UNIT,
-    "DEG": DEG_UNIT,
-    "METERS": M_UNIT,
-    "KM": KM_UNIT,
-    "MPS": MPS_UNIT,
-    "SECONDS": S_UNIT,
-    "MS": MS_UNIT,
-    "OHM": OHM_UNIT,
+    name: tag.unit
+    for name, value in vars(contracts).items()
+    for tag in getattr(value, "__metadata__", ())
+    if isinstance(tag, UnitTag)
 }
-"""Alias name (as written in an annotation) -> canonical unit token."""
-
-VOCAB_MODULE = "repro.analysis.units.vocab"
+"""Alias name (``DB``, ``METERS``, ...) -> canonical unit token."""
 
 
 def unit_from_annotation_name(qualname: str) -> Optional[str]:
     """Canonical unit of a resolved annotation name, else None.
 
-    Accepts both the fully qualified spelling
-    (``repro.analysis.units.vocab.DB``) and the bare alias (``DB``)
-    a ``from ... import DB`` leaves behind after alias resolution.
+    Matches on the alias name alone, so ``repro.contracts.DB``, the bare
+    ``DB`` a ``from ... import DB`` leaves behind, and older spellings
+    of the same alias all resolve.
     """
-    tail = qualname.rsplit(".", 1)[-1]
-    if qualname != tail and not qualname.startswith(VOCAB_MODULE):
-        return None
-    return ANNOTATION_UNITS.get(tail)
+    return ANNOTATION_UNITS.get(qualname.rsplit(".", 1)[-1])
 
 
 # ---------------------------------------------------------------------------

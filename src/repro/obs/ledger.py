@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated, Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.effects.vocab import PURE
+from repro.contracts import PURE
 from repro.obs.manifest import (
     RunManifest,
     manifest_from_dict,

@@ -43,7 +43,7 @@ from typing import Annotated, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.effects.vocab import (
+from repro.contracts import (
     MUTATES_GLOBAL,
     READS_ENVIRON,
     READS_GLOBAL,

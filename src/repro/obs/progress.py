@@ -30,7 +30,7 @@ import threading
 import time
 from typing import IO, Annotated, Any, Optional
 
-from repro.analysis.effects.vocab import READS_ENVIRON, READS_HOST
+from repro.contracts import READS_ENVIRON, READS_HOST
 from repro.obs.manifest import EventLog
 
 PROGRESS_ENV = "VAB_PROGRESS"

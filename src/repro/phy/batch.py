@@ -39,7 +39,7 @@ from typing import List
 
 import numpy as np
 
-from repro.analysis.shapes.vocab import (
+from repro.contracts import (
     ComplexShaped,
     FloatShaped,
     IntShaped,

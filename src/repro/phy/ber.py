@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from repro.analysis.units.vocab import DB
+from repro.contracts import DB
 
 
 def q_function(x: float) -> float:

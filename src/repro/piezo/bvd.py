@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.analysis.units.vocab import HZ, OHM
+from repro.contracts import HZ, OHM
 
 
 @dataclass(frozen=True)

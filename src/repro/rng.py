@@ -29,7 +29,7 @@ from typing import Annotated, Optional
 
 import numpy as np
 
-from repro.analysis.effects.vocab import (
+from repro.contracts import (
     MUTATES_GLOBAL,
     READS_GLOBAL,
     RNG_AMBIENT,

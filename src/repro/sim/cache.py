@@ -26,7 +26,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Tuple
 
 from repro.acoustics.channel import AcousticChannel, ChannelResponse
-from repro.analysis.effects.vocab import Effectful, Pure
+from repro.contracts import Effectful, Pure
 from repro.geometry.vec3 import Vec3
 from repro.obs.metrics import counter
 

@@ -24,8 +24,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.acoustics.channel import ChannelResponse
-from repro.analysis.shapes.vocab import IntShaped
 from repro.acoustics.doppler import apply_doppler
+from repro.contracts import IntShaped
 from repro.dsp.noisegen import colored_noise_batch, white_noise_batch
 from repro.obs.probes import probe_signal, probe_unit_interval
 from repro.obs.spans import span

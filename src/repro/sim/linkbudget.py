@@ -29,7 +29,7 @@ from typing import Optional
 
 from repro.acoustics.noise import noise_level_db
 from repro.acoustics.spreading import transmission_loss_db
-from repro.analysis.units.vocab import DB, METERS
+from repro.contracts import DB, METERS
 from repro.phy.ber import ber_ook_coherent, ber_ook_noncoherent, required_snr_db
 from repro.sim.scenario import Scenario
 from repro.vanatta.array import VanAttaArray

@@ -51,7 +51,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.effects.vocab import Effectful
+from repro.contracts import Effectful
 from repro.obs.ledger import Ledger
 from repro.obs.manifest import EventLog, RunManifest, scenario_snapshot, wall_clock_unix
 from repro.obs.metrics import MetricsRegistry, counter, gauge, use_registry
@@ -357,9 +357,7 @@ def run_observed_campaign(
     honoured the determinism contract.
     """
     from repro import __version__
-    from repro.analysis.effects.cache import ENGINE_VERSION as EFFECTS_ENGINE_VERSION
-    from repro.analysis.shapes.cache import ENGINE_VERSION as SHAPES_ENGINE_VERSION
-    from repro.analysis.units.cache import ENGINE_VERSION as UNITS_ENGINE_VERSION
+    from repro.analysis.engines import engine_versions
     from repro.phy.batch import BATCHED_ENGINE_VERSION
     from repro.sim.export import campaign_to_dict, save_manifest
     from repro.vanatta.fastfield import FASTFIELD_ENGINE_VERSION
@@ -422,9 +420,7 @@ def run_observed_campaign(
         lint=lint_record,
         engine_versions={
             "phy.batch": BATCHED_ENGINE_VERSION,
-            "analysis.units": UNITS_ENGINE_VERSION,
-            "analysis.shapes": SHAPES_ENGINE_VERSION,
-            "analysis.effects": EFFECTS_ENGINE_VERSION,
+            **engine_versions(),
             "vanatta.fastfield": FASTFIELD_ENGINE_VERSION,
         },
     )

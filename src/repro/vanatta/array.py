@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.units.vocab import HZ, METERS, MPS
+from repro.contracts import HZ, METERS, MPS
 from repro.piezo.transducer import Transducer
 from repro.vanatta.polarity import PairingScheme, pair_phase_errors
 

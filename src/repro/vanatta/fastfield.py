@@ -62,8 +62,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.shapes.vocab import ComplexShaped, FloatShaped
-from repro.analysis.units.vocab import DB, DEG, HZ, MPS
+from repro.contracts import DEG, HZ, MPS, ComplexShaped, FloatShaped
 from repro.obs.metrics import counter, gauge
 from repro.obs.probes import probe_finite
 from repro.obs.spans import span

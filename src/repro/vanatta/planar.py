@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.units.vocab import DB, DEG, HZ, METERS, MPS
+from repro.contracts import DB, DEG, HZ, METERS, MPS
 from repro.piezo.transducer import Transducer
 from repro.vanatta.polarity import PairingScheme
 

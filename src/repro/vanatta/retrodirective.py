@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.units.vocab import DB, DEG, HZ, MPS
+from repro.contracts import DB, DEG, HZ, MPS
 from repro.vanatta.array import VanAttaArray
 from repro.vanatta.fastfield import ArrayFactorEngine
 

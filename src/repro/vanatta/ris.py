@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.units.vocab import DB, DEG, HZ, MPS
+from repro.contracts import DB, DEG, HZ, MPS
 from repro.piezo.transducer import Transducer
 from repro.vanatta.fastfield import (
     ArrayFactorEngine,

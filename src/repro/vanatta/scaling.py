@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.units.vocab import DB, DEG, HZ, METERS, MPS
+from repro.contracts import DB, DEG, HZ, METERS, MPS
 
 
 def peak_gain_db(num_elements: int) -> DB:

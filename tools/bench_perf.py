@@ -112,21 +112,17 @@ def lint_gate(allow_dirty: bool) -> Optional[dict]:
     recording one from a tree that fails ``vablint`` (non-deterministic
     RNG use, unit mix-ups, wall-clock in the sim path) would bake
     unreproducible numbers into history. Returns the fingerprint record
-    to embed — stamped with the dimensional-analysis and shape-analysis
-    engine versions so each BENCH file pins which checkers vetted the
-    tree — or ``None`` when the tree is dirty and ``allow_dirty`` is
+    to embed — stamped with every dataflow engine's version so each
+    BENCH file pins which checkers vetted the tree — or ``None`` when the tree is dirty and ``allow_dirty`` is
     false (the caller must refuse to write).
     """
-    from repro.analysis.effects import ENGINE_VERSION as EFFECTS_ENGINE_VERSION
-    from repro.analysis.shapes import ENGINE_VERSION as SHAPES_ENGINE_VERSION
-    from repro.analysis.units import ENGINE_VERSION
+    from repro.analysis.engines import ENGINES
 
     record = tree_fingerprint([REPO_ROOT / "src" / "repro"])
     if not record["clean"] and not allow_dirty:
         return None
-    record["units_engine_version"] = ENGINE_VERSION
-    record["shapes_engine_version"] = SHAPES_ENGINE_VERSION
-    record["effects_engine_version"] = EFFECTS_ENGINE_VERSION
+    for engine in ENGINES:
+        record[f"{engine.name}_engine_version"] = engine.version
     return record
 
 
@@ -304,7 +300,7 @@ def run_lint_warm_bench(
 ) -> dict:
     """The ``lint_warm`` arm: warm-cache full-tree three-engine lint.
 
-    Primes the units/shapes/effects incremental caches in a throwaway
+    Primes the shared units/shapes/effects engine cache in a throwaway
     directory, then times ``repeats`` fully-warm runs over ``target``
     (default ``src/repro``). One "trial" is one file served per run, so
     ``trials_per_sec`` is files/sec and comparable across record
@@ -328,12 +324,7 @@ def run_lint_warm_bench(
         arm = _arm(time.perf_counter() - t0, report.files * repeats)
     arm["files"] = report.files
     arm["repeats"] = repeats
-    reused = sum(
-        stats["reused"]
-        for stats in (report.units_stats, report.shapes_stats,
-                      report.effects_stats)
-        if stats is not None
-    )
+    reused = sum(stats["reused"] for stats in report.engine_stats.values())
     # 3 engines x files on a healthy warm run; anything less means the
     # caches are not actually serving the tree.
     arm["cache_hits_per_run"] = reused

@@ -148,11 +148,12 @@ point so callee summaries (parameter/return units) flow to call sites
 across files. Unit facts are seeded from three sources, in priority
 order:
 
-1. **Annotations** — the vocabulary in `repro.analysis.units.vocab`
-   exports `Annotated[float, UnitTag(...)]` aliases (`DB`, `DBM`,
+1. **Annotations** — `repro.contracts` exports
+   `Annotated[float, UnitTag(...)]` aliases (`DB`, `DBM`,
    `DB_PER_KM`, `LINEAR`, `HZ`, `KHZ`, `RAD_PER_S`, `RAD`, `DEG`,
    `METERS`, `KM`, `MPS`, `SECONDS`, `MS`, `OHM`). They erase to
-   `float` at runtime; the engine reads them syntactically.
+   `float` at runtime; the engine reads them syntactically, by alias
+   name.
 2. **Signature DB** — `repro.analysis.units.sigdb` curates units for
    the physics API (`spreading_loss_db`, `thorp_absorption_db_per_km`,
    `noise_level_db`, ...) plus `math`/`numpy` intrinsics (`sin` wants
@@ -165,7 +166,7 @@ order:
 To annotate a new physics function, import the aliases and declare the
 contract; the engine then checks both the body and every caller::
 
-    from repro.analysis.units.vocab import DB, HZ, METERS
+    from repro.contracts import DB, HZ, METERS
 
     def my_loss_db(range_m: METERS, frequency_hz: HZ) -> DB:
         ...
@@ -184,14 +185,14 @@ VAB011..VAB016 come from `repro.analysis.shapes`: a second
 flow-sensitive, interprocedural engine over the same call-graph
 machinery that tracks symbolic ndarray shapes, dtype families, and
 determinism taints through the batched kernels. Shape facts are seeded
-by `Annotated` contracts from `repro.analysis.shapes.vocab` —
+by `Annotated` contracts from `repro.contracts` —
 `Shaped["trials", "samples"]`, plus the dtype-carrying
 `ComplexShaped` / `FloatShaped` / `IntShaped` — on the
 batched APIs in `repro.phy.batch`, `repro.vanatta.fastfield`, and
 `repro.sim.engine`, and by a curated numpy signature DB
 (`repro.analysis.shapes.sigdb`) for the un-annotated rest::
 
-    from repro.analysis.shapes.vocab import ComplexShaped
+    from repro.contracts import ComplexShaped
 
     def suppress_carrier_batch(
         self, records: ComplexShaped["trials", "samples"]
@@ -210,10 +211,9 @@ missing-`keepdims` slip, `records - records.mean(axis=1)`, which pits
 `"samples"` against `"trials"` in one broadcast slot (VAB011); the
 same machinery flags silent phase loss on the complex field sums
 (VAB013) and in-place writes to channel-cache storage (VAB014). The
-engine shares the incremental cache format (sibling
-`.vablint_shapes_cache.json` derived from `--units-cache`), the
-baseline, the suppression syntax, and the JSON report (a `shapes`
-stats block next to `units`).
+engine shares the incremental cache file, the baseline, the
+suppression syntax, and the JSON report (a `shapes` stats block next
+to `units`).
 
 ### Effect/purity analysis (also `--units`)
 
@@ -226,9 +226,9 @@ process boundary. Effects are nine atoms (`reads:environ`,
 `mutates:global`, `mutates:arg`, `writes:file`, `rng:ambient`), seeded
 from a curated signature DB (`repro.analysis.effects.sigdb`: `os`,
 `time`, `locale`, `numpy.random`, the repro cache/RNG API) and from
-contracts in `repro.analysis.effects.vocab`::
+contracts in `repro.contracts`::
 
-    from repro.analysis.effects.vocab import Effectful, Pure
+    from repro.contracts import Effectful, Pure
 
     def _site_key(channel, source, receiver) -> Pure[tuple]: ...
 
@@ -269,16 +269,18 @@ The same machinery proves the version-stamp manifest complete
 flow into the `engine_versions={...}` stamp that
 `repro.sim.parallel` embeds in campaign manifests (and hence into
 `run_key`), so adding an engine without stamping it fails lint
-instead of silently colliding ledger entries. The determinism hot
+instead of silently colliding ledger entries. The lint engines' own
+versions are stamped from the engine table
+(`repro.analysis.engines.ENGINES`). The determinism hot
 paths (`repro.sim.cache`, `repro.sim.parallel`, `repro.obs.ledger`,
 `repro.rng`) carry explicit contracts; the committed tree is
 effect-clean with zero suppressions.
 
 **Incremental cache** — `--units-cache PATH` (tool default
 `.vablint_units_cache.json`, git-ignored) keys per-file results by
-content sha256 + engine version; the shapes and effects engines keep
-sibling caches at the derived `.vablint_shapes_cache.json` /
-`.vablint_effects_cache.json` paths. An edit re-analyzes only the
+content sha256 + engine version, one section per engine in that one
+file, so a version bump invalidates only that engine's entries. An
+edit re-analyzes only the
 file and its call-graph dependents; everything else is replayed
 byte-identically from cache. `--no-units-cache` forces a cold run
 (what CI does); version bumps and damaged caches degrade to cold runs
@@ -351,10 +353,10 @@ that does not lint clean (`--allow-dirty-lint` overrides); the lint
 record in each BENCH file carries `units_engine_version`,
 `shapes_engine_version`, and `effects_engine_version` so perf history
 pins which checkers vetted the tree (campaign manifests stamp the
-same versions under `engine_versions` — completeness enforced by
-VAB021). Each BENCH record also carries a `lint_warm` arm: the
-three-engine lint over `src/repro` served entirely from warm
-incremental caches, in files/sec; `tools/bench_compare.py` alerts
+same versions under `engine_versions`; both loop over the engine
+table). Each BENCH record also carries a `lint_warm` arm: the
+three-engine lint over `src/repro` served entirely from a warm
+engine cache, in files/sec; `tools/bench_compare.py` alerts
 when it gets more than 2x slower (the signature of a cache-key or
 dependent-closure bug). CI runs the full gate — per-file rules plus
 `--units`, differenced against the committed `lint_baseline.json` —
@@ -366,13 +368,24 @@ artifacts.
 ### Typed-API gate
 
 `repro` ships `py.typed`. The leaf packages `repro.obs`,
-`repro.geometry`, `repro.phy.bits`, and `repro.link.stats` are fully
-annotated and checked in CI with `mypy` under `disallow_untyped_defs`
-(config in `pyproject.toml`); the numeric core is checked leniently.
+`repro.geometry`, `repro.phy.bits`, `repro.link.stats`, and the
+annotation vocabulary `repro.contracts` are fully annotated and
+checked in CI with `mypy` under `disallow_untyped_defs` (config in
+`pyproject.toml`); the numeric core is checked leniently.
+
+### The runtime/analysis boundary
+
+Runtime modules import only `repro.contracts` — a stdlib-only module
+of inert `Annotated` aliases, shape factories and effect tags — never
+`repro.analysis`, so campaign processes and pool workers do not load
+the lint stack (`tests/test_contracts.py` checks both). The engines
+recognise the aliases by name, so a linted source that still spells
+`from repro.analysis.units.vocab import DB` gets the same findings.
 """
 
 PACKAGES = [
     "repro.core",
+    "repro.contracts",
     "repro.analysis",
     "repro.obs",
     "repro.geometry",
