@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dsp.rowblocks import for_row_blocks
+
 
 def doppler_shift_hz(
     carrier_hz: float, radial_velocity_mps: float, sound_speed_mps: float = 1500.0
@@ -29,19 +31,23 @@ def doppler_factor(
     return radial_velocity_mps / sound_speed_mps
 
 
-def _gather_runs(signal: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``signal[..., idx]`` as a new C-ordered block, copied run by run.
+def _runs(idx: np.ndarray) -> list:
+    """``(dst_lo, dst_hi, src_lo)`` runs of consecutive indices in ``idx``.
 
     ``idx`` is a resampling map of slope near one, so it splits into a
-    few runs of consecutive indices, and each run is one slice copy —
-    cheaper than an index gather, also from a strided view.
+    few runs, and each run is one slice copy — cheaper than an index
+    gather, also from a strided view.
     """
     n = len(idx)
-    out = np.empty(signal.shape[:-1] + (n,), dtype=signal.dtype)
     cuts = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, n]):
-        out[..., lo:hi] = signal[..., idx[lo] : idx[lo] + hi - lo]
-    return out
+    starts = idx[[0, *cuts]].tolist()
+    return list(zip([0, *cuts], [*cuts, n], starts))
+
+
+def _gather_runs(signal: np.ndarray, runs: list, out: np.ndarray) -> None:
+    """Write ``signal[..., idx]`` into ``out``, one slice per run of ``idx``."""
+    for lo, hi, src in runs:
+        out[..., lo:hi] = signal[..., src : src + hi - lo]
 
 
 def apply_doppler(
@@ -84,15 +90,28 @@ def apply_doppler(
     i0 = np.floor(src_pos).astype(int)
     i1 = np.minimum(i0 + 1, n_samples - 1)
     frac = src_pos - i0
-    # The weights and the rotation are applied in place on C-ordered
-    # gathers (a ``signal[..., i0]`` gather of a 2-D block comes back in
-    # F order).
-    warped = _gather_runs(signal, i0)
-    warped *= 1.0 - frac
-    ahead = _gather_runs(signal, i1)
-    ahead *= frac
-    warped += ahead
-    # Carrier shift.
+    runs0, runs1 = _runs(i0), _runs(i1)
+    weight0 = 1.0 - frac
     f_d = doppler_shift_hz(carrier_hz, radial_velocity_mps, sound_speed_mps)
-    warped *= np.exp(2j * np.pi * f_d * n / fs)
+    rotation = np.exp(2j * np.pi * f_d * n / fs)
+    # The taps are gathered into C-ordered blocks (a ``signal[..., i0]``
+    # gather of a 2-D block comes back in F order) and the weights and
+    # the carrier shift are applied in place. A (trials, samples) block
+    # is warped row by row with identical arithmetic, so row blocks run
+    # on separate threads (:func:`repro.dsp.rowblocks.for_row_blocks`).
+    warped = np.empty(signal.shape, dtype=np.complex128)
+    rows = signal if signal.ndim > 1 else signal[None, :]
+    out = warped if signal.ndim > 1 else warped[None, :]
+
+    def block(lo: int, hi: int) -> None:
+        source, dest = rows[lo:hi], out[lo:hi]
+        _gather_runs(source, runs0, dest)
+        dest *= weight0
+        ahead = np.empty_like(dest)
+        _gather_runs(source, runs1, ahead)
+        ahead *= frac
+        dest += ahead
+        dest *= rotation
+
+    for_row_blocks(len(rows), block)
     return warped

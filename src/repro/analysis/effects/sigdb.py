@@ -36,6 +36,7 @@ EFFECT_CALLS: Dict[str, str] = {
     "datetime.date.today": READS_CLOCK_ATOM,
     # -- host configuration --------------------------------------------
     "os.cpu_count": READS_HOST_ATOM,
+    "os.sched_getaffinity": READS_HOST_ATOM,
     "multiprocessing.cpu_count": READS_HOST_ATOM,
     "os.get_terminal_size": READS_HOST_ATOM,
     "shutil.get_terminal_size": READS_HOST_ATOM,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dsp.rowblocks import for_row_blocks
+
 
 def correlate_full(signal: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Cross-correlation of ``signal`` with ``template`` (valid lags only).
@@ -57,7 +59,9 @@ def normalized_correlation_batch(
     cumulative-sum difference instead of a convolution.
 
     Rows are independent — the FFT transforms along the last axis — so
-    the result for a record does not depend on its batch neighbours.
+    the result for a record does not depend on its batch neighbours, and
+    row blocks run the whole chain on separate threads
+    (:func:`repro.dsp.rowblocks.for_row_blocks`).
     Numerics differ from the time-domain :func:`normalized_correlation`
     at the 1e-12 level; batched receivers must use this function for
     *every* record (batch size one included) to stay self-consistent.
@@ -73,26 +77,36 @@ def normalized_correlation_batch(
     t_energy = float(np.sum(np.abs(template) ** 2))
     if t_energy <= 0:
         raise ValueError("template has zero energy")
-    spectrum = np.fft.fft(signals, n=n, axis=1)
-    spectrum *= np.conj(np.fft.fft(template, n=n))[None, :]
-    # Only the magnitude of the valid lags is kept, and the complex
-    # blocks are released before the energy chain allocates.
-    correlation = np.abs(np.fft.ifft(spectrum, axis=1)[:, : n - m + 1])
-    del spectrum
-    # |z|^2 without the hypot of abs(): re^2 + im^2 (the scalar path's
-    # abs()**2 differs only at the last ulp, within this function's
-    # documented 1e-12 tolerance to the time-domain form). The energy
-    # chain runs in place.
-    cumulative = np.square(signals.real)
-    cumulative += np.square(signals.imag)
-    np.cumsum(cumulative, axis=1, out=cumulative)
-    denom = np.empty((trials, n - m + 1))
-    denom[:, 0] = cumulative[:, m - 1]
-    np.subtract(cumulative[:, m:], cumulative[:, : n - m], out=denom[:, 1:])
-    denom *= t_energy
-    np.maximum(denom, 1e-30, out=denom)
-    np.sqrt(denom, out=denom)
-    correlation /= denom
+    spectrum_t = np.conj(np.fft.fft(template, n=n))
+    valid = n - m + 1
+    correlation = np.empty((trials, valid))
+
+    def block(lo: int, hi: int) -> None:
+        rows = signals[lo:hi]
+        spectrum = np.fft.fft(rows, n=n, axis=1)
+        spectrum *= spectrum_t
+        np.fft.ifft(spectrum, axis=1, out=spectrum)
+        # Only the magnitude of the valid lags is kept, and the complex
+        # block is released before the energy chain allocates.
+        out = correlation[lo:hi]
+        np.abs(spectrum[:, :valid], out=out)
+        del spectrum
+        # |z|^2 without the hypot of abs(): re^2 + im^2 (the scalar
+        # path's abs()**2 differs only at the last ulp, within this
+        # function's documented 1e-12 tolerance to the time-domain
+        # form). The energy chain runs in place.
+        cumulative = np.square(rows.real)
+        cumulative += np.square(rows.imag)
+        np.cumsum(cumulative, axis=1, out=cumulative)
+        denom = np.empty((hi - lo, valid))
+        denom[:, 0] = cumulative[:, m - 1]
+        np.subtract(cumulative[:, m:], cumulative[:, : n - m], out=denom[:, 1:])
+        denom *= t_energy
+        np.maximum(denom, 1e-30, out=denom)
+        np.sqrt(denom, out=denom)
+        out /= denom
+
+    for_row_blocks(trials, block)
     return correlation
 
 

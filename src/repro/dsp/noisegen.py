@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.dsp.rowblocks import for_row_blocks
 from repro.rng import fallback_rng
 
 _SHAPE_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
@@ -204,6 +205,9 @@ def _draw_complex_rows(
     planes of ``rows``. Scaling a part by a real factor is the same
     float multiply the complex product would do, so the values are
     bitwise those of the expression form without its temporaries.
+
+    Runs on row-block threads (:mod:`repro.dsp.rowblocks`): the buffer
+    is per call, and each generator belongs to exactly one row.
     """
     draw = np.empty((2, rows.shape[1]))
     real, imag = rows.real, rows.imag
@@ -226,7 +230,12 @@ def white_noise_batch(
     if power < 0:
         raise ValueError("power must be non-negative")
     rows = np.empty((len(rngs), n), dtype=np.complex128)
-    _draw_complex_rows(rows, np.sqrt(power / 2.0), rngs)
+    scale = np.sqrt(power / 2.0)
+
+    def block(lo: int, hi: int) -> None:
+        _draw_complex_rows(rows[lo:hi], scale, rngs[lo:hi])
+
+    for_row_blocks(len(rngs), block)
     return rows
 
 
@@ -244,13 +253,21 @@ def colored_noise_batch(
     and the inverse FFT run once over the whole ``(trials, n)`` block.
     Each row is bit-identical to :func:`colored_noise` called with the
     same generator: the shaping multiply is elementwise and a batched
-    ``ifft`` along the last axis transforms rows independently.
+    ``ifft`` along the last axis transforms rows independently — which
+    is also what lets row blocks draw and transform on separate threads
+    (:func:`repro.dsp.rowblocks.for_row_blocks`), in place.
     """
     if n <= 0:
         return np.zeros((len(rngs), 0), dtype=np.complex128)
     amplitude = _shaping_amplitude(n, fs, psd_db_fn, carrier_hz)
-    bins = np.empty((len(rngs), n), dtype=np.complex128)
-    _draw_complex_rows(bins, amplitude, rngs)
-    noise = np.fft.ifft(bins, axis=1)
-    noise *= np.sqrt(n)
+    noise = np.empty((len(rngs), n), dtype=np.complex128)
+    gain = np.sqrt(n)
+
+    def block(lo: int, hi: int) -> None:
+        bins = noise[lo:hi]
+        _draw_complex_rows(bins, amplitude, rngs[lo:hi])
+        np.fft.ifft(bins, axis=1, out=bins)
+        bins *= gain
+
+    for_row_blocks(len(rngs), block)
     return noise

@@ -45,7 +45,7 @@ from repro.contracts import (
     IntShaped,
     Shaped,
 )
-from repro.dsp.filters import dc_block_fast
+from repro.dsp.rowblocks import for_row_blocks
 from repro.obs.metrics import counter, gauge, histogram
 from repro.obs.probes import probe_finite, probe_invariant
 from repro.obs.spans import span
@@ -123,13 +123,30 @@ class BatchedReaderReceiver:
     def suppress_carrier_batch(
         self, records: ComplexShaped["trials", "samples"]
     ) -> ComplexShaped["trials", "samples"]:
-        """Stage 1 over the batch: mean removal + DC blocker per row."""
+        """Stage 1 over the batch: mean removal + DC blocker per row.
+
+        Row blocks run on separate threads
+        (:func:`repro.dsp.rowblocks.for_row_blocks`), each writing its
+        rows of one output block.
+        """
+        from scipy.signal import lfilter
+
         rx = self.receiver
-        centred = records - records.mean(axis=1, keepdims=True)
-        if rx.dc_pole and 0.0 < rx.dc_pole < 1.0:
-            # dc_block_fast is an lfilter along the last axis; rows are
-            # filtered independently.
-            centred = dc_block_fast(centred, rx.dc_pole)
+        records = np.asarray(records)
+        pole = rx.dc_pole if rx.dc_pole and 0.0 < rx.dc_pole < 1.0 else None
+        centred = np.empty_like(
+            records, dtype=np.result_type(records.dtype, np.float64)
+        )
+
+        def block(lo: int, hi: int) -> None:
+            rows, out = records[lo:hi], centred[lo:hi]
+            np.subtract(rows, rows.mean(axis=1, keepdims=True), out=out)
+            if pole is not None:
+                # The IIR of dc_block_fast, along the last axis: rows
+                # are filtered independently.
+                out[...] = lfilter([1.0, -1.0], [1.0, -pole], out)
+
+        for_row_blocks(len(records), block)
         return centred
 
     def _estimate_cfo_batch(

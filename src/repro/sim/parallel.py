@@ -43,7 +43,6 @@ Example::
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +51,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.contracts import Effectful
+from repro.dsp.rowblocks import _budget_scope, row_budget, usable_cpus
 from repro.obs.ledger import Ledger
 from repro.obs.manifest import EventLog, RunManifest, scenario_snapshot, wall_clock_unix
 from repro.obs.metrics import MetricsRegistry, counter, gauge, use_registry
@@ -71,6 +71,10 @@ CAMPAIGNS_COUNTER = counter(
 WORKERS_GAUGE = gauge(
     "repro.sim.parallel.workers", "worker processes of the last campaign"
 )
+ROW_THREADS_GAUGE = gauge(
+    "repro.sim.parallel.row_threads",
+    "row-block thread budget per point of the last campaign",
+)
 UTILIZATION_GAUGE = gauge(
     "repro.sim.parallel.worker_utilization",
     "pool busy-fraction of the last campaign (chunk-seconds / wall * workers)",
@@ -78,13 +82,22 @@ UTILIZATION_GAUGE = gauge(
 
 
 def default_workers() -> Effectful[int, "reads:host"]:
-    """Worker count when unspecified: all cores, capped at 8.
+    """Worker count when unspecified: all usable cores, capped at 8.
 
-    The host read only tunes scheduling (chunk fan-out), never results:
-    trial outcomes are seeded per-trial, so any worker count replays the
-    same numbers.  The ``reads:host`` grant records exactly that.
+    Usable cores are the process's affinity mask
+    (:func:`repro.dsp.rowblocks.usable_cpus`), so a CPU-restricted
+    container starts no more workers than it may run. The host read
+    only tunes scheduling (chunk fan-out), never results: trial
+    outcomes are seeded per-trial, so any worker count replays the same
+    numbers.  The ``reads:host`` grant records exactly that.
     """
-    return max(1, min(os.cpu_count() or 1, 8))
+    return max(1, min(usable_cpus(), 8))
+
+
+def _chunk_row_threads(workers: int) -> Effectful[int, "reads:host"]:
+    """Row-block budget of one pool chunk: the usable cores left to it
+    when ``workers`` chunks run at once (1 once the pool fills them)."""
+    return max(1, usable_cpus() // max(1, workers))
 
 
 def _run_chunk(
@@ -92,20 +105,24 @@ def _run_chunk(
     scenario: Scenario,
     point_index: int,
     collect: bool,
+    row_threads: int,
 ) -> Tuple[List[TrialResult], Optional[dict]]:
     """Worker entry: run all of one point's trials.
 
-    When collecting, the chunk's spans land in a fresh tracer and its
-    metrics in a fresh registry; both cross the process boundary with
-    the results so the parent can merge in trial order.
+    The chunk's row-independent kernels run on at most ``row_threads``
+    threads (:mod:`repro.dsp.rowblocks`), the budget the parent left
+    each worker. When collecting, the chunk's spans land in a fresh
+    tracer and its metrics in a fresh registry; both cross the process
+    boundary with the results so the parent can merge in trial order.
     """
-    if not collect:
-        return campaign.run_trials(scenario, point_index), None
-    tracer = SpanTracer()
-    registry = MetricsRegistry()
-    t0 = time.perf_counter()
-    with use_registry(registry), collect_spans(tracer):
-        results = campaign.run_trials(scenario, point_index)
+    with _budget_scope(row_threads):
+        if not collect:
+            return campaign.run_trials(scenario, point_index), None
+        tracer = SpanTracer()
+        registry = MetricsRegistry()
+        t0 = time.perf_counter()
+        with use_registry(registry), collect_spans(tracer):
+            results = campaign.run_trials(scenario, point_index)
     telemetry = {
         "tracer": tracer,
         "metrics": registry.as_dict(),
@@ -195,6 +212,7 @@ def run_campaign_parallel(
         pool is None and (workers <= 1 or len(scenarios) == 0)
     ) or not _is_picklable(campaign)
     effective_workers = 1 if serial else workers
+    row_threads = row_budget() if serial else _chunk_row_threads(workers)
     if progress is not None:
         progress.start()
     _emit(
@@ -254,7 +272,9 @@ def run_campaign_parallel(
 
                 jobs = []
                 for i, scenario in enumerate(scenarios):
-                    job = pool.submit(_run_chunk, campaign, scenario, i, collect)
+                    job = pool.submit(
+                        _run_chunk, campaign, scenario, i, collect, row_threads
+                    )
                     if progress is not None:
                         job.add_done_callback(_advance_on_done)
                     jobs.append(job)
@@ -310,6 +330,7 @@ def run_campaign_parallel(
         with use_registry(metrics):
             CAMPAIGNS_COUNTER.inc()
             WORKERS_GAUGE.set(effective_workers)
+            ROW_THREADS_GAUGE.set(row_threads)
     _emit(
         events,
         "campaign_end",

@@ -45,6 +45,21 @@ invisible in the returned numbers:
 Caches are process-local and keyed by value; invalidate explicitly
 after mutating water/surface tables in place.
 
+The point pipeline's row-independent, GIL-free kernels (the per-trial
+noise draws and inverse FFT, the batched preamble correlation, the SI
+suppression's mean removal and `lfilter`, `apply_doppler` and
+`ChannelResponse.apply` on 2-D blocks) run over contiguous row blocks
+on a process-wide thread pool (`repro.dsp.rowblocks.for_row_blocks`),
+bit-identical for any thread count. The budget is derived, not set:
+the process's usable CPUs (`repro.dsp.rowblocks.usable_cpus`, its
+affinity mask), so `workers=1` uses every usable core for these
+kernels; inside a pool chunk it is `max(1, usable // workers)`, so a
+pool that fills the cores runs single-threaded chunks. Calls under two
+16-row blocks, nested calls and 1-row trials start no thread. Block
+functions make no span, metric, probe, cache or public `repro` call;
+telemetry stays on the calling thread. The budget is recorded as the
+`repro.sim.parallel.row_threads` gauge, outside the run identity.
+
 Per-stage wall-clock (channel / reflect / noise / demod, and inside
 demod the batched receiver's suppress / detect / cfo / slice / parse)
 is available from a `SpanTracer` passed as `tracer=`:
