@@ -26,7 +26,6 @@ from repro.acoustics.constants import WaterProperties
 from repro.acoustics.propagation import Path, trace_paths
 from repro.acoustics.spreading import PRACTICAL_EXPONENT
 from repro.acoustics.surface import SeaSurface
-from repro.dsp.rowblocks import for_row_blocks
 from repro.geometry.vec3 import Vec3
 
 
@@ -145,48 +144,32 @@ class ChannelResponse:
             and self.surface.rms_height_m > 0.0
             and any(p.surface_bounces for p in self.paths)
         )
-        # (per-sample gain profile or None, delay in samples, gain) per
-        # tap, computed here; row blocks then add the taps on separate
-        # threads (:func:`repro.dsp.rowblocks.for_row_blocks`).
         if not animate:
-            taps = [
-                (None, (delay_s - base_delay) * fs, gain)
-                for delay_s, gain in self.baseband_taps(start_time_s)
-            ]
-        else:
-            # Animated taps, vectorized: a tap's *delay* is fixed — only
-            # its gain wanders block to block — so instead of adding
-            # every (block, tap) chunk separately, build the per-sample
-            # gain profile of each tap (block-constant, via np.repeat)
-            # and add the whole gain-modulated signal at the tap's
-            # offset in one shot.
-            block = max(int(block_s * fs), 1)
-            starts = np.arange(0, n_samples, block)
-            times = start_time_s + starts / fs
-            k = 2.0 * math.pi * self.carrier_hz / self.sound_speed
-            displacement = np.array([self.surface.displacement(t) for t in times])
-            taps = []
-            for p in self.paths:
-                delay = (p.delay_s - base_delay) * fs
-                if p.surface_bounces > 0:
-                    grazing = math.radians(abs(p.arrival_deg)) or 0.1
-                    dl = 2.0 * p.surface_bounces * displacement * math.sin(grazing)
-                    block_gains = p.gain * np.exp(-1j * k * dl)
-                    gains = np.repeat(block_gains, block)[:n_samples]
-                    taps.append((gains, delay, 1.0))
-                else:
-                    taps.append((None, delay, p.gain))
-        rows = signal if signal.ndim > 1 else signal[None, :]
-        dest = out if signal.ndim > 1 else out[None, :]
+            for delay_s, gain in self.baseband_taps(start_time_s):
+                _add_delayed(out, signal, (delay_s - base_delay) * fs, gain)
+            return out
 
-        def add_taps(lo: int, hi: int) -> None:
-            source, into = rows[lo:hi], dest[lo:hi]
-            for gains, delay, gain in taps:
+        # Animated taps, vectorized: a tap's *delay* is fixed — only its
+        # gain wanders block to block — so instead of adding every
+        # (block, tap) chunk separately, build the per-sample gain profile
+        # of each tap (block-constant, via np.repeat) and add the whole
+        # gain-modulated signal at the tap's offset in one shot.
+        block = max(int(block_s * fs), 1)
+        starts = np.arange(0, n_samples, block)
+        times = start_time_s + starts / fs
+        k = 2.0 * math.pi * self.carrier_hz / self.sound_speed
+        displacement = np.array([self.surface.displacement(t) for t in times])
+        for p in self.paths:
+            if p.surface_bounces > 0:
+                grazing = math.radians(abs(p.arrival_deg)) or 0.1
+                dl = 2.0 * p.surface_bounces * displacement * math.sin(grazing)
+                block_gains = p.gain * np.exp(-1j * k * dl)
+                gains = np.repeat(block_gains, block)[:n_samples]
                 _add_delayed(
-                    into, source if gains is None else gains * source, delay, gain
+                    out, gains * signal, (p.delay_s - base_delay) * fs, 1.0
                 )
-
-        for_row_blocks(len(rows), add_taps)
+            else:
+                _add_delayed(out, signal, (p.delay_s - base_delay) * fs, p.gain)
         return out
 
 

@@ -99,7 +99,16 @@ def dc_block_fast(signal: np.ndarray, alpha: float = 0.995) -> np.ndarray:
     x = np.asarray(signal, dtype=np.complex128)
     if len(x) == 0:
         return x.copy()
+    y = _dc_block_rows(x, alpha)
+    return y if np.iscomplexobj(signal) else y.real
+
+
+def _dc_block_rows(x: np.ndarray, alpha: float) -> np.ndarray:
+    """The DC blocker's IIR along the last axis of ``x``, rows apart.
+
+    The one definition of the filter: :func:`dc_block_fast` and the
+    batched receiver's row blocks both run it.
+    """
     from scipy.signal import lfilter
 
-    y = lfilter([1.0, -1.0], [1.0, -alpha], x)
-    return y if np.iscomplexobj(signal) else y.real
+    return lfilter([1.0, -1.0], [1.0, -alpha], x)

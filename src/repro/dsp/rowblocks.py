@@ -75,12 +75,15 @@ def _mark_pool_thread() -> None:
 
 
 def _executor(threads: int) -> ThreadPoolExecutor:
-    """The process-wide pool, (re)built when it has too few threads."""
+    """The process-wide pool, replaced by a larger one when it has too
+    few threads.
+
+    A replaced pool is not shut down: another caller may still be
+    submitting to it. Its threads exit once the last caller drops it.
+    """
     global _pool, _pool_threads
     with _pool_lock:
         if _pool is None or _pool_threads < threads:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
             _pool = ThreadPoolExecutor(
                 max_workers=threads,
                 thread_name_prefix="repro-rowblocks",
@@ -115,8 +118,9 @@ def for_row_blocks(rows: int, fn: Callable[[int, int], None]) -> None:
     (nesting never waits on its own pool). ``fn`` must keep to the
     worker-thread invariant in the module docstring.
     """
-    nested = getattr(_local, "busy", False)
-    blocks = 1 if nested else min(row_budget(), rows // MIN_BLOCK_ROWS)
+    # Small and nested calls skip the budget's host read.
+    inline = rows < 2 * MIN_BLOCK_ROWS or getattr(_local, "busy", False)
+    blocks = 1 if inline else min(row_budget(), rows // MIN_BLOCK_ROWS)
     if blocks <= 1:
         fn(0, rows)
         return

@@ -45,6 +45,7 @@ from repro.contracts import (
     IntShaped,
     Shaped,
 )
+from repro.dsp.filters import _dc_block_rows
 from repro.dsp.rowblocks import for_row_blocks
 from repro.obs.metrics import counter, gauge, histogram
 from repro.obs.probes import probe_finite, probe_invariant
@@ -68,6 +69,9 @@ from repro.phy.receiver import (
 BATCHED_ENGINE_VERSION = 1
 """Version stamp of the batched kernel, recorded in BENCH_* files so a
 benchmark result pins the exact batched-path generation it measured."""
+
+_GATHER_ROWS = 16
+"""Rows the slicing stage gathers at once (a buffer of about 1 MB)."""
 
 BATCHES_COUNTER = counter(
     "repro.phy.batch.batches", "record batches run through the batched chain"
@@ -129,8 +133,6 @@ class BatchedReaderReceiver:
         (:func:`repro.dsp.rowblocks.for_row_blocks`), each writing its
         rows of one output block.
         """
-        from scipy.signal import lfilter
-
         rx = self.receiver
         records = np.asarray(records)
         pole = rx.dc_pole if rx.dc_pole and 0.0 < rx.dc_pole < 1.0 else None
@@ -142,9 +144,9 @@ class BatchedReaderReceiver:
             rows, out = records[lo:hi], centred[lo:hi]
             np.subtract(rows, rows.mean(axis=1, keepdims=True), out=out)
             if pole is not None:
-                # The IIR of dc_block_fast, along the last axis: rows
-                # are filtered independently.
-                out[...] = lfilter([1.0, -1.0], [1.0, -pole], out)
+                # dc_block_fast's IIR along the last axis: rows are
+                # filtered independently.
+                out[...] = _dc_block_rows(out, pole)
 
         for_row_blocks(len(records), block)
         return centred
@@ -205,39 +207,52 @@ class BatchedReaderReceiver:
         if max_dumps == 0:
             return np.zeros((k, 0)), n_dumps
 
-        # Integrate-and-dump: copy each row's data region, one slice per
-        # row (several times faster than a 2-D index gather), and sum
-        # along the chip axis. Past the record end a row is padded with
-        # its last sample; padding only ever lands in dumps past that
-        # row's valid count, which are masked below.
+        # Integrate-and-dump, _GATHER_ROWS rows at a time: copy each
+        # row's data region into one small reused buffer (one slice per
+        # row, several times faster than a 2-D index gather), derotate
+        # it and sum along the chip axis. A full (rows, region) gather
+        # would be a fresh block-sized allocation, first-touched here on
+        # every point. Past the record end a row is padded with its last
+        # sample; padding only ever lands in dumps past that row's valid
+        # count, which are masked below.
         region = max_dumps * rx.sps
-        gathered = np.empty((k, region), dtype=np.complex128)
+        dumps = np.empty((k, max_dumps), dtype=np.complex128)
+        buffer = np.empty((min(k, _GATHER_ROWS), region), dtype=np.complex128)
+        row_list = rows.tolist()
         starts = data_start.tolist()
-        for j, (row, begin) in enumerate(zip(rows.tolist(), starts)):
-            valid = min(max(n - begin, 0), region)
-            gathered[j, :valid] = centred[row, begin : begin + valid]
-            gathered[j, valid:] = centred[row, n - 1]
-        shifted = np.flatnonzero(cfo != 0.0)
-        if len(shifted):
-            # Derotation phase is linear in the region sample index
-            # (theta_j = -2 pi cfo (n_preamble sps + j) / fs — the
-            # data region starts a fixed preamble length after the
-            # detected start), so the phasor is a geometric sequence
-            # per row: one complex cumprod instead of a full complex
-            # exp over the region. Phasor magnitude drifts ~1e-14 over
-            # a frame — far below channel noise. The padded tail would
-            # flatten theta in the exact form, but those samples only
-            # ever land in masked dumps.
-            alpha = -2j * np.pi * cfo[shifted] / rx.fs
-            steps = np.empty((len(shifted), region), dtype=np.complex128)
-            steps[:, 0] = np.exp(alpha * (n_preamble * rx.sps))
-            steps[:, 1:] = np.exp(alpha)[:, None]
-            np.cumprod(steps, axis=1, out=steps)
-            if len(shifted) == k:
-                gathered *= steps
-            else:
-                gathered[shifted] *= steps
-        dumps = gathered.reshape(k, max_dumps, rx.sps).sum(axis=2)
+        for lo in range(0, k, _GATHER_ROWS):
+            hi = min(lo + _GATHER_ROWS, k)
+            gathered = buffer[: hi - lo]
+            for j in range(lo, hi):
+                row, begin = row_list[j], starts[j]
+                valid = min(max(n - begin, 0), region)
+                gathered[j - lo, :valid] = centred[row, begin : begin + valid]
+                gathered[j - lo, valid:] = centred[row, n - 1]
+            shifted = np.flatnonzero(cfo[lo:hi] != 0.0)
+            if len(shifted):
+                # Derotation phase is linear in the region sample index
+                # (theta_j = -2 pi cfo (n_preamble sps + j) / fs — the
+                # data region starts a fixed preamble length after the
+                # detected start), so the phasor is a geometric sequence
+                # per row: one complex cumprod instead of a full complex
+                # exp over the region. Phasor magnitude drifts ~1e-14
+                # over a frame — far below channel noise. The padded
+                # tail would flatten theta in the exact form, but those
+                # samples only ever land in masked dumps.
+                alpha = -2j * np.pi * cfo[lo:hi][shifted] / rx.fs
+                steps = np.empty((len(shifted), region), dtype=np.complex128)
+                steps[:, 0] = np.exp(alpha * (n_preamble * rx.sps))
+                steps[:, 1:] = np.exp(alpha)[:, None]
+                np.cumprod(steps, axis=1, out=steps)
+                if len(shifted) == hi - lo:
+                    gathered *= steps
+                else:
+                    gathered[shifted] *= steps
+            np.sum(
+                gathered.reshape(hi - lo, max_dumps, rx.sps),
+                axis=2,
+                out=dumps[lo:hi],
+            )
 
         gain = rx.phase_loop_gain
         if gain <= 0:

@@ -133,7 +133,7 @@ class TrialCampaign:
             # Payloads draw first from each trial's stream, then the
             # point pipeline advances every stream through its noise.
             payloads = [
-                bytes(rng.integers(0, 256, size=self.payload_bytes, dtype=np.uint8))
+                rng.integers(0, 256, size=self.payload_bytes, dtype=np.uint8).tobytes()
                 for rng in generators
             ]
             results = simulate_point_batch(

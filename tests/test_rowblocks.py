@@ -20,16 +20,14 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.acoustics.channel import ChannelResponse
 from repro.acoustics.doppler import apply_doppler
-from repro.acoustics.propagation import Path
-from repro.acoustics.surface import SeaSurface
 from repro.core import Scenario
 from repro.dsp import rowblocks
 from repro.dsp.correlate import normalized_correlation_batch
@@ -39,7 +37,6 @@ from repro.phy.batch import BatchedReaderReceiver
 from repro.phy.preamble import preamble_template
 from repro.phy.receiver import ReaderReceiver
 from repro.sim import parallel
-from repro.sim.cache import reader_node_response
 from repro.sim.engine import simulate_point_batch, simulate_trial
 from repro.sim.parallel import default_workers, run_observed_campaign
 from repro.sim.trials import TrialCampaign
@@ -83,14 +80,6 @@ def river_psd():
     return Scenario.river().noise.psd_db
 
 
-ANIMATED = ChannelResponse(
-    paths=[
-        Path(100.0, 0.066, 0.7 + 0.1j, 0, 0, 0.0, 0.0),
-        Path(104.0, 0.07031, 0.5 + 0j, 1, 0, 5.0, -5.0),
-    ],
-    carrier_hz=18_500.0,
-    surface=SeaSurface(rms_height_m=0.2, dominant_period_s=4.0),
-)
 RECEIVER = BatchedReaderReceiver(ReaderReceiver(fs=96_000.0, chip_rate=4_000.0))
 TEMPLATE = preamble_template(24, repeats=1)
 
@@ -110,12 +99,6 @@ KERNELS = {
     "doppler": lambda rows, layout: apply_doppler(
         block_of(rows, layout), 96_000.0, 18_500.0, 1.2
     ),
-    "channel": lambda rows, layout: reader_node_response(
-        Scenario.river(200.0)
-    ).apply(block_of(rows, layout), 96_000.0, start_time_s=0.01),
-    "channel-animated": lambda rows, layout: ANIMATED.apply(
-        block_of(rows, layout), 8_000.0, start_time_s=0.3
-    ),
 }
 LAYOUTS = {
     "colored-noise": ("C",),
@@ -123,8 +106,6 @@ LAYOUTS = {
     "correlation": ("C", "strided", "F"),
     "suppress": ("C", "strided", "F"),
     "doppler": ("C", "strided", "F"),
-    "channel": ("C", "strided", "F"),
-    "channel-animated": ("C", "strided", "F"),
 }
 
 
@@ -290,6 +271,56 @@ class TestFailurePaths:
         )
         assert threading.active_count() == before
         assert rowblocks._pool is None
+
+    def test_small_calls_do_not_read_the_budget(self, monkeypatch):
+        def unread():
+            raise AssertionError("row_budget() read")
+
+        monkeypatch.setattr(rowblocks, "row_budget", unread)
+        calls = []
+        rows = 2 * rowblocks.MIN_BLOCK_ROWS - 1
+        rowblocks.for_row_blocks(rows, lambda lo, hi: calls.append((lo, hi)))
+        assert calls == [(0, rows)]
+
+    def test_concurrent_callers_while_the_pool_grows(self, monkeypatch):
+        # Callers on several threads ask for ever more blocks, so the
+        # pool is replaced while others still submit to the old one.
+        def one_round():
+            monkeypatch.setattr(rowblocks, "_pool", None)
+            monkeypatch.setattr(rowblocks, "_pool_threads", 0)
+            errors, start = [], threading.Barrier(4)
+
+            def caller(seed):
+                try:
+                    start.wait()
+                    for rows in range(32 + seed, 200, 4):
+                        hits = [0] * rows
+
+                        def fn(lo, hi):
+                            for r in range(lo, hi):
+                                hits[r] += 1
+
+                        rowblocks.for_row_blocks(rows, fn)
+                        assert hits == [1] * rows
+                except BaseException as exc:  # reported below
+                    errors.append(exc)
+
+            callers = [threading.Thread(target=caller, args=(s,)) for s in range(4)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in callers)
+            return errors
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with rowblocks._budget_scope(6):
+                errors = [e for _ in range(100) for e in one_round()]
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
 
     def test_nested_call_runs_inline(self):
         inner = []

@@ -47,8 +47,8 @@ after mutating water/surface tables in place.
 
 The point pipeline's row-independent, GIL-free kernels (the per-trial
 noise draws and inverse FFT, the batched preamble correlation, the SI
-suppression's mean removal and `lfilter`, `apply_doppler` and
-`ChannelResponse.apply` on 2-D blocks) run over contiguous row blocks
+suppression's mean removal and `lfilter`, and `apply_doppler` on 2-D
+blocks) run over contiguous row blocks
 on a process-wide thread pool (`repro.dsp.rowblocks.for_row_blocks`),
 bit-identical for any thread count. The budget is derived, not set:
 the process's usable CPUs (`repro.dsp.rowblocks.usable_cpus`, its
