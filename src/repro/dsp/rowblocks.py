@@ -70,37 +70,8 @@ def _budget_scope(budget: int) -> Iterator[None]:
         _scoped = previous
 
 
-def _current_cpu() -> int:
-    """The CPU the calling thread runs on (Linux ``/proc``)."""
-    with open("/proc/thread-self/stat") as stat:
-        # Field 39, counted after the parenthesised command name.
-        return int(stat.read().rsplit(")", 1)[1].split()[36])
-
-
-def _leave_start_cpu() -> None:
-    """Move the calling (new) pool thread off the CPU it started on.
-
-    A new thread starts on its creator's CPU. Where the kernel does not
-    balance load (a cpuset with ``sched_load_balance`` off) it stays
-    there, and the caller's block and the pool's blocks run one after
-    another on one core. Narrowing the thread's affinity to the other
-    usable CPUs moves it; restoring the mask at once leaves the
-    scheduler free to move it again. Hosts without ``/proc`` skip this.
-    """
-    try:
-        here = _current_cpu()
-    except (OSError, ValueError, IndexError):
-        return
-    allowed = os.sched_getaffinity(0)
-    others = allowed - {here}
-    if here in allowed and others:
-        os.sched_setaffinity(0, others)
-        os.sched_setaffinity(0, allowed)
-
-
-def _start_pool_thread() -> None:
+def _mark_pool_thread() -> None:
     _local.busy = True
-    _leave_start_cpu()
 
 
 def _executor(threads: int) -> ThreadPoolExecutor:
@@ -116,7 +87,7 @@ def _executor(threads: int) -> ThreadPoolExecutor:
             _pool = ThreadPoolExecutor(
                 max_workers=threads,
                 thread_name_prefix="repro-rowblocks",
-                initializer=_start_pool_thread,
+                initializer=_mark_pool_thread,
             )
             _pool_threads = threads
         return _pool

@@ -382,57 +382,6 @@ class TestFailurePaths:
         assert rowblocks.row_budget() == 2  # the scope ends with the chunk
 
 
-class TestPoolThreadPlacement:
-    def test_a_new_pool_thread_leaves_its_start_cpu(self, monkeypatch):
-        moves = []
-        monkeypatch.setattr(rowblocks, "_current_cpu", lambda: 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(
-            os, "sched_setaffinity", lambda pid, cpus: moves.append(set(cpus)),
-            raising=False,
-        )
-        rowblocks._leave_start_cpu()
-        assert moves == [{0, 2}, {0, 1, 2}]  # moved, then the mask restored
-
-    @pytest.mark.parametrize("cpu,mask", [(0, {0}), (5, {0, 1})])
-    def test_no_move_without_another_usable_cpu(self, monkeypatch, cpu, mask):
-        monkeypatch.setattr(rowblocks, "_current_cpu", lambda: cpu)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
-        monkeypatch.setattr(
-            os, "sched_setaffinity", lambda pid, cpus: pytest.fail("moved"),
-            raising=False,
-        )
-        rowblocks._leave_start_cpu()
-
-    def test_hosts_without_proc_skip_the_move(self, monkeypatch):
-        def no_proc():
-            raise FileNotFoundError("/proc/thread-self/stat")
-
-        monkeypatch.setattr(rowblocks, "_current_cpu", no_proc)
-        monkeypatch.setattr(
-            os, "sched_setaffinity", lambda pid, cpus: pytest.fail("moved"),
-            raising=False,
-        )
-        rowblocks._leave_start_cpu()
-
-    @pytest.mark.skipif(
-        not os.path.exists("/proc/thread-self/stat")
-        or not hasattr(os, "sched_getaffinity"),
-        reason="needs Linux /proc and affinity masks",
-    )
-    def test_pool_threads_keep_the_process_mask(self, monkeypatch):
-        monkeypatch.setattr(rowblocks, "_pool", None)
-        monkeypatch.setattr(rowblocks, "_pool_threads", 0)
-        masks = {}
-
-        def record(lo, hi):
-            masks[threading.get_ident()] = os.sched_getaffinity(0)
-
-        at_budget(2, rowblocks.for_row_blocks, 64, record)
-        assert len(masks) == 2
-        assert all(mask == os.sched_getaffinity(0) for mask in masks.values())
-
-
 class TestUsableCpus:
     def test_affinity_mask_sets_workers_and_budget(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
