@@ -28,16 +28,17 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Annotated, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.contracts import PURE
 from repro.obs.manifest import (
     RunManifest,
-    manifest_from_dict,
+    load_manifest,
     manifest_to_dict,
     read_events,
+    save_manifest,
     wall_clock_unix,
 )
 
@@ -158,13 +159,14 @@ class Ledger:
             events_dst = stored_events if stored_events.exists() else None
         else:
             run_dir.mkdir(parents=True, exist_ok=True)
+            stored = manifest
             if manifest.events_path:
                 events_src = Path(manifest.events_path)
                 if events_src.exists():
                     events_dst = run_dir / f"{rid}.events.jsonl"
                     shutil.copyfile(events_src, events_dst)
-                    data = dict(data, events_path=str(events_dst))
-            manifest_path.write_text(json.dumps(data, indent=2))
+                    stored = replace(manifest, events_path=str(events_dst))
+            save_manifest(stored, manifest_path)
         entry = {
             "ts": round(wall_clock_unix(), 6),
             "key": key,
@@ -237,8 +239,7 @@ class Ledger:
 
     def load(self, ref: str) -> RunManifest:
         """Load the manifest for a key/run-id prefix."""
-        record = self.resolve(ref)
-        return manifest_from_dict(json.loads(record.manifest_path.read_text()))
+        return load_manifest(self.resolve(ref).manifest_path)
 
 
 def ledger_rows(ledger: Ledger) -> List[Dict[str, Any]]:

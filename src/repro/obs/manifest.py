@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -220,8 +221,21 @@ def manifest_from_dict(data: dict) -> RunManifest:
 
 
 def save_manifest(manifest: RunManifest, path: Union[str, Path]) -> None:
-    """Write a run manifest to a JSON file."""
-    Path(path).write_text(json.dumps(manifest_to_dict(manifest), indent=2))
+    """Write a run manifest to a JSON file, atomically.
+
+    The JSON lands in a temporary file beside ``path`` (named for this
+    process, so concurrent writers do not share it), which then
+    replaces ``path`` in one step: a failed or interrupted write leaves
+    no file (or the previous one) there, never a torn manifest.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(manifest_to_dict(manifest), indent=2))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_manifest(path: Union[str, Path]) -> RunManifest:

@@ -119,7 +119,7 @@ class MetricsRegistry:
                 mine.merge(hist)
 
     def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold an :meth:`as_dict` snapshot (e.g. from a worker chunk)."""
+        """Fold an :meth:`as_dict` snapshot (e.g. from a point chunk)."""
         for name, value in snapshot.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0) + value
         self.gauges.update(snapshot.get("gauges", {}))

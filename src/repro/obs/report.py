@@ -22,9 +22,8 @@ from repro.obs.spans import PATH_SEPARATOR
 def stage_rows(timings: dict) -> List[dict]:
     """Leaf-aggregated stage table rows from a manifest's span dict.
 
-    Every span path is attributed to its innermost name (so serial and
-    parallel runs, whose roots differ, produce the same stages), sorted
-    by total time descending. ``share`` is each stage's fraction of the
+    Every span path is attributed to its innermost name, sorted by
+    total time descending. ``share`` is each stage's fraction of the
     run's root span total (falling back to the largest stage when the
     manifest has no root span).
     """
@@ -88,7 +87,7 @@ def engine_line(metrics: dict) -> Optional[str]:
     Distinguishes trials demodulated by the batched kernel from those
     demodulated one row at a time (a receive chain the batched kernel
     does not support: rake, equaliser, timing search, or a subclass).
-    None when the run predates the dispatch counters.
+    None when the run records no trials.
     """
     counters = metrics.get("counters", {})
     batched = int(counters.get("repro.sim.trials.batched_trials", 0))
@@ -134,9 +133,6 @@ def render_report(
         f"{len(manifest.results.get('points', []))} points "
         f"({rate:.1f} trials/s)"
     )
-    # How trials actually dispatched (the campaign's `engine` field
-    # below is the requested mode — "auto" says nothing about the path
-    # taken; this line does).
     engine = engine_line(manifest.metrics)
     if engine:
         lines.append(f"dispatch   : {engine}")

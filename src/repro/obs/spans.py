@@ -14,10 +14,11 @@ Design constraints, in priority order:
    produce hundreds of thousands of span events; the tracer keeps only
    ``path -> (total_s, count)``, which is what the reports need and is
    cheap to merge across worker processes.
-3. **Process-local, mergeable.** The parallel runner installs one
-   tracer per worker chunk and merges them in trial order
-   (:meth:`SpanTracer.merge`), mirroring the determinism discipline of
-   the results themselves.
+3. **Process-local, mergeable.** The campaign runner installs one
+   tracer per point chunk, in-process or on a worker, and merges them
+   in point order (:meth:`SpanTracer.merge`), mirroring the
+   determinism discipline of the results themselves. Serial and pool
+   runs therefore build the same ``point > batch > ...`` tree.
 
 Usage::
 
@@ -58,7 +59,7 @@ class SpanTracer:
         self.counts[path] = self.counts.get(path, 0) + 1
 
     def merge(self, other: "SpanTracer") -> None:
-        """Fold another tracer (e.g. from a worker chunk) into this one."""
+        """Fold another tracer (e.g. from a point chunk) into this one."""
         for path, total in other.totals_s.items():
             self.totals_s[path] = self.totals_s.get(path, 0.0) + total
         for path, count in other.counts.items():
@@ -68,9 +69,8 @@ class SpanTracer:
         """Totals and counts aggregated by leaf span name.
 
         The flat per-stage view: every path is attributed to its
-        innermost name, so ``("point", "batch", "channel")`` and
-        ``("batch", "channel")`` both count as ``channel`` — which makes
-        serial and parallel runs (whose span roots differ) comparable.
+        innermost name, so ``("point", "batch", "channel")`` counts as
+        ``channel`` wherever it sits in the tree.
         """
         totals: Dict[str, float] = {}
         counts: Dict[str, int] = {}

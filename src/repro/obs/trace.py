@@ -130,9 +130,7 @@ def trace_from_events(events: Sequence[dict]) -> List[Dict[str, Any]]:
                 }
             )
         elif kind == "point_end":
-            # A parallel point's elapsed is busy-time summed over
-            # workers, which can exceed its wall window — clamp the
-            # slice into the run so the lane stays readable.
+            # Clamp the slice into the run so the lane stays readable.
             elapsed = float(e.get("elapsed_s") or 0.0)
             start_us = max(0.0, us(ts - elapsed))
             out.append(
@@ -155,7 +153,7 @@ def trace_from_events(events: Sequence[dict]) -> List[Dict[str, Any]]:
                     ts - elapsed,
                     ts,
                     {
-                        "name": f"chunk p{e.get('point')}+{e.get('start')}",
+                        "name": f"chunk p{e.get('point')}",
                         "args": {
                             k: v
                             for k, v in e.items()

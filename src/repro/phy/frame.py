@@ -259,8 +259,7 @@ def parse_frames_batch(
     have_header = np.flatnonzero(n_chips >= header_chips)
     if not len(have_header):
         return results
-    hdr_pairs = chips[have_header, :header_chips].reshape(-1, 16, 2)
-    header_bits = (hdr_pairs[:, :, 0] == hdr_pairs[:, :, 1]).astype(np.int64)
+    header_bits, _ = coding.fm0_decode_batch(chips[have_header, :header_chips])
     header_bytes = np.packbits(header_bits.astype(np.uint8), axis=1)
     node_ids = header_bytes[:, 0]
     lengths = header_bytes[:, 1]
@@ -272,9 +271,9 @@ def parse_frames_batch(
         if not len(sel):
             continue
         g_rows = have_header[sel]
-        pairs = chips[g_rows, :total_chips].reshape(len(sel), -1, 2)
-        all_bits = (pairs[:, :, 0] == pairs[:, :, 1]).astype(np.int64)
-        violations = (pairs[:, 1:, 0] == pairs[:, :-1, 1]).sum(axis=1)
+        all_bits, violations = coding.fm0_decode_batch(
+            chips[g_rows, :total_chips]
+        )
         payload_bits = all_bits[:, 16 : 16 + length * 8]
         fcs = all_bits[:, 16 + length * 8 : 16 + length * 8 + 16]
         crc = crc16_ccitt_batch(

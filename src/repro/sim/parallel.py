@@ -3,19 +3,21 @@
 The paper's evidence rests on >1,500 field trials; reproducing that
 statistical weight in simulation means running campaigns orders of
 magnitude larger than the seed's serial loop allowed. This module
-distributes a campaign's trials across a ``ProcessPoolExecutor`` while
-keeping the results **bit-identical** to the serial runner:
+runs a campaign point by point, in-process or across a
+``ProcessPoolExecutor``, with **bit-identical** results either way:
 
 * Seeding stays on the ``SeedSequence.spawn`` discipline — trial ``t``
   of point ``p`` always draws from ``SeedSequence((seed, p)).spawn(n)[t]``
   regardless of which worker runs it or in what order chunks finish
   (see :meth:`TrialCampaign.trial_seeds`).
-* Results are re-assembled in trial order before aggregation, so the
-  floating-point reductions in :meth:`BERPoint.from_trials` see the same
-  operand order as the serial loop.
 * Campaigns are sharded by whole operating point: one chunk is one
-  ``(trials, samples)`` point batch, so the span and chunk counts are
+  :meth:`TrialCampaign.run_point` call, a ``(trials, samples)`` point
+  batch aggregated where it ran, so the span and chunk counts are
   scheduling-independent too.
+* A serial run (``workers=1``) runs the same chunks in-process, one
+  after another, and one harvest loop takes both kinds in point order.
+  Serial and pool runs therefore record the same spans, events and
+  runner instruments.
 
 Workers warm their own process-local caches (channel responses, Wenz
 shaping filters), so per-point invariants are computed once per worker,
@@ -25,9 +27,9 @@ a non-picklable factory (with or without a supplied pool).
 
 Telemetry rides the same machinery: pass ``tracer=`` (hierarchical
 spans), ``metrics=`` (a registry), and/or ``events=`` (a JSONL event
-log) and each worker chunk collects process-locally, ships its tracer
-and metrics snapshot home with the results, and the parent merges them
-in trial order — so telemetry, like the results, is independent of
+log) and each chunk collects into its own tracer and registry, which
+travel home with the point, and the harvest merges them in point
+order — so telemetry, like the results, is independent of
 scheduling. :func:`run_observed_campaign` bundles all of it and emits a
 :class:`~repro.obs.manifest.RunManifest`.
 
@@ -46,9 +48,9 @@ from __future__ import annotations
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.contracts import Effectful
 from repro.dsp.rowblocks import _budget_scope, row_budget, usable_cpus
@@ -57,13 +59,12 @@ from repro.obs.manifest import EventLog, RunManifest, scenario_snapshot, wall_cl
 from repro.obs.metrics import MetricsRegistry, counter, gauge, use_registry
 from repro.obs.progress import ProgressReporter
 from repro.obs.spans import SpanTracer, collect_spans
-from repro.sim.engine import TrialResult
 from repro.sim.results import BERPoint, CampaignResult
 from repro.sim.scenario import Scenario
 from repro.sim.trials import TrialCampaign
 
 CHUNKS_COUNTER = counter(
-    "repro.sim.parallel.chunks", "worker chunks dispatched to the pool"
+    "repro.sim.parallel.chunks", "point chunks run, in-process or on the pool"
 )
 CAMPAIGNS_COUNTER = counter(
     "repro.sim.parallel.campaigns", "campaigns executed by the runner"
@@ -77,7 +78,7 @@ ROW_THREADS_GAUGE = gauge(
 )
 UTILIZATION_GAUGE = gauge(
     "repro.sim.parallel.worker_utilization",
-    "pool busy-fraction of the last campaign (chunk-seconds / wall * workers)",
+    "busy-fraction of the last campaign (chunk-seconds / wall * workers)",
 )
 
 
@@ -106,29 +107,27 @@ def _run_chunk(
     point_index: int,
     collect: bool,
     row_threads: int,
-) -> Tuple[List[TrialResult], Optional[dict]]:
-    """Worker entry: run all of one point's trials.
+) -> Tuple[BERPoint, float, Optional[dict]]:
+    """Run one point: the unit of work of serial and pool runs alike.
 
-    The chunk's row-independent kernels run on at most ``row_threads``
-    threads (:mod:`repro.dsp.rowblocks`), the budget the parent left
-    each worker. When collecting, the chunk's spans land in a fresh
-    tracer and its metrics in a fresh registry; both cross the process
-    boundary with the results so the parent can merge in trial order.
+    The point's row-independent kernels run on at most ``row_threads``
+    threads (:mod:`repro.dsp.rowblocks`). Returns the point, its
+    elapsed seconds and, when collecting, the point's spans and metrics
+    gathered in a fresh tracer and registry, which the caller merges
+    in point order.
     """
+    telemetry = None
+    t0 = time.perf_counter()
     with _budget_scope(row_threads):
-        if not collect:
-            return campaign.run_trials(scenario, point_index), None
-        tracer = SpanTracer()
-        registry = MetricsRegistry()
-        t0 = time.perf_counter()
-        with use_registry(registry), collect_spans(tracer):
-            results = campaign.run_trials(scenario, point_index)
-    telemetry = {
-        "tracer": tracer,
-        "metrics": registry.as_dict(),
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    return results, telemetry
+        if collect:
+            tracer = SpanTracer()
+            registry = MetricsRegistry()
+            with use_registry(registry), collect_spans(tracer):
+                point = campaign.run_point(scenario, point_index)
+            telemetry = {"tracer": tracer, "metrics": registry.as_dict()}
+        else:
+            point = campaign.run_point(scenario, point_index)
+    return point, time.perf_counter() - t0, telemetry
 
 
 def _is_picklable(campaign: TrialCampaign) -> bool:
@@ -166,7 +165,7 @@ def run_campaign_parallel(
     events: Optional[EventLog] = None,
     progress: Optional[ProgressReporter] = None,
 ) -> CampaignResult:
-    """Run a campaign, one point per chunk, across worker processes.
+    """Run a campaign, one point per chunk, in-process or on a process pool.
 
     Args:
         scenarios: one scenario per operating point (e.g. a range sweep).
@@ -180,20 +179,21 @@ def run_campaign_parallel(
             worker caches warm by sharing one pool. Omitted, a pool is
             created and torn down per call. A campaign that cannot be
             pickled runs serially in-process even when a pool is given.
-        tracer: optional hierarchical span tracer; worker-chunk spans
-            are merged into it in trial order (per-stage totals:
+        tracer: optional hierarchical span tracer; each chunk's spans
+            are merged into it in point order (per-stage totals:
             :meth:`~repro.obs.spans.SpanTracer.leaf_totals`).
-        metrics: optional metrics registry; worker-chunk metric
-            snapshots are merged into it in trial order, and the runner
+        metrics: optional metrics registry; each chunk's metric
+            snapshot is merged into it in point order, and the runner
             records its own instruments (chunks, workers, utilization)
             there too.
         events: optional JSONL event log; the runner emits
-            ``campaign_start`` / ``chunk_done`` / ``point_end`` /
-            ``campaign_end`` events as the run progresses.
-        progress: optional live progress reporter; advanced as trial
-            chunks *complete* (from executor callbacks, not the
-            deterministic harvest loop), so the display is live while
-            results and telemetry stay scheduling-independent.
+            ``campaign_start``, then ``chunk_done`` and ``point_end``
+            per point, then ``campaign_end``. A point that raises emits
+            ``point_failed`` (its index and the error's repr) and the
+            original exception propagates: nothing after it is recorded.
+        progress: optional live progress reporter; a pool run advances
+            it as chunks *complete* (from executor callbacks, not the
+            deterministic harvest loop), a serial run once per point.
 
     Returns:
         Aggregated results, one :class:`BERPoint` per scenario, in
@@ -225,109 +225,73 @@ def run_campaign_parallel(
         workers=effective_workers,
     )
 
+    own_pool = not serial and pool is None
+    out = CampaignResult(label=label)
+    busy_s = 0.0
     try:
         if serial:
-            out = CampaignResult(label=label)
-            for i, scenario in enumerate(scenarios):
-                t0 = time.perf_counter()
-                if collect:
-                    point_tracer = SpanTracer()
-                    metrics_ctx = (
-                        use_registry(metrics)
-                        if metrics is not None
-                        else nullcontext()
-                    )
-                    with metrics_ctx, collect_spans(point_tracer):
-                        point = campaign.run_point(scenario, point_index=i)
-                    if tracer is not None:
-                        tracer.merge(point_tracer)
-                else:
-                    point = campaign.run_point(scenario, point_index=i)
-                out.add(point)
-                if progress is not None:
-                    progress.advance(point.trials)
-                _emit(
-                    events,
-                    "point_end",
-                    point=i,
-                    elapsed_s=round(time.perf_counter() - t0, 6),
-                    **_point_fields(point),
-                )
+            chunks = [
+                partial(_run_chunk, campaign, scenario, i, collect, row_threads)
+                for i, scenario in enumerate(scenarios)
+            ]
         else:
-            own_pool = pool is None
             if own_pool:
                 pool = ProcessPoolExecutor(max_workers=workers)
-            busy_s = 0.0
-            per_point: List[List[TrialResult]] = []
-            point_busy_s: List[Optional[float]] = []
-            try:
-                def _advance_on_done(future) -> None:
-                    # Runs on the executor's callback thread the moment
-                    # a chunk lands — independent of the ordered harvest
-                    # below, which is what keeps results deterministic.
-                    if future.cancelled() or future.exception() is not None:
-                        return
-                    chunk_results, _ = future.result()
-                    progress.advance(len(chunk_results))
 
-                jobs = []
-                for i, scenario in enumerate(scenarios):
-                    job = pool.submit(
-                        _run_chunk, campaign, scenario, i, collect, row_threads
-                    )
-                    if progress is not None:
-                        job.add_done_callback(_advance_on_done)
-                    jobs.append(job)
-                # Iterate in submission (= trial) order so telemetry
-                # merges are as deterministic as the results.
-                for point_index, job in enumerate(jobs):
-                    results, telemetry = job.result()
-                    chunk_elapsed = None
-                    if telemetry is not None:
-                        if tracer is not None:
-                            tracer.merge(telemetry["tracer"])
-                        if metrics is not None:
-                            metrics.merge_snapshot(telemetry["metrics"])
-                        chunk_elapsed = telemetry["elapsed_s"]
-                        busy_s += chunk_elapsed
-                    per_point.append(results)
-                    point_busy_s.append(chunk_elapsed)
-                    _emit(
-                        events,
-                        "chunk_done",
-                        point=point_index,
-                        start=0,
-                        trials=len(results),
-                        elapsed_s=chunk_elapsed,
-                    )
-            finally:
-                if own_pool:
-                    pool.shutdown()
+            def _advance_on_done(future) -> None:
+                # Runs on the executor's callback thread the moment a
+                # point lands, independent of the ordered harvest below.
+                if not future.cancelled() and future.exception() is None:
+                    progress.advance(future.result()[0].trials)
 
-            out = CampaignResult(label=label)
-            for i, (results, elapsed) in enumerate(zip(per_point, point_busy_s)):
-                point = BERPoint.from_trials(results)
-                out.add(point)
-                _emit(
-                    events,
-                    "point_end",
-                    point=i,
-                    elapsed_s=round(elapsed, 6) if elapsed is not None else None,
-                    **_point_fields(point),
+            jobs = []
+            for i, scenario in enumerate(scenarios):
+                job = pool.submit(
+                    _run_chunk, campaign, scenario, i, collect, row_threads
                 )
-            if metrics is not None:
-                wall = time.perf_counter() - t_start
-                with use_registry(metrics):
-                    CHUNKS_COUNTER.inc(len(jobs))
-                    UTILIZATION_GAUGE.set(
-                        busy_s / (wall * workers) if wall > 0 else 0.0
-                    )
+                if progress is not None:
+                    job.add_done_callback(_advance_on_done)
+                jobs.append(job)
+            chunks = [job.result for job in jobs]
+        # Harvest in point order, so telemetry merges are as
+        # deterministic as the results.
+        for i, chunk in enumerate(chunks):
+            try:
+                point, elapsed_s, telemetry = chunk()
+            except Exception as exc:
+                _emit(events, "point_failed", point=i, error=repr(exc))
+                raise
+            if telemetry is not None:
+                if tracer is not None:
+                    tracer.merge(telemetry["tracer"])
+                if metrics is not None:
+                    metrics.merge_snapshot(telemetry["metrics"])
+            busy_s += elapsed_s
+            out.add(point)
+            if serial and progress is not None:
+                progress.advance(point.trials)
+            elapsed_s = round(elapsed_s, 6)
+            _emit(
+                events, "chunk_done", point=i, trials=point.trials,
+                elapsed_s=elapsed_s,
+            )
+            _emit(
+                events, "point_end", point=i, elapsed_s=elapsed_s,
+                **_point_fields(point),
+            )
     finally:
+        if own_pool:
+            pool.shutdown()
         if progress is not None:
             progress.finish()
 
     if metrics is not None:
+        wall = time.perf_counter() - t_start
         with use_registry(metrics):
+            CHUNKS_COUNTER.inc(len(scenarios))
+            UTILIZATION_GAUGE.set(
+                busy_s / (wall * effective_workers) if wall > 0 else 0.0
+            )
             CAMPAIGNS_COUNTER.inc()
             WORKERS_GAUGE.set(effective_workers)
             ROW_THREADS_GAUGE.set(row_threads)

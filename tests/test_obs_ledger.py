@@ -1,6 +1,7 @@
 """Tests for the content-addressed run ledger (repro.obs.ledger)."""
 
 import json
+import os
 
 import pytest
 
@@ -131,6 +132,30 @@ class TestLedgerStore:
         assert rec.events_path is not None and rec.events_path.exists()
         events_src.unlink()  # the filed copy outlives the original
         assert rec.events_path.exists()
+
+    def test_a_failed_manifest_write_leaves_nothing_to_mistake(
+        self, tmp_path, monkeypatch
+    ):
+        ledger = Ledger(tmp_path)
+        manifest = make_manifest()
+        real_replace = os.replace
+        calls = []
+
+        def fails_once(src, dst):
+            calls.append(dst)
+            if len(calls) == 1:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fails_once)
+        with pytest.raises(OSError, match="disk full"):
+            ledger.record(manifest)
+        run_dir = tmp_path / "runs" / run_key(manifest)
+        assert list(run_dir.iterdir()) == []  # no manifest, no temp file
+        rec = ledger.record(manifest)
+        assert not rec.duplicate
+        assert rec.manifest_path.parent == run_dir
+        assert ledger.load(rec.run_id) == manifest
 
     def test_env_var_selects_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VAB_LEDGER_DIR", str(tmp_path / "envled"))

@@ -39,6 +39,7 @@ from repro.phy.receiver import ReaderReceiver
 from repro.sim import parallel
 from repro.sim.engine import simulate_point_batch, simulate_trial
 from repro.sim.parallel import default_workers, run_observed_campaign
+from repro.sim.results import BERPoint
 from repro.sim.trials import TrialCampaign
 from tests.test_sim_batched_parity import (
     CASES,
@@ -353,14 +354,14 @@ class TestFailurePaths:
             job = pool.submit(
                 parallel._run_chunk, campaign, scenario, 0, False, 2
             )
-            results, telemetry = job.result(timeout=60)
+            point, _, telemetry = job.result(timeout=60)
         finally:
             for process in list(pool._processes.values()):
                 if process.is_alive() and not job.done():
                     process.kill()
             pool.shutdown(wait=True, cancel_futures=True)
         assert telemetry is None
-        assert results == serial
+        assert point == BERPoint.from_trials(serial)
 
     def test_chunks_that_fill_the_cores_run_at_budget_one(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -369,11 +370,10 @@ class TestFailurePaths:
         assert parallel._chunk_row_threads(8) == 1
         seen = []
 
-        def spy(self, scenario, point_index=0, start=0, stop=None):
+        def spy(self, scenario, point_index=0):
             seen.append(rowblocks.row_budget())
-            return []
 
-        monkeypatch.setattr(TrialCampaign, "run_trials", spy)
+        monkeypatch.setattr(TrialCampaign, "run_point", spy)
         parallel._run_chunk(
             TrialCampaign(), Scenario.river(), 0, True,
             parallel._chunk_row_threads(2),

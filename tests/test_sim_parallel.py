@@ -18,7 +18,8 @@ from repro.acoustics.noise import NoiseConditions, total_noise_psd_db
 from repro.core import Scenario
 from repro.dsp import noisegen
 from repro.obs import MetricsRegistry, SpanTracer
-from repro.obs.manifest import read_events
+from repro.obs.ledger import Ledger, diff_manifests
+from repro.obs.manifest import EventLog, read_events
 from repro.phy.receiver import ReaderReceiver
 from repro.sim import cache
 from repro.sim.parallel import run_campaign_parallel, run_observed_campaign
@@ -30,6 +31,29 @@ from repro.vanatta.node import VanAttaNode
 ROOT = Path(__file__).resolve().parent.parent
 
 RANGES = [50.0, 330.0]
+
+
+class PointFailure(RuntimeError):
+    """Raised by :func:`fails_past_300m` (module level, so it pickles)."""
+
+
+def fails_past_300m(scenario):
+    """A receiver factory that cannot build a receiver beyond 300 m."""
+    if scenario.range_m > 300.0:
+        raise PointFailure(f"no receiver at {scenario.range_m:.0f} m")
+    return ReaderReceiver.for_scenario(scenario)
+
+
+def _uncached(instruments: dict) -> dict:
+    """Instruments without the process-local channel-cache split."""
+    return {
+        k: v for k, v in instruments.items()
+        if not k.startswith("repro.sim.cache.")
+    }
+
+
+def _event_names(path) -> list:
+    return [e["event"] for e in read_events(path) if e["event"] != "heartbeat"]
 
 
 class TestParallelDeterminism:
@@ -145,16 +169,11 @@ class TestParallelDeterminism:
             scenarios, campaign, workers=4, tracer=parallel_tracer
         )
         # Wall-clocks differ across processes, but the counts — how many
-        # times each stage ran — must agree leaf-for-leaf. (The serial
-        # path has a `point` root span the point-shard workers don't;
-        # every shared stage below it must match exactly.)
-        _, serial_counts = serial_tracer.leaf_totals()
-        _, parallel_counts = parallel_tracer.leaf_totals()
-        for stage in ("batch", "channel", "reflect", "noise", "demod"):
-            assert parallel_counts[stage] == serial_counts[stage]
+        # times each span path ran — must agree path for path.
+        assert parallel_tracer.counts == serial_tracer.counts
         # Batched engine: one batch span per point, stages per batch.
-        assert serial_counts["batch"] == 2
-        assert serial_counts["demod"] == 2
+        assert serial_tracer.counts[("point", "batch")] == 2
+        assert serial_tracer.counts[("point", "batch", "demod")] == 2
 
     def test_per_row_demod_runs_inside_one_batch_per_point(self):
         scenarios = sweep_range(Scenario.river(), RANGES)
@@ -185,11 +204,90 @@ class TestParallelDeterminism:
         run_campaign_parallel(
             scenarios, campaign, workers=2, metrics=parallel_metrics
         )
-        name = "repro.phy.receiver.demods"
-        assert serial_metrics.counters[name] >= 8
-        assert parallel_metrics.counters[name] == serial_metrics.counters[name]
-        assert parallel_metrics.counters["repro.sim.parallel.chunks"] >= 2
+        assert serial_metrics.counters["repro.phy.receiver.demods"] >= 8
+        assert _uncached(parallel_metrics.counters) == _uncached(
+            serial_metrics.counters
+        )
+        assert parallel_metrics.counters["repro.sim.parallel.chunks"] == 2
+        assert serial_metrics.gauges["repro.sim.parallel.workers"] == 1
         assert parallel_metrics.gauges["repro.sim.parallel.workers"] == 2
+
+    def test_serial_and_pool_runs_record_the_same_telemetry(self, tmp_path):
+        scenarios = sweep_range(Scenario.river(), RANGES)
+        campaign = TrialCampaign(trials_per_point=6, seed=29)
+        runs = {}
+        for workers in (1, 2):
+            tracer, metrics = SpanTracer(), MetricsRegistry()
+            events_path = tmp_path / f"w{workers}.events.jsonl"
+            events = EventLog(events_path)
+            try:
+                result = run_campaign_parallel(
+                    scenarios, campaign, workers=workers,
+                    tracer=tracer, metrics=metrics, events=events,
+                )
+            finally:
+                events.close()
+            runs[workers] = (result, tracer, metrics, events_path)
+        (serial, s_tracer, s_metrics, s_events) = runs[1]
+        (pooled, p_tracer, p_metrics, p_events) = runs[2]
+        assert pooled.points == serial.points
+        assert p_tracer.counts == s_tracer.counts
+        assert _uncached(p_metrics.counters) == _uncached(s_metrics.counters)
+        assert set(p_metrics.gauges) == set(s_metrics.gauges)
+        assert _event_names(p_events) == _event_names(s_events) == [
+            "campaign_start",
+            "chunk_done", "point_end",
+            "chunk_done", "point_end",
+            "campaign_end",
+        ]
+        for path in (s_events, p_events):
+            timed = [
+                e for e in read_events(path)
+                if e["event"] in ("chunk_done", "point_end")
+            ]
+            assert all(e["elapsed_s"] > 0 for e in timed)
+            assert "start" not in timed[0]
+
+    def test_obs_diff_pairs_a_serial_and_a_pool_run(self):
+        scenarios = sweep_range(Scenario.river(), RANGES)
+        campaign = TrialCampaign(trials_per_point=4, seed=31)
+        _, serial = run_observed_campaign(
+            scenarios, campaign, workers=1, progress=False
+        )
+        _, pooled = run_observed_campaign(
+            scenarios, campaign, workers=2, progress=False
+        )
+        diff = diff_manifests(serial, pooled)
+        assert diff["same_key"]
+        assert diff["config"] == diff["scenarios"] == diff["metrics"] == []
+        assert set(pooled.timings) == set(serial.timings)
+        assert "point/batch/demod" in serial.timings
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_point_is_named_and_not_recorded(self, tmp_path, workers):
+        scenarios = sweep_range(Scenario.river(), RANGES)
+        campaign = TrialCampaign(
+            trials_per_point=2, seed=5, receiver_factory=fails_past_300m
+        )
+        events_path = tmp_path / "events.jsonl"
+        manifest_path = tmp_path / "run.manifest.json"
+        ledger = Ledger(tmp_path / "ledger")
+        with pytest.raises(PointFailure, match="no receiver at 330 m"):
+            run_observed_campaign(
+                scenarios, campaign, workers=workers, progress=False,
+                events_path=events_path, manifest_path=manifest_path,
+                ledger=ledger,
+            )
+        events = [e for e in read_events(events_path) if e["event"] != "heartbeat"]
+        assert [e["event"] for e in events] == [
+            "campaign_start", "chunk_done", "point_end", "point_failed",
+        ]
+        assert events[-1]["point"] == 1
+        assert events[-1]["error"].startswith("PointFailure(")
+        assert not manifest_path.exists()
+        assert ledger.entries() == []
 
 
 class TestChannelCache:

@@ -27,10 +27,12 @@ result = run_campaign_parallel(
 Results are **bit-identical** for any worker count and the same seed:
 per-trial entropy comes from `TrialCampaign.trial_seeds`
 (`SeedSequence((seed, point)).spawn(n)`) regardless of which worker runs
-a point, and results are re-assembled in point order before aggregation.
-`workers=1` runs serially in-process; campaigns carrying non-picklable
-factories fall back to the same path automatically, even when a `pool=`
-is supplied.
+a point. Each point is one chunk, aggregated where it runs, and the
+runner harvests chunks in point order. `workers=1` runs the same chunks
+serially in-process; campaigns carrying non-picklable factories fall
+back to that path automatically, even when a `pool=` is supplied.
+Serial and pool runs record the same spans, events and runner
+instruments.
 
 Speed comes mostly from memoization, which is on by default and
 invisible in the returned numbers:
@@ -80,13 +82,13 @@ harness runs in the test suite under the `bench_smoke` marker
 ## Observability
 
 `repro.obs` instruments the campaign path; everything is zero-cost
-when unused and merges deterministically (in trial order) under the
+when unused and merges deterministically (in point order) under the
 parallel runner:
 
 - **Spans** — `span(name)` brackets nested work; `collect_spans`
   installs a `SpanTracer` that aggregates `path -> (total_s, count)`.
-  The engine emits `campaign > point > trial >
-  channel/reflect/noise/demod`.
+  The engine emits `point > batch > channel/reflect/noise/demod`,
+  with `suppress/detect/cfo/slice/parse` under `demod`.
 - **Metrics** — `counter` / `gauge` / `histogram` return named
   instrument handles writing into the active `MetricsRegistry`
   (swap one in with `use_registry`). Engine instruments:
@@ -96,7 +98,8 @@ parallel runner:
   `(CampaignResult, RunManifest)` and optionally persists the manifest
   (`save_manifest` / `load_manifest` in `repro.sim.export`,
   schema-checked round trip) plus a JSONL `EventLog`
-  (`campaign_start` / `chunk_done` / `point_end` / `campaign_end`).
+  (`campaign_start` / `chunk_done` / `point_end` / `campaign_end`; a
+  point that raises logs `point_failed` and no manifest is written).
 
 Render a recorded run with the CLI::
 
