@@ -8,8 +8,7 @@ and changes the campaign manifests' ``engine_versions`` stamp), its
 rule table, and the callables the shared machinery drives
 (:func:`repro.analysis.incremental.analyze_incremental`,
 :func:`repro.analysis.dataflow.run_fixed_point`). The linter, the
-reporters, campaign manifests and the perf harness loop over
-:data:`ENGINES`.
+reporters and campaign manifests loop over :data:`ENGINES`.
 """
 
 from __future__ import annotations

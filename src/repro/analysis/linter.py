@@ -3,8 +3,8 @@
 The flow is ``paths -> files -> FileContext -> rules -> findings``,
 with the suppression filter applied last so a ``# vablint: disable=``
 comment silences any rule. :func:`lint_paths` is the everything
-entry point used by ``tools/vablint.py``, the ``repro lint`` CLI
-subcommand, and the perf harness's dirty-tree gate.
+entry point used by ``tools/vablint.py`` and the ``repro lint`` CLI
+subcommand.
 
 A :func:`tree_fingerprint` hashes the exact sources linted together
 with the rule catalogue, so a campaign manifest can record *which* tree

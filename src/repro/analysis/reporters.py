@@ -2,8 +2,8 @@
 
 Three formats: a compact text listing (default), a JSON document with
 a stable schema (``{"files", "rules", "clean", "findings": [...],
-"errors": [...], "counts"}``) that the CI lint job and the perf-harness
-gate parse, and a SARIF 2.1.0 log (:func:`render_sarif`) for the
+"errors": [...], "counts"}``) that the CI lint job parses, and a SARIF
+2.1.0 log (:func:`render_sarif`) for the
 GitHub code-scanning upload.
 """
 

@@ -12,7 +12,6 @@
     python -m repro obs ls          # content-addressed run ledger
     python -m repro obs diff a1b2 c3d4
     python -m repro obs trace run.json -o run.trace.json
-    python -m repro obs timeline    # BENCH_*.json perf trajectory
     python -m repro lint            # determinism/physics linter (vablint)
 
 Every subcommand prints a plain table to stdout and exits 0 on success;
@@ -184,14 +183,6 @@ def cmd_obs_trace(args: argparse.Namespace) -> int:
     count = validate_trace_events(doc)
     print(f"wrote {args.out}: {count} trace events "
           f"(open in chrome://tracing or ui.perfetto.dev)")
-    return 0
-
-
-def cmd_obs_timeline(args: argparse.Namespace) -> int:
-    """Performance trajectory across the repo's BENCH_*.json records."""
-    from repro.obs.report import load_bench_files, render_timeline
-
-    print(render_timeline(load_bench_files(args.root)), end="")
     return 0
 
 
@@ -400,13 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="event log (default: the run's, if recorded)")
     add_ledger_arg(p_trace)
     p_trace.set_defaults(func=cmd_obs_trace)
-
-    p_timeline = obs_sub.add_parser(
-        "timeline", help="perf trajectory across BENCH_*.json records"
-    )
-    p_timeline.add_argument("root", nargs="?", default=".",
-                            help="directory holding BENCH_*.json (default: .)")
-    p_timeline.set_defaults(func=cmd_obs_timeline)
 
     p_lint = sub.add_parser(
         "lint", help="determinism & physics-invariant linter (vablint)"

@@ -24,27 +24,6 @@ from repro.rng import fallback_rng
 
 _SHAPE_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _SHAPE_CACHE_MAX = 64
-_CACHE_ENABLED = True
-_FORCE_POINTWISE = False
-"""When True, evaluate the PSD per frequency in Python (the pre-cache
-seed behaviour) — kept so the perf harness can measure an honest
-baseline. See :func:`tools.bench_perf`."""
-
-
-def set_noise_cache_enabled(enabled: bool) -> bool:
-    """Enable/disable the shaping-filter cache; returns the old state."""
-    global _CACHE_ENABLED
-    old = _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
-    return old
-
-
-def set_pointwise_psd(forced: bool) -> bool:
-    """Force per-frequency Python PSD evaluation (baseline emulation)."""
-    global _FORCE_POINTWISE
-    old = _FORCE_POINTWISE
-    _FORCE_POINTWISE = bool(forced)
-    return old
 
 
 def clear_noise_cache() -> None:
@@ -113,17 +92,16 @@ def _evaluate_psd_db(
     falls back to the per-frequency loop.
     """
     clamped = np.maximum(abs_freqs, 1.0)
-    if not _FORCE_POINTWISE:
-        bound_self = getattr(psd_db_fn, "__self__", None)
-        array_fn = getattr(bound_self, "psd_db_array", None)
-        if array_fn is not None:
-            return np.asarray(array_fn(clamped), dtype=np.float64)
-        try:
-            out = np.asarray(psd_db_fn(clamped), dtype=np.float64)
-            if out.shape == clamped.shape:
-                return out
-        except Exception:
-            pass
+    bound_self = getattr(psd_db_fn, "__self__", None)
+    array_fn = getattr(bound_self, "psd_db_array", None)
+    if array_fn is not None:
+        return np.asarray(array_fn(clamped), dtype=np.float64)
+    try:
+        out = np.asarray(psd_db_fn(clamped), dtype=np.float64)
+        if out.shape == clamped.shape:
+            return out
+    except Exception:
+        pass
     return np.array([psd_db_fn(float(f)) for f in clamped], dtype=np.float64)
 
 
@@ -132,14 +110,13 @@ def _shaping_amplitude(
 ) -> np.ndarray:
     """Per-bin amplitude scale sqrt(PSD * fs / 2), memoized when possible."""
     key = None
-    if _CACHE_ENABLED:
-        fn_key = _psd_fn_cache_key(psd_db_fn)
-        if fn_key is not None:
-            key = (fn_key, n, float(fs), float(carrier_hz))
-            cached = _SHAPE_CACHE.get(key)
-            if cached is not None:
-                _SHAPE_CACHE.move_to_end(key)
-                return cached
+    fn_key = _psd_fn_cache_key(psd_db_fn)
+    if fn_key is not None:
+        key = (fn_key, n, float(fs), float(carrier_hz))
+        cached = _SHAPE_CACHE.get(key)
+        if cached is not None:
+            _SHAPE_CACHE.move_to_end(key)
+            return cached
     freqs = np.fft.fftfreq(n, d=1.0 / fs)
     psd_linear = 10.0 ** (_evaluate_psd_db(psd_db_fn, carrier_hz + freqs) / 10.0)
     amplitude = np.sqrt(psd_linear * fs / 2.0)

@@ -25,8 +25,7 @@ rest of the simulator reports through:
   invariant probes (finite signals, level ceilings, BER bounds, frame
   accounting) wired into the hot engine paths.
 * :mod:`repro.obs.report` — renders a manifest/event log into the
-  per-stage, per-point breakdown behind ``repro obs report``, and the
-  ``BENCH_*`` perf-trajectory timeline.
+  per-stage, per-point breakdown behind ``repro obs report``.
 
 Layering: ``obs`` sits below :mod:`repro.sim` — simulation code imports
 ``obs``, never the reverse — so any subsystem (PHY, link, baselines)
@@ -88,7 +87,7 @@ from repro.obs.trace import (
     validate_trace_events,
     write_trace,
 )
-from repro.obs.report import render_report, render_timeline
+from repro.obs.report import render_report
 
 __all__ = [
     "SpanTracer",
@@ -136,5 +135,4 @@ __all__ = [
     "write_trace",
     "validate_trace_events",
     "render_report",
-    "render_timeline",
 ]

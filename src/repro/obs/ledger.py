@@ -208,7 +208,8 @@ class Ledger:
         """Resolve a key or run-id prefix to one filed run.
 
         A key (prefix) with several runs resolves to the most recently
-        filed one. Ambiguous or unknown prefixes raise ``KeyError``.
+        filed one. A run-id prefix must name exactly one run id.
+        Ambiguous or unknown prefixes raise ``KeyError``.
         """
         if not ref:
             raise KeyError("empty ledger reference")
@@ -218,11 +219,15 @@ class Ledger:
                 matches.append((e["key"], e["run_id"]))
         if not matches:
             raise KeyError(f"no ledger run matches {ref!r}")
-        unique_keys = {key for key, _ in matches}
-        if len(unique_keys) > 1:
-            shown = ", ".join(sorted(rid for _, rid in matches)[:4])
-            raise KeyError(f"ambiguous ledger reference {ref!r}: {shown}, ...")
         key, rid = matches[-1]
+        unique_keys = {k for k, _ in matches}
+        run_ids = sorted({r for _, r in matches})
+        if len(unique_keys) > 1 or (
+            len(run_ids) > 1 and not key.startswith(ref)
+        ):
+            shown = ", ".join(run_ids[:4])
+            more = ", ..." if len(run_ids) > 4 else ""
+            raise KeyError(f"ambiguous ledger reference {ref!r}: {shown}{more}")
         manifest_path = self._run_dir(key) / f"{rid}.manifest.json"
         if not manifest_path.exists():
             raise KeyError(

@@ -9,11 +9,8 @@ so reports can be rendered anywhere a manifest file can be read.
 
 from __future__ import annotations
 
-import json
-import re
 import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.manifest import RunManifest
 from repro.obs.spans import PATH_SEPARATOR
@@ -192,83 +189,6 @@ def render_report(
         )
 
     lines.extend(_metrics_lines(manifest.metrics))
-    return "\n".join(lines) + "\n"
-
-
-def load_bench_files(root: Union[str, Path]) -> List[dict]:
-    """Load ``BENCH_<n>.json`` files under a directory, in bench order.
-
-    The repo keeps one frozen benchmark record per performance
-    milestone; numeric ordering (not lexicographic — ``BENCH_10``
-    follows ``BENCH_9``) is the perf trajectory.
-    """
-
-    def bench_number(path: Path) -> int:
-        match = re.search(r"BENCH_(\d+)", path.name)
-        return int(match.group(1)) if match else 0
-
-    docs = []
-    for path in sorted(Path(root).glob("BENCH_*.json"), key=bench_number):
-        docs.append(json.loads(path.read_text()))
-    return docs
-
-
-def bench_timeline_rows(docs: Sequence[dict]) -> List[dict]:
-    """Timeline rows from benchmark documents (one row per bench).
-
-    Each row carries the bench id/name and an ``arms`` mapping of
-    benchmark arm -> trials/s (any top-level object with a
-    ``trials_per_sec`` field counts as an arm, so new arms appear
-    without code changes).
-    """
-    rows: List[dict] = []
-    for doc in docs:
-        arms = {
-            name: float(value["trials_per_sec"])
-            for name, value in doc.items()
-            if isinstance(value, dict) and "trials_per_sec" in value
-        }
-        rows.append(
-            {
-                "bench": str(doc.get("bench", "?")),
-                "name": str(doc.get("name", "")),
-                "arms": arms,
-            }
-        )
-    return rows
-
-
-def render_timeline(docs: Sequence[dict]) -> str:
-    """The ``repro obs timeline`` table: trials/s per arm across benches.
-
-    Arms appear as columns in first-seen order; a trailing ``x best``
-    column tracks the best arm's speedup over the *first* bench's best
-    arm — the headline of the perf trajectory.
-    """
-    rows = bench_timeline_rows(docs)
-    if not rows:
-        return "no benchmark records found"
-    arm_order: List[str] = []
-    for row in rows:
-        for arm in row["arms"]:
-            if arm not in arm_order:
-                arm_order.append(arm)
-    baseline_best = max(rows[0]["arms"].values(), default=0.0)
-    table_rows = []
-    for row in rows:
-        best = max(row["arms"].values(), default=0.0)
-        table_rows.append(
-            [
-                row["bench"],
-                row["name"],
-                *(
-                    f"{row['arms'][arm]:.1f}" if arm in row["arms"] else "-"
-                    for arm in arm_order
-                ),
-                f"{best / baseline_best:.2f}x" if baseline_best > 0 else "-",
-            ]
-        )
-    lines = _table(["bench", "name", *arm_order, "x best"], table_rows)
     return "\n".join(lines) + "\n"
 
 

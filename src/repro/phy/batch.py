@@ -67,8 +67,9 @@ from repro.phy.receiver import (
 )
 
 BATCHED_ENGINE_VERSION = 1
-"""Version stamp of the batched kernel, recorded in BENCH_* files so a
-benchmark result pins the exact batched-path generation it measured."""
+"""Version stamp of the batched kernel, recorded in run manifests'
+``engine_versions`` so a stored result pins the exact batched-path
+generation that produced it."""
 
 _GATHER_ROWS = 16
 """Rows the slicing stage gathers at once (a buffer of about 1 MB)."""

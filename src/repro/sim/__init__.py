@@ -31,7 +31,6 @@ from repro.sim.cache import (
     channel_cache_info,
     clear_channel_cache,
     reader_node_response,
-    set_channel_cache_enabled,
 )
 from repro.sim.sweep import sweep_range, sweep_angles, sweep_grid
 from repro.sim.results import BERPoint, CampaignResult
@@ -65,7 +64,6 @@ __all__ = [
     "reader_node_response",
     "clear_channel_cache",
     "channel_cache_info",
-    "set_channel_cache_enabled",
     "sweep_range",
     "sweep_angles",
     "sweep_grid",

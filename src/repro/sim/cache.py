@@ -35,13 +35,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _RESPONSE_CACHE: "OrderedDict[tuple, ChannelResponse]" = OrderedDict()
 _RESPONSE_CACHE_MAX = 256
-_ENABLED = True
 _HITS = 0
 _MISSES = 0
 
-# Mirrored into the active metrics registry so campaign manifests and
-# BENCH_*.json surface cache behavior (the module counters below feed
-# the process-wide channel_cache_info view).
+# Mirrored into the active metrics registry so campaign manifests
+# surface cache behavior (the module counters below feed the
+# process-wide channel_cache_info view).
 HITS_COUNTER = counter(
     "repro.sim.cache.hits", "channel-response cache hits"
 )
@@ -51,16 +50,6 @@ MISSES_COUNTER = counter(
 EVICTIONS_COUNTER = counter(
     "repro.sim.cache.evictions", "LRU evictions from the response cache"
 )
-
-
-def set_channel_cache_enabled(
-    enabled: bool,
-) -> Effectful[bool, "reads:global", "mutates:global"]:
-    """Enable/disable response memoization; returns the old state."""
-    global _ENABLED
-    old = _ENABLED
-    _ENABLED = bool(enabled)
-    return old
 
 
 def clear_channel_cache() -> Effectful[None, "mutates:global"]:
@@ -109,8 +98,6 @@ def cached_between(
     pure, and VAB017/VAB018 police any effect beyond the grant.
     """
     global _HITS, _MISSES
-    if not _ENABLED:
-        return channel.between(source, receiver)
     key = _site_key(channel, source, receiver)
     response = _RESPONSE_CACHE.get(key)
     if response is not None:

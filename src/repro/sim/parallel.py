@@ -174,8 +174,8 @@ def run_campaign_parallel(
         workers: process count; ``None`` = :func:`default_workers`,
             ``1`` = serial in-process execution (no pool).
         pool: an existing executor to reuse (left open on return).
-            Back-to-back campaigns — sweeps over sweeps, the perf
-            harness's timed arms — amortise worker startup and keep
+            Back-to-back campaigns — sweeps over sweeps, perfbench's
+            timed passes — amortise worker startup and keep
             worker caches warm by sharing one pool. Omitted, a pool is
             created and torn down per call. A campaign that cannot be
             pickled runs serially in-process even when a pool is given.

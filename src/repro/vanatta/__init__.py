@@ -33,8 +33,6 @@ from repro.vanatta.fastfield import (
     FASTFIELD_ENGINE_VERSION,
     ArrayFactorEngine,
     ensemble_monostatic_db,
-    reference_planar_response,
-    reference_response,
 )
 from repro.vanatta.polarity import PairingScheme, pair_phase_errors
 from repro.vanatta.ris import (
@@ -91,8 +89,6 @@ __all__ = [
     "ArrayFactorEngine",
     "FASTFIELD_ENGINE_VERSION",
     "ensemble_monostatic_db",
-    "reference_response",
-    "reference_planar_response",
     "PhaseSurface",
     "steering_phases_rad",
     "retro_phases_rad",

@@ -29,11 +29,10 @@ same kernel, so benchmarks compare physics, not implementations.
 
 **Delegation contract.** The scalar entry points in
 ``retrodirective``/``planar`` delegate to this kernel at batch size 1
-(the ``phy.batch`` pattern): the per-pair loop survives only as
-:func:`reference_response` / :func:`reference_planar_response`, the
-parity baselines held to ``<= 1e-9`` complex error by
-``tests/test_vanatta_fastfield.py`` and benchmarked by the
-``arrayfactor`` arm of ``tools/bench_perf.py``.
+(the ``phy.batch`` pattern): the per-pair loop survives only as the
+reference oracles in ``tests/test_vanatta_fastfield.py``, which hold
+the kernel to ``<= 1e-9`` complex error and to its speed floor
+(``>= 50x`` the loop on a 1024-element, 181-angle monostatic sweep).
 
 For dense uniform sweeps over ``u = sin(theta)`` the engine also offers
 a Bluestein chirp-Z path (:meth:`ArrayFactorEngine.bistatic_cut_czt`)
@@ -74,9 +73,9 @@ if TYPE_CHECKING:  # planar imports fastfield; break the cycle at runtime
     from repro.vanatta.planar import PlanarVanAttaArray
 
 FASTFIELD_ENGINE_VERSION = 1
-"""Version stamp of the batched array-factor kernel; recorded in BENCH
-records and run manifests so results pin the kernel generation that
-produced them (the ``batched_engine_version`` pattern from the PHY)."""
+"""Version stamp of the batched array-factor kernel; recorded in run
+manifests so results pin the kernel generation that produced them (the
+``batched_engine_version`` pattern from the PHY)."""
 
 EVALS_COUNTER = counter(
     "repro.vanatta.fastfield.evals",
@@ -607,83 +606,3 @@ def ensemble_monostatic_db(
     g = base.element.element_gain(theta_deg)
     mag = np.abs(field) * base.line_gain() * g * g
     return 20.0 * np.log10(np.maximum(mag, 1e-15))
-
-
-# -- per-pair reference loops (parity + benchmark baselines) -----------------
-
-
-def reference_response(
-    array: VanAttaArray,
-    frequency_hz: HZ,
-    theta_in_deg: DEG,
-    theta_out_deg: DEG,
-    sound_speed: MPS = 1500.0,
-) -> complex:
-    """The original per-pair scalar loop (parity/benchmark baseline).
-
-    This is the seed implementation of
-    :func:`repro.vanatta.retrodirective.response`, kept verbatim so the
-    batched kernel has an independent reference to be checked (and
-    benchmarked) against.
-    """
-    k = wavenumber(frequency_hz, sound_speed)
-    u_in = math.sin(math.radians(theta_in_deg))
-    u_out = math.sin(math.radians(theta_out_deg))
-    x = array.positions_m
-    phases = array.pair_phases()
-    line = array.line_gain()
-    g_in = array.element.element_gain(theta_in_deg)
-    g_out = array.element.element_gain(theta_out_deg)
-
-    total = 0.0 + 0.0j
-    for (a, b), extra in zip(array.pairs, phases):
-        rot = complex(math.cos(extra), math.sin(extra))
-        if a == b:
-            total += rot * np.exp(1j * k * (x[a] * u_in + x[a] * u_out))
-        else:
-            total += rot * np.exp(1j * k * (x[a] * u_in + x[b] * u_out))
-            total += rot * np.exp(1j * k * (x[b] * u_in + x[a] * u_out))
-    return complex(total * line * g_in * g_out)
-
-
-def reference_planar_response(
-    array: "PlanarVanAttaArray",
-    frequency_hz: HZ,
-    az_in_deg: DEG,
-    el_in_deg: DEG,
-    az_out_deg: DEG,
-    el_out_deg: DEG,
-    sound_speed: MPS = 1500.0,
-) -> complex:
-    """The original per-pair planar loop (parity/benchmark baseline)."""
-    if frequency_hz <= 0 or sound_speed <= 0:
-        raise ValueError("frequency and sound speed must be positive")
-    k = 2.0 * math.pi * frequency_hz / sound_speed
-    d_in = _scalar_direction_cosines(az_in_deg, el_in_deg)
-    d_out = _scalar_direction_cosines(az_out_deg, el_out_deg)
-    x = array.positions_m
-    phases = pair_phase_errors(len(array.pairs), array.pairing)
-    line = array.line_gain()
-    g_in = array.element.element_gain(_scalar_off_angle(az_in_deg, el_in_deg))
-    g_out = array.element.element_gain(_scalar_off_angle(az_out_deg, el_out_deg))
-
-    total = 0.0 + 0.0j
-    for (a, b), extra in zip(array.pairs, phases):
-        rot = complex(math.cos(extra), math.sin(extra))
-        if a == b:
-            total += rot * np.exp(1j * k * (x[a] @ d_in + x[a] @ d_out))
-        else:
-            total += rot * np.exp(1j * k * (x[a] @ d_in + x[b] @ d_out))
-            total += rot * np.exp(1j * k * (x[b] @ d_in + x[a] @ d_out))
-    return complex(total * line * g_in * g_out)
-
-
-def _scalar_direction_cosines(azimuth_deg: DEG, elevation_deg: DEG) -> np.ndarray:
-    az = math.radians(azimuth_deg)
-    el = math.radians(elevation_deg)
-    return np.array([math.sin(az) * math.cos(el), math.sin(el)])
-
-
-def _scalar_off_angle(azimuth_deg: DEG, elevation_deg: DEG) -> DEG:
-    c = math.cos(math.radians(azimuth_deg)) * math.cos(math.radians(elevation_deg))
-    return math.degrees(math.acos(max(-1.0, min(1.0, c))))

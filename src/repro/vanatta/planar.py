@@ -176,9 +176,9 @@ def planar_response(
 
     Delegates to the batched array-factor kernel
     (:mod:`repro.vanatta.fastfield`) at batch size 1; the original
-    per-pair loop survives as
-    :func:`repro.vanatta.fastfield.reference_planar_response` and the
-    parity tests hold the two to ``<= 1e-9``.
+    per-pair loop survives as the ``reference_planar_response`` oracle
+    in ``tests/test_vanatta_fastfield.py``, which holds the two to
+    ``<= 1e-9``.
     """
     from repro.vanatta.fastfield import ArrayFactorEngine
 

@@ -41,8 +41,9 @@ def response(
     Delegates to the batched array-factor kernel
     (:mod:`repro.vanatta.fastfield`) at batch size 1, so the scalar and
     batched paths share one implementation; the original per-pair loop
-    survives as :func:`repro.vanatta.fastfield.reference_response` and
-    the parity tests hold the two to ``<= 1e-9``.
+    survives as the ``reference_response`` oracle in
+    ``tests/test_vanatta_fastfield.py``, which holds the two to
+    ``<= 1e-9``.
 
     Args:
         array: the Van Atta array.

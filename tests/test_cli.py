@@ -179,15 +179,6 @@ class TestObsLedgerVerbs:
         assert "trace events" in capsys.readouterr().out
         assert out_path.exists()
 
-    def test_timeline_reads_repo_bench_records(self, capsys):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent
-        assert main(["obs", "timeline", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_1" in out and "BENCH_3" in out
-        assert "optimized_serial" in out
-
     def test_probes_flag_sets_mode_for_the_run(self, capsys):
         from repro.obs.probes import probe_mode, set_probe_mode
 

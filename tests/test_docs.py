@@ -1,9 +1,13 @@
-"""Documentation integrity: files exist, the API index regenerates."""
+"""Documentation integrity: files exist, the API index regenerates,
+and nothing points at the retired benchmark harness."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +49,43 @@ class TestApiIndex:
     def test_committed_index_is_current(self):
         gen = self.load_generator()
         assert (ROOT / "docs" / "API.md").read_text() == gen.build()
+
+
+class TestNoRetiredHarness:
+    # The pre-perfbench harness scripts, their numbered records and the
+    # viewer subcommand that rendered them. Root-level Markdown notes other
+    # than the user-facing documents (change log, roadmap, planning notes)
+    # keep their history, and perfbench's README explains why its numbers
+    # differ.
+    RETIRED = re.compile(r"bench_(?:perf|compare)|BENCH_\d|\bobs\s+timeline")
+    CHECKED_ROOT_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+
+    def exempt(self, name):
+        if name.startswith("perfbench/"):
+            return True
+        return ("/" not in name and name.endswith(".md")
+                and name not in self.CHECKED_ROOT_DOCS)
+
+    def tracked_files(self):
+        try:
+            out = subprocess.run(
+                ["git", "ls-files", "-z"], cwd=ROOT, capture_output=True,
+                check=True,
+            ).stdout
+        except (OSError, subprocess.CalledProcessError):
+            pytest.skip("not a git checkout")
+        return [name for name in out.decode().split("\0") if name]
+
+    def test_no_tracked_file_points_at_it(self):
+        stale = []
+        for name in self.tracked_files():
+            if self.exempt(name):
+                continue
+            path = ROOT / name
+            if not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8", errors="ignore")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if self.RETIRED.search(line):
+                    stale.append(f"{name}:{lineno}: {line.strip()}")
+        assert stale == [], "\n".join(stale)

@@ -2,15 +2,12 @@
 
 Covers the span tracer (nesting, merge, no-op fast path), the metrics
 registry (instruments, isolation, snapshot merging), run manifests and
-event logs (round-trip through disk), the report renderer, the
-bench_compare regression gate, and the LinkStats zero-denominator
-contract.
+event logs (round-trip through disk), the report renderer, and the
+LinkStats zero-denominator contract.
 """
 
-import importlib.util
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -45,18 +42,6 @@ from repro.sim.export import (
 from repro.sim.parallel import run_observed_campaign
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(
-        name, ROOT / "tools" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 class TestSpans:
     def test_noop_without_tracer(self):
@@ -437,172 +422,6 @@ class TestStageRowsEdgeCases:
         assert "=== run: bare (seed 1) ===" in report
         assert "--- per-stage breakdown ---" not in report
         assert "--- per-point breakdown ---" not in report
-
-
-class TestBenchTimeline:
-    def make_doc(self, bench, serial, parallel=None):
-        doc = {
-            "bench": bench,
-            "name": "campaign-engine",
-            "optimized_serial": {"trials_per_sec": serial, "trials": 25,
-                                 "elapsed_s": 1.0},
-        }
-        if parallel is not None:
-            doc["optimized_parallel"] = {
-                "trials_per_sec": parallel, "trials": 25, "elapsed_s": 1.0,
-            }
-        return doc
-
-    def test_rows_pick_up_every_arm(self):
-        from repro.obs.report import bench_timeline_rows
-
-        rows = bench_timeline_rows(
-            [self.make_doc("BENCH_1", 100.0, 90.0)]
-        )
-        assert rows[0]["arms"] == {
-            "optimized_serial": 100.0, "optimized_parallel": 90.0,
-        }
-
-    def test_render_tracks_speedup_over_first_bench(self):
-        from repro.obs.report import render_timeline
-
-        table = render_timeline([
-            self.make_doc("BENCH_1", 100.0),
-            self.make_doc("BENCH_2", 250.0, 240.0),
-        ])
-        assert "BENCH_1" in table and "BENCH_2" in table
-        assert "2.50x" in table
-        assert "-" in table  # BENCH_1 has no parallel arm
-
-    def test_empty_is_not_an_error(self):
-        from repro.obs.report import render_timeline
-
-        assert "no benchmark records" in render_timeline([])
-
-    def test_load_bench_files_orders_numerically(self, tmp_path):
-        from repro.obs.report import load_bench_files
-
-        for n in (1, 2, 10):
-            (tmp_path / f"BENCH_{n}.json").write_text(
-                json.dumps(self.make_doc(f"BENCH_{n}", float(n)))
-            )
-        docs = load_bench_files(tmp_path)
-        assert [d["bench"] for d in docs] == [
-            "BENCH_1", "BENCH_2", "BENCH_10",
-        ]
-
-
-class TestBenchCompare:
-    @staticmethod
-    def record(serial_rate, parallel_rate=None, trials=25):
-        return {
-            "config": {"trials_per_point": trials},
-            "seed_baseline": {"trials_per_sec": 10.0, "trials": trials},
-            "optimized_serial": {"trials_per_sec": serial_rate,
-                                 "trials": trials},
-            "optimized_parallel": {
-                "trials_per_sec": parallel_rate or serial_rate * 3,
-                "trials": trials,
-            },
-        }
-
-    def test_small_change_passes(self):
-        bench_compare = load_tool("bench_compare")
-        rows, regressions = bench_compare.compare(
-            self.record(100.0), self.record(90.0)
-        )
-        assert regressions == []
-        assert {r["arm"] for r in rows} == {
-            "seed_baseline", "optimized_serial", "optimized_parallel"
-        }
-
-    def test_big_drop_flags_gated_arm_only(self):
-        bench_compare = load_tool("bench_compare")
-        old = self.record(100.0)
-        new = self.record(70.0, parallel_rate=290.0)
-        new["seed_baseline"]["trials_per_sec"] = 1.0  # info arm: ignored
-        _, regressions = bench_compare.compare(old, new)
-        assert [r["arm"] for r in regressions] == ["optimized_serial"]
-        assert regressions[0]["change"] == pytest.approx(-0.3)
-
-    def test_main_exit_codes(self, tmp_path, capsys):
-        bench_compare = load_tool("bench_compare")
-        ok_old = tmp_path / "BENCH_1.json"
-        ok_new = tmp_path / "BENCH_2.json"
-        ok_old.write_text(json.dumps(self.record(100.0)))
-        ok_new.write_text(json.dumps(self.record(95.0)))
-        assert bench_compare.main(["--dir", str(tmp_path)]) == 0
-        assert "OK" in capsys.readouterr().out
-
-        ok_new.write_text(json.dumps(self.record(10.0)))
-        assert bench_compare.main(["--dir", str(tmp_path)]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-        assert bench_compare.main(
-            [str(ok_old), str(tmp_path / "missing.json")]
-        ) == 2
-
-    def test_arms_narrows_the_gate(self):
-        # Only the serial arm is gated: a parallel collapse (noisy on
-        # small boxes) is reported but no longer fails the check.
-        bench_compare = load_tool("bench_compare")
-        old = self.record(100.0, parallel_rate=300.0)
-        new = self.record(99.0, parallel_rate=100.0)
-        rows, regressions = bench_compare.compare(
-            old, new, threshold=0.02, arms=("optimized_serial",)
-        )
-        assert regressions == []
-        by_arm = {r["arm"]: r for r in rows}
-        assert by_arm["optimized_serial"]["gated"]
-        assert not by_arm["optimized_parallel"]["gated"]
-
-    def test_main_arms_flag(self, tmp_path, capsys):
-        bench_compare = load_tool("bench_compare")
-        old = tmp_path / "BENCH_1.json"
-        new = tmp_path / "BENCH_2.json"
-        old.write_text(json.dumps(self.record(100.0, parallel_rate=300.0)))
-        new.write_text(json.dumps(self.record(100.0, parallel_rate=50.0)))
-        assert bench_compare.main(["--dir", str(tmp_path)]) == 1
-        capsys.readouterr()
-        assert bench_compare.main(
-            ["--dir", str(tmp_path), "--arms", "optimized_serial"]
-        ) == 0
-        assert "(info)" in capsys.readouterr().out
-
-    def test_main_rejects_unknown_arm(self, tmp_path):
-        bench_compare = load_tool("bench_compare")
-        with pytest.raises(SystemExit):
-            bench_compare.main(["--dir", str(tmp_path), "--arms", "warp"])
-
-    def test_lint_warm_gates_on_its_own_threshold(self):
-        # lint_warm alerts only past its 2x-slower override, not the
-        # global 20% default: warm-lint wall time is sub-second and
-        # jitters far more than the campaign arms.
-        bench_compare = load_tool("bench_compare")
-        old = self.record(100.0)
-        new = self.record(95.0)
-        old["lint_warm"] = {"trials_per_sec": 300.0, "trials": 366}
-        new["lint_warm"] = {"trials_per_sec": 180.0, "trials": 366}
-        _, regressions = bench_compare.compare(old, new)
-        assert regressions == []  # -40% is within the lint_warm budget
-
-        new["lint_warm"]["trials_per_sec"] = 120.0  # -60%: > 2x slower
-        _, regressions = bench_compare.compare(old, new)
-        assert [r["arm"] for r in regressions] == ["lint_warm"]
-
-    def test_fewer_than_two_records_is_not_an_error(self, tmp_path, capsys):
-        bench_compare = load_tool("bench_compare")
-        assert bench_compare.main(["--dir", str(tmp_path)]) == 0
-        assert "nothing to check" in capsys.readouterr().out
-
-    def test_config_mismatch_is_warned(self, tmp_path, capsys):
-        bench_compare = load_tool("bench_compare")
-        old = self.record(100.0)
-        new = self.record(100.0, trials=50)
-        (tmp_path / "BENCH_1.json").write_text(json.dumps(old))
-        (tmp_path / "BENCH_2.json").write_text(json.dumps(new))
-        assert bench_compare.main(["--dir", str(tmp_path)]) == 0
-        assert "config differs: trials_per_point" in capsys.readouterr().out
 
 
 class TestLinkStatsZeroDenominators:

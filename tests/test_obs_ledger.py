@@ -1,6 +1,7 @@
 """Tests for the content-addressed run ledger (repro.obs.ledger)."""
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -42,6 +43,13 @@ def make_manifest(label="a", seed=7, ber=0.1, range_m=50.0, elapsed=1.0,
                              "incidence_deg": 0.0}]},
         engine_versions={"phy.batch": 1},
     )
+
+
+def file_distinct_manifests(root, writer, count):
+    """File ``count`` manifests no other writer files (runs in a child)."""
+    ledger = Ledger(root)
+    for i in range(count):
+        ledger.record(make_manifest(seed=writer * 10_000 + i))
 
 
 class TestRunKey:
@@ -110,6 +118,45 @@ class TestLedgerStore:
             ledger.resolve("")
         with pytest.raises(KeyError):
             ledger.resolve("zzzz")
+
+    def test_run_id_prefix_shared_under_one_key_is_ambiguous(self, tmp_path):
+        ledger = Ledger(tmp_path)
+        key = None
+        by_first: dict = {}
+        clash = None
+        for i in range(200):
+            rec = ledger.record(make_manifest(ber=i / 1000.0))
+            key = rec.key
+            first = rec.run_id[0]
+            if first in by_first and not key.startswith(first):
+                clash = (first, by_first[first], rec.run_id)
+                break
+            by_first[first] = rec.run_id
+        assert clash is not None
+        prefix, older, newer = clash
+        with pytest.raises(KeyError) as err:
+            ledger.resolve(prefix)
+        assert older in str(err.value) and newer in str(err.value)
+        # A key prefix still resolves to the newest run.
+        assert ledger.resolve(key[:8]).run_id == newer
+        assert ledger.resolve(newer).run_id == newer
+
+    def test_concurrent_writers_lose_no_index_line(self, tmp_path):
+        writers = [
+            multiprocessing.Process(
+                target=file_distinct_manifests, args=(tmp_path, w, 50)
+            )
+            for w in range(3)
+        ]
+        for proc in writers:
+            proc.start()
+        for proc in writers:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in writers] == [0, 0, 0]
+        lines = Ledger(tmp_path).index_path.read_text().splitlines()
+        assert len(lines) == 150
+        entries = [json.loads(line) for line in lines]
+        assert len({e["run_id"] for e in entries}) == 150
 
     def test_empty_ledger(self, tmp_path):
         ledger = Ledger(tmp_path / "missing")

@@ -253,16 +253,6 @@ def test_repro_lint_catalogue_and_fingerprint(capsys):
     assert record["clean"] is True and record["fingerprint"]
 
 
-def test_bench_perf_lint_gate():
-    sys.path.insert(0, str(REPO_ROOT / "tools"))
-    try:
-        import bench_perf
-    finally:
-        sys.path.pop(0)
-    record = bench_perf.lint_gate(allow_dirty=False)
-    assert record is not None and record["clean"] is True
-
-
 # ---------------------------------------------------------------------------
 # discovery excludes
 # ---------------------------------------------------------------------------

@@ -39,10 +39,10 @@ invisible in the returned numbers:
 
 - `repro.sim.cache` memoizes traced channel responses per deployment
   geometry (`reader_node_response`, `channel_cache_info`,
-  `clear_channel_cache`, `set_channel_cache_enabled`).
+  `clear_channel_cache`).
 - `repro.dsp.noisegen` caches the Wenz PSD shaping filter per
   `(n, fs, conditions, carrier)` (`clear_noise_cache`,
-  `set_noise_cache_enabled`, `set_pointwise_psd`).
+  `noise_cache_info`).
 
 Caches are process-local and keyed by value; invalidate explicitly
 after mutating water/surface tables in place.
@@ -66,18 +66,10 @@ Per-stage wall-clock (channel / reflect / noise / demod, and inside
 demod the batched receiver's suppress / detect / cfo / slice / parse)
 is available from a `SpanTracer` passed as `tracer=`:
 `tracer.leaf_totals()` folds its span paths into per-stage totals and
-counts. The perf
-harness `tools/bench_perf.py` times the seed-style serial path against
-the cached serial and parallel engines and writes the next
-`BENCH_<n>.json` (arms `seed_baseline` / `optimized_serial` /
-`optimized_parallel`, each with `elapsed_s`, `trials`,
-`trials_per_sec`, plus `speedup`, `stage_timings`, the run's `metrics`
-snapshot with a `cache` hit/miss summary, and a
-`parallel_bit_identical` flag); `tools/bench_compare.py` diffs
-consecutive records and exits non-zero when an optimized arm's
-trials/sec regressed by more than 20%. A tiny-N smoke of the same
-harness runs in the test suite under the `bench_smoke` marker
-(`pytest -m bench_smoke`).
+counts. The repository benchmark is `perfbench/` (`python3
+perfbench/run.py --workload river_batched --seed 2023 --seconds 40`):
+repeated passes with medians and spreads, a host record, a per-layer
+breakdown and golden per-point digests; see `perfbench/README.md`.
 
 ## Observability
 
@@ -366,17 +358,12 @@ up automatically; add a bad/clean fixture pair under
 rule ids and the clean/dirty verdict. Campaign manifests record it via
 `run_observed_campaign(..., lint_fingerprint=True)` (CLI:
 `python -m repro sweep --manifest run.json --lint-fingerprint`), and
-`tools/bench_perf.py` refuses to write a `BENCH_<n>.json` from a tree
-that does not lint clean (`--allow-dirty-lint` overrides); the lint
-record in each BENCH file carries `units_engine_version`,
-`shapes_engine_version`, and `effects_engine_version` so perf history
-pins which checkers vetted the tree (campaign manifests stamp the
-same versions under `engine_versions`; both loop over the engine
-table). Each BENCH record also carries a `lint_warm` arm: the
-three-engine lint over `src/repro` served entirely from a warm
-engine cache, in files/sec; `tools/bench_compare.py` alerts
-when it gets more than 2x slower (the signature of a cache-key or
-dependent-closure bug). CI runs the full gate — per-file rules plus
+stamp the `units`, `shapes` and `effects` engine versions under
+`engine_versions` (looping over the engine table), so a result pins
+which checkers vetted the tree. `tests/test_engine_table.py` checks
+that a warm run serves every file of every engine from the cache (the
+signature of a cache-key or dependent-closure bug is a warm run that
+re-analyses). CI runs the full gate — per-file rules plus
 `--units`, differenced against the committed `lint_baseline.json` —
 before the typed-API check, renders the JSON report as inline GitHub
 problem-matcher annotations (`tools/lint_annotations.py`), uploads
