@@ -16,11 +16,11 @@ batched kernels, and an effect/purity engine (``VAB017``..``VAB022``;
 see :mod:`repro.analysis.effects`). The three engines are rows of one
 table (:mod:`repro.analysis.engines`) run by one incremental driver
 (:mod:`repro.analysis.incremental`); the annotations they read come
-from the dependency-free :mod:`repro.contracts`, so runtime code never
-imports this package.
+from the dependency-free :mod:`repro.contracts`, so runtime code —
+campaign runs and the ``repro`` CLI included — never imports this
+package.
 
-Run it via ``python tools/vablint.py src/repro``, the ``repro lint``
-CLI subcommand, or the API::
+Run it via ``python tools/vablint.py src/repro`` or the API::
 
     from repro.analysis import lint_paths
 
@@ -42,7 +42,6 @@ from repro.analysis.linter import (
     discover_files,
     lint_paths,
     lint_source,
-    tree_fingerprint,
 )
 from repro.analysis.registry import FileContext, Rule, make_rules, register, rule_catalogue
 from repro.analysis.reporters import render_catalogue, render_json, render_text
@@ -54,7 +53,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "discover_files",
-    "tree_fingerprint",
     "Rule",
     "register",
     "rule_catalogue",

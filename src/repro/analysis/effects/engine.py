@@ -9,9 +9,7 @@ engines, reusing their symbol tables
    ``Annotated[T, TAG]`` annotations
    (:mod:`repro.contracts`) read straight off the
    annotation AST, plus flags for memoization decorators and
-   ``rng``-style parameters.  Stamp sites — ``engine_versions={...}``
-   dict literals — become pseudo-summaries so VAB021 sees them across
-   files and cache runs.
+   ``rng``-style parameters.
 2. **Flow analysis** — each body is walked once: calls are matched
    against the curated effect signature database
    (:mod:`repro.analysis.effects.sigdb`) and against callee summaries;
@@ -41,10 +39,6 @@ The rules:
 * **VAB020** ``unpicklable-submit`` — a lambda or closure-capturing
   nested function crosses the ProcessPool submit path (it cannot
   pickle, or silently re-binds its closure in the worker).
-* **VAB021** ``version-stamp-completeness`` — a ``*_ENGINE_VERSION``
-  constant that does not flow into any ``engine_versions={...}``
-  manifest stamp, so results computed by different engine versions
-  would collide under one ``run_key``.
 * **VAB022** ``host-dependent-result`` — a host-configuration read
   (``os.cpu_count()``, TTY/CI detection, locale) flowing into a return
   value without a declared ``reads:host`` grant: results must not
@@ -88,22 +82,12 @@ RULE_CACHE_INPUT = "VAB017"
 RULE_CACHE_DIVERGENCE = "VAB018"
 RULE_WORKER_RNG = "VAB019"
 RULE_UNPICKLABLE = "VAB020"
-RULE_VERSION_STAMP = "VAB021"
 RULE_HOST_RESULT = "VAB022"
-
-STAMPS_MARKER = "<engine_versions>"
-"""Suffix of the pseudo-summary qualname carrying a module's
-``engine_versions`` stamp site (VAB021's cross-file currency)."""
 
 
 @dataclass(frozen=True)
 class EffectSummary:
-    """The interprocedural effect contract of one function.
-
-    ``kind == "stamps"`` marks the pseudo-summary of a module's
-    ``engine_versions={...}`` stamp site(s); ``stamped`` then holds the
-    canonical qualnames of every version constant it references.
-    """
+    """The interprocedural effect contract of one function."""
 
     qualname: str
     path: str
@@ -111,8 +95,6 @@ class EffectSummary:
     declared: Optional[Tuple[str, ...]] = None
     has_rng_param: bool = False
     memoized: bool = False
-    kind: str = "function"
-    stamped: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -122,8 +104,6 @@ class EffectSummary:
             "declared": list(self.declared) if self.declared is not None else None,
             "has_rng_param": self.has_rng_param,
             "memoized": self.memoized,
-            "kind": self.kind,
-            "stamped": list(self.stamped),
         }
 
     @staticmethod
@@ -138,8 +118,6 @@ class EffectSummary:
             declared=tuple(str(a) for a in declared) if declared is not None else None,  # type: ignore[union-attr]
             has_rng_param=bool(raw.get("has_rng_param", False)),
             memoized=bool(raw.get("memoized", False)),
-            kind=str(raw.get("kind", "function")),
-            stamped=tuple(str(s) for s in raw.get("stamped", ())),  # type: ignore[union-attr]
         )
 
     def absorb(self, effects: Tuple[Tuple[str, str], ...]) -> "EffectSummary":
@@ -233,50 +211,8 @@ def _has_rng_param(fn: FunctionInfo) -> bool:
     return any(name in sigdb.RNG_PARAM_NAMES for name in names)
 
 
-def _version_constants(info: ModuleInfo) -> List[Tuple[str, int]]:
-    """Module-level ``*_ENGINE_VERSION`` constant definitions."""
-    out: List[Tuple[str, int]] = []
-    for stmt in info.tree.body:
-        if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-            continue
-        target = stmt.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        name = target.id
-        if name == sigdb.VERSION_CONSTANT_BARE or name.endswith(
-            sigdb.VERSION_CONSTANT_SUFFIX
-        ):
-            if isinstance(stmt.value, ast.Constant):
-                out.append((name, stmt.lineno))
-    return out
-
-
-def _canonical(info: ModuleInfo, resolved: str) -> str:
-    return resolved if "." in resolved else f"{info.module}.{resolved}"
-
-
-def _stamped_qualnames(info: ModuleInfo) -> Tuple[str, ...]:
-    """Canonical qualnames referenced by ``engine_versions={...}`` sites."""
-    stamped: Set[str] = set()
-    found = False
-    for node in ast.walk(info.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        for kw in node.keywords:
-            if kw.arg != sigdb.STAMP_KEYWORD or not isinstance(kw.value, ast.Dict):
-                continue
-            found = True
-            for value in kw.value.values:
-                resolved = info.resolve(value)
-                if resolved is not None:
-                    stamped.add(_canonical(info, resolved))
-    if not found:
-        return ()
-    return tuple(sorted(stamped)) or ("<empty>",)
-
-
 def seed_effect_summaries(infos: Sequence[ModuleInfo]) -> Dict[str, EffectSummary]:
-    """Initial summary table from contracts, decorators and stamp sites."""
+    """Initial summary table from contracts and decorators."""
     table: Dict[str, EffectSummary] = {}
     for info in infos:
         path = info.path.as_posix()
@@ -293,12 +229,6 @@ def seed_effect_summaries(infos: Sequence[ModuleInfo]) -> Dict[str, EffectSummar
                 declared=declared,
                 has_rng_param=_has_rng_param(fn),
                 memoized=memoized,
-            )
-        stamped = _stamped_qualnames(info)
-        if stamped:
-            qualname = f"{info.module}.{STAMPS_MARKER}"
-            table[qualname] = EffectSummary(
-                qualname=qualname, path=path, kind="stamps", stamped=stamped
             )
     return table
 
@@ -649,7 +579,7 @@ class _EffectFlow(FlowBase):
             self._method_effects(node, node.func)
 
         summary = self._resolve_summary(node, resolved)
-        if summary is not None and summary.kind == "function":
+        if summary is not None:
             if summary.declared is not None:
                 # Trust the contract: the declared grant *is* the call's
                 # effect set (the body is verified separately), so it
@@ -778,7 +708,7 @@ class _EffectFlow(FlowBase):
                 )
                 return True
         summary = self._resolve_summary(node, self.info.resolve(target))
-        if summary is not None and summary.kind == "function":
+        if summary is not None:
             if summary.declared is not None:
                 atoms = [(a, summary.qualname) for a in summary.declared]
             else:
@@ -874,44 +804,6 @@ def _check_worker_entry(
         ))
 
 
-def _check_version_stamps(
-    info: ModuleInfo,
-    analysis: ModuleAnalysis,
-    summaries: Dict[str, EffectSummary],
-) -> None:
-    """VAB021: every version constant must reach a stamp site."""
-    constants = _version_constants(info)
-    if not constants:
-        return
-    sites = [
-        s for s in summaries.values()
-        if s.kind == "stamps" and s.qualname.endswith(STAMPS_MARKER)
-    ]
-    if not sites:
-        return
-    analysis.refs.update(s.qualname for s in sites)
-    stamped: Set[str] = set()
-    for site in sites:
-        stamped.update(site.stamped)
-    site_modules = sorted(
-        s.qualname[: -len(STAMPS_MARKER) - 1] for s in sites
-    )
-    for name, lineno in constants:
-        qualname = f"{info.module}.{name}"
-        if qualname not in stamped:
-            analysis.findings.append(Finding(
-                path=str(info.path), line=lineno, col=0,
-                rule_id=RULE_VERSION_STAMP,
-                message=(
-                    f"version constant {name} never reaches an "
-                    f"engine_versions manifest stamp "
-                    f"({', '.join(site_modules)}); results computed by "
-                    "different engine versions would collide under one "
-                    "run_key — add it to the stamp dict"
-                ),
-            ))
-
-
 def analyze_effect_module(
     info: ModuleInfo,
     summaries: Dict[str, EffectSummary],
@@ -921,7 +813,6 @@ def analyze_effect_module(
     analysis = ModuleAnalysis()
     module_globals = _module_globals(info)
     mutable = _mutable_globals(info, module_globals)
-    _check_version_stamps(info, analysis, summaries)
     for fn in info.functions:
         flow = _EffectFlow(info, analysis, summaries, methods, fn, mutable)
         flow.run(getattr(fn.node, "body", []))

@@ -150,12 +150,3 @@ HOST_PASSTHROUGH_CALLS: FrozenSet[str] = frozenset({
 })
 """Builtins that return a value derived from their arguments — host
 taint flows through them on the way to a ``return``."""
-
-VERSION_CONSTANT_SUFFIX = "_ENGINE_VERSION"
-VERSION_CONSTANT_BARE = "ENGINE_VERSION"
-"""Module-level constants matching ``*_ENGINE_VERSION`` (or the bare
-``ENGINE_VERSION``) are version stamps: VAB021 requires every one of
-them to flow into an ``engine_versions={...}`` manifest stamp site."""
-
-STAMP_KEYWORD = "engine_versions"
-"""Keyword argument naming the manifest's version-stamp dict."""

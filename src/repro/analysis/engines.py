@@ -3,12 +3,12 @@
 ``vablint --units`` runs three engines over one call graph — units
 (VAB006..VAB010), shapes (VAB011..VAB016) and effects (VAB017..VAB022).
 Each is described here once: its name (the report, stats and cache
-key), its version (bumping it invalidates that engine's cache entries
-and changes the campaign manifests' ``engine_versions`` stamp), its
-rule table, and the callables the shared machinery drives
+key), its version (bumping it invalidates that engine's cache entries),
+its rule table, and the callables the shared machinery drives
 (:func:`repro.analysis.incremental.analyze_incremental`,
-:func:`repro.analysis.dataflow.run_fixed_point`). The linter, the
-reporters and campaign manifests loop over :data:`ENGINES`.
+:func:`repro.analysis.dataflow.run_fixed_point`). The linter and the
+reporters loop over :data:`ENGINES`. Campaign runs never import this
+package: a lint engine's version says nothing about a run's numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import ModuleAnalysis
 from repro.analysis.effects import engine as effects
@@ -56,10 +56,7 @@ class Engine:
         return tuple(sorted(self.rules))
 
     def analyze(
-        self,
-        files: Sequence[Path],
-        cache_path: Optional[Path] = None,
-        force_dirty: Optional[Set[str]] = None,
+        self, files: Sequence[Path], cache_path: Optional[Path] = None
     ) -> EngineReport:
         """Run through the public ``analyze_<name>`` entry point.
 
@@ -68,7 +65,7 @@ class Engine:
         """
         package = importlib.import_module(f"repro.analysis.{self.name}")
         entry = getattr(package, f"analyze_{self.name}")
-        return entry(files, cache_path=cache_path, force_dirty=force_dirty)
+        return entry(files, cache_path=cache_path)
 
 
 ENGINES: Tuple[Engine, ...] = (
@@ -157,7 +154,7 @@ ENGINES: Tuple[Engine, ...] = (
     ),
     Engine(
         name="effects",
-        version="1.0.0",
+        version="1.1.0",
         rules={
             "VAB017": (
                 "hidden-cache-input",
@@ -185,12 +182,6 @@ ENGINES: Tuple[Engine, ...] = (
                 "a lambda or closure-capturing nested function crosses the "
                 "ProcessPool submit path: it cannot pickle (or silently "
                 "re-binds its closure in the worker)",
-            ),
-            "VAB021": (
-                "version-stamp-completeness",
-                "a *_ENGINE_VERSION constant never flows into an "
-                "engine_versions={...} manifest stamp, so results computed by "
-                "different engine versions collide under one run_key",
             ),
             "VAB022": (
                 "host-dependent-result",
@@ -224,8 +215,3 @@ def engine_rules() -> List[Tuple[str, str, str]]:
         for engine in ENGINES
         for rule_id in engine.rule_ids
     ]
-
-
-def engine_versions() -> Dict[str, str]:
-    """``analysis.<name>`` -> version, as campaign manifests stamp them."""
-    return {f"analysis.{engine.name}": engine.version for engine in ENGINES}

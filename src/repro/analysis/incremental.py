@@ -189,18 +189,11 @@ def analyze_incremental(
     engine: "Engine",
     files: Sequence[Path],
     cache_path: Optional[Path] = None,
-    force_dirty: Optional[Set[str]] = None,
 ) -> EngineReport:
     """Run ``engine`` over ``files``, incrementally when ``cache_path``.
 
     Summaries must expose ``qualname``, ``path`` and ``to_dict()``;
     module analyses must expose ``findings`` and ``refs``.
-
-    ``force_dirty`` (posix path strings) marks files dirty regardless of
-    their content hash; their call-graph dependents are invalidated the
-    same way sha-changed files are.  ``--changed`` runs use this so the
-    engines re-check every dependent of a touched file even when the
-    dependents themselves did not change.
     """
     report = EngineReport(engine_version=engine.version)
     sources: Dict[str, str] = {}
@@ -233,8 +226,6 @@ def analyze_incremental(
         key for key in ordered
         if key not in entries or entries[key].sha != shas[key]
     }
-    if force_dirty:
-        dirty |= force_dirty & set(ordered)
     dirty = _dependent_closure(dirty, entries, qualname_owner) & set(ordered)
 
     infos: List[Any] = []

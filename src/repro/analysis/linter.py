@@ -1,27 +1,19 @@
-"""Lint orchestration: file discovery, rule execution, fingerprints.
+"""Lint orchestration: file discovery and rule execution.
 
 The flow is ``paths -> files -> FileContext -> rules -> findings``,
 with the suppression filter applied last so a ``# vablint: disable=``
 comment silences any rule. :func:`lint_paths` is the everything
-entry point used by ``tools/vablint.py`` and the ``repro lint`` CLI
-subcommand.
-
-A :func:`tree_fingerprint` hashes the exact sources linted together
-with the rule catalogue, so a campaign manifest can record *which* tree
-was clean under *which* rules — byte-level provenance for the
-determinism contract.
+entry point behind ``tools/vablint.py``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import PARSE_ERROR_RULE, Finding
 from repro.analysis.registry import FileContext, Rule, make_rules, rule_catalogue
@@ -122,7 +114,10 @@ def discover_files(
     """Expand files/directories into a sorted list of ``.py`` files.
 
     Args:
-        paths: files and/or directories (directories recurse).
+        paths: files and/or directories. Directories recurse, skipping
+            any entry below them whose name starts with ``.``; dots in
+            the named directory's own path (``..``, ``~/.cache``) count
+            for nothing.
         exclude: glob patterns to drop (see :func:`_excluded`); defaults
             to :data:`DEFAULT_EXCLUDES`. Pass ``[]`` to exclude nothing.
             Explicitly named files are never excluded — only files found
@@ -138,7 +133,9 @@ def discover_files(
         if path.is_dir():
             files.extend(
                 p for p in sorted(path.rglob("*.py"))
-                if not any(part.startswith(".") for part in p.parts)
+                if not any(
+                    part.startswith(".") for part in p.relative_to(path).parts
+                )
                 and not _excluded(p, patterns)
             )
         elif path.is_file():
@@ -213,8 +210,6 @@ def lint_paths(
     jobs: int = 1,
     units: bool = False,
     units_cache: Optional[PathLike] = None,
-    engine_paths: Optional[Sequence[PathLike]] = None,
-    engine_force_dirty: Optional[Set[str]] = None,
 ) -> LintReport:
     """Lint every Python file under ``paths`` with the registered rules.
 
@@ -234,22 +229,14 @@ def lint_paths(
             :mod:`repro.analysis.effects`).
         units_cache: optional cache file for incremental engine runs,
             shared by all three engines (one section each).
-        engine_paths: when given, the interprocedural engines analyze
-            this (usually wider) file set instead of ``paths`` — a
-            ``--changed`` run scopes the per-file rules to the touched
-            files but must keep the whole call graph visible to the
-            engines, or dependents' call-site checks go stale.
-        engine_force_dirty: posix paths the engines must re-analyze
-            (with their call-graph dependents) even when unchanged on
-            disk; the ``--changed`` dependent-invalidation hook.
 
     Returns:
         The aggregate :class:`LintReport`.
     """
     # Engine rules (VAB006..VAB022) live outside the per-file registry,
     # so select/disable lists are validated against the union and split.
-    # The engines are imported here, not at module level: most
-    # lint_paths callers (fingerprints, the perf gate) never run them.
+    # The engines are imported here, not at module level: suffix-only
+    # lint runs never need them.
     from repro.analysis.engines import ENGINES
 
     registry_ids = set(rule_catalogue())
@@ -284,11 +271,6 @@ def lint_paths(
     if units:
         dropped = {r.upper() for r in disable or []}
         wanted = {r.upper() for r in select} if select is not None else None
-        engine_files = (
-            discover_files(engine_paths, exclude=exclude)
-            if engine_paths is not None
-            else files
-        )
         for engine in ENGINES:
             keep = [
                 r for r in engine.rule_ids
@@ -296,9 +278,7 @@ def lint_paths(
             ]
             t0 = time.monotonic()
             engine_report = engine.analyze(
-                engine_files,
-                cache_path=Path(units_cache) if units_cache else None,
-                force_dirty=engine_force_dirty,
+                files, cache_path=Path(units_cache) if units_cache else None
             )
             report.timings[engine.name] = time.monotonic() - t0
             report.rules.extend(keep)
@@ -316,35 +296,3 @@ def lint_paths(
     report.findings.sort()
     report.errors.sort()
     return report
-
-
-def tree_fingerprint(paths: Sequence[PathLike]) -> Dict[str, object]:
-    """Hash the linted tree + rule catalogue + verdict into one record.
-
-    The fingerprint covers the byte content of every file linted and the
-    ids of the rules that ran, so two identical fingerprints mean "the
-    same sources were judged by the same catalogue with the same
-    outcome". Campaign manifests persist this as lint provenance.
-    """
-    report = lint_paths(paths)
-    digest = hashlib.sha256()
-    file_hashes = []
-    for file_path in discover_files(paths):
-        try:
-            data = file_path.read_bytes()
-        except OSError:
-            continue
-        file_hashes.append(
-            (file_path.as_posix(), hashlib.sha256(data).hexdigest())
-        )
-    payload = json.dumps(
-        {"rules": report.rules, "files": file_hashes}, sort_keys=True
-    )
-    digest.update(payload.encode("utf-8"))
-    return {
-        "fingerprint": digest.hexdigest(),
-        "clean": report.clean,
-        "files": report.files,
-        "findings": len(report.findings) + len(report.errors),
-        "rules": report.rules,
-    }

@@ -1,27 +1,17 @@
 """Render a :class:`~repro.analysis.linter.LintReport` for humans or CI.
 
-Three formats: a compact text listing (default), a JSON document with
+Two formats: a compact text listing (default) and a JSON document with
 a stable schema (``{"files", "rules", "clean", "findings": [...],
-"errors": [...], "counts"}``) that the CI lint job parses, and a SARIF
-2.1.0 log (:func:`render_sarif`) for the
-GitHub code-scanning upload.
+"errors": [...], "counts"}``) that the CI lint job parses.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict
 
 from repro.analysis.linter import LintReport
 from repro.analysis.registry import rule_catalogue
-
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-SARIF_VERSION = "2.1.0"
-TOOL_NAME = "vablint"
-TOOL_VERSION = "1.0.0"
 
 
 def render_text(report: LintReport, verbose: bool = False) -> str:
@@ -126,69 +116,3 @@ def stats_payload(report: LintReport) -> Dict[str, object]:
             "passes": stats["passes"],
         }
     return payload
-
-
-def _sarif_rules() -> List[Dict[str, object]]:
-    """The full VAB catalogue as SARIF ``reportingDescriptor`` objects."""
-    from repro.analysis.engines import engine_rules
-
-    rules: List[Dict[str, object]] = [{
-        "id": "VAB000",
-        "name": "parse-error",
-        "shortDescription": {"text": "file could not be parsed"},
-    }]
-    for rule_id, cls in rule_catalogue().items():
-        rules.append({
-            "id": rule_id,
-            "name": cls.name,
-            "shortDescription": {"text": cls.summary},
-        })
-    for rule_id, name, summary in engine_rules():
-        rules.append({
-            "id": rule_id,
-            "name": name,
-            "shortDescription": {"text": summary},
-        })
-    return rules
-
-
-def render_sarif(report: LintReport) -> str:
-    """SARIF 2.1.0 log for the GitHub code-scanning upload.
-
-    One run, one result per finding; parse errors (VAB000) map to
-    ``level: error``, rule findings to ``level: warning``.  Paths are
-    emitted as given to the linter (repo-relative in CI), which is the
-    ``artifactLocation.uri`` form ``upload-sarif`` expects.
-    """
-    results: List[Dict[str, object]] = []
-    for finding in list(report.errors) + list(report.findings):
-        results.append({
-            "ruleId": finding.rule_id,
-            "level": "error" if finding.is_error else "warning",
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {
-                        "startLine": finding.line,
-                        # SARIF columns are 1-based; findings are 0-based.
-                        "startColumn": finding.col + 1,
-                    },
-                },
-            }],
-        })
-    log = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": TOOL_NAME,
-                    "version": TOOL_VERSION,
-                    "rules": _sarif_rules(),
-                },
-            },
-            "results": results,
-        }],
-    }
-    return json.dumps(log, indent=2, sort_keys=False) + "\n"

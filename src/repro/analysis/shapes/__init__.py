@@ -26,15 +26,13 @@ no new CLI surface.
 """
 
 from pathlib import Path
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence
 
 from repro.analysis.incremental import EngineReport, analyze_incremental
 
 
 def analyze_shapes(
-    files: Sequence[Path],
-    cache_path: Optional[Path] = None,
-    force_dirty: Optional[Set[str]] = None,
+    files: Sequence[Path], cache_path: Optional[Path] = None
 ) -> EngineReport:
     """Run the shape/dtype dataflow engine over ``files``.
 
@@ -43,7 +41,7 @@ def analyze_shapes(
     """
     from repro.analysis.engines import engine_named  # the table imports us
 
-    return analyze_incremental(engine_named("shapes"), files, cache_path, force_dirty)
+    return analyze_incremental(engine_named("shapes"), files, cache_path)
 
 
 __all__ = ["analyze_shapes"]

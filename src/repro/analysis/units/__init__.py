@@ -20,47 +20,28 @@ Entry points::
 
 ``analyze_units(files, cache_path=...)`` is incremental — unchanged
 files and their untouched call-graph dependents are served from the
-shared engine cache (:mod:`repro.analysis.incremental`). The
-differential baseline workflow for CI lives in
-:mod:`~repro.analysis.units.baseline`.
+shared engine cache (:mod:`repro.analysis.incremental`).
 """
 
 from pathlib import Path
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence
 
 from repro.analysis.incremental import EngineReport, analyze_incremental
-from repro.analysis.units.baseline import (
-    apply_baseline,
-    diff_against_baseline,
-    finding_key,
-    load_baseline,
-    write_baseline,
-)
 
 
 def analyze_units(
-    files: Sequence[Path],
-    cache_path: Optional[Path] = None,
-    force_dirty: Optional[Set[str]] = None,
+    files: Sequence[Path], cache_path: Optional[Path] = None
 ) -> EngineReport:
     """Run the dimensional-analysis engine over ``files``.
 
     With ``cache_path`` the run is incremental: unchanged files (whose
     call-graph dependencies are also unchanged) are served from the
     cache without re-parsing, and the cache is rewritten afterwards.
-    Without it, every file is analyzed cold.  ``force_dirty`` paths are
-    re-analyzed (with their dependents) even when their sha matches.
+    Without it, every file is analyzed cold.
     """
     from repro.analysis.engines import engine_named  # the table imports us
 
-    return analyze_incremental(engine_named("units"), files, cache_path, force_dirty)
+    return analyze_incremental(engine_named("units"), files, cache_path)
 
 
-__all__ = [
-    "analyze_units",
-    "finding_key",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
-    "diff_against_baseline",
-]
+__all__ = ["analyze_units"]

@@ -12,7 +12,6 @@
     python -m repro obs ls          # content-addressed run ledger
     python -m repro obs diff a1b2 c3d4
     python -m repro obs trace run.json -o run.trace.json
-    python -m repro lint            # determinism/physics linter (vablint)
 
 Every subcommand prints a plain table to stdout and exits 0 on success;
 they are thin wrappers over the same public API the examples use.
@@ -75,7 +74,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         result, manifest = run_observed_campaign(
             scenarios, campaign, label=args.site, workers=args.workers,
             manifest_path=args.manifest, events_path=args.events,
-            lint_fingerprint=args.lint_fingerprint,
             progress=args.progress,
             ledger=args.ledger if args.ledger is not None else None,
         )
@@ -184,39 +182,6 @@ def cmd_obs_trace(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}: {count} trace events "
           f"(open in chrome://tracing or ui.perfetto.dev)")
     return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the vablint rules over a tree (default: the installed repro)."""
-    import json as json_module
-    from pathlib import Path
-
-    from repro.analysis import render_catalogue, tree_fingerprint
-    from repro.analysis.frontend import rule_list, run_lint
-
-    if args.catalogue:
-        print(render_catalogue())
-        return 0
-    paths = args.paths or [str(Path(__file__).resolve().parent)]
-    if args.fingerprint:
-        record = tree_fingerprint(paths)
-        print(json_module.dumps(record, indent=2))
-        return 0 if record["clean"] else 1
-    return run_lint(
-        paths,
-        select=rule_list(args.select),
-        disable=rule_list(args.disable),
-        exclude=args.exclude,
-        jobs=args.jobs,
-        changed=args.changed,
-        units=args.units,
-        units_cache=None if args.no_units_cache else args.units_cache,
-        baseline=args.baseline,
-        update_baseline=args.update_baseline,
-        as_json=args.as_json,
-        stats=args.stats,
-        sarif=args.sarif,
-    )
 
 
 def cmd_pattern(args: argparse.Namespace) -> int:
@@ -328,10 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a run manifest (JSON) here")
     p_sweep.add_argument("--events", default=None, metavar="PATH",
                          help="write a JSONL event log here")
-    p_sweep.add_argument("--lint-fingerprint", action="store_true",
-                         dest="lint_fingerprint",
-                         help="record the library tree's lint fingerprint "
-                              "in the manifest (provenance)")
     p_sweep.add_argument("--ledger", nargs="?", const=True, default=None,
                          metavar="DIR",
                          help="file the run in the content-addressed ledger "
@@ -391,15 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="event log (default: the run's, if recorded)")
     add_ledger_arg(p_trace)
     p_trace.set_defaults(func=cmd_obs_trace)
-
-    p_lint = sub.add_parser(
-        "lint", help="determinism & physics-invariant linter (vablint)"
-    )
-    p_lint.add_argument("paths", nargs="*", default=None,
-                        help="files/directories (default: the repro package)")
-    from repro.analysis.frontend import add_lint_flags
-    add_lint_flags(p_lint)
-    p_lint.set_defaults(func=cmd_lint)
 
     p_pattern = sub.add_parser("pattern", help="retrodirectivity pattern")
     p_pattern.add_argument("--elements", type=int, default=4)

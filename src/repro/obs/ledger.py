@@ -3,11 +3,12 @@
 A sweep you ran last month is only evidence if you can find it again
 and trust what produced it. The ledger files every observed run under a
 **run key** — a digest of everything that determines the numbers
-(scenario snapshots, master seed, campaign configuration, package and
-numeric-engine versions, lint fingerprint) and nothing that doesn't
-(label, worker count, wall-clock). Re-running the same configuration
-lands on the same key, so repeats of an experiment collide into one
-ledger entry and genuinely different configurations never do.
+(scenario snapshots, master seed, campaign configuration including the
+framing, package and numeric-engine versions) and nothing that doesn't
+(label, worker count, wall-clock, lint tooling). Re-running the same
+configuration lands on the same key, so repeats of an experiment
+collide into one ledger entry and genuinely different configurations
+never do.
 
 Layout under the root (``$VAB_LEDGER_DIR`` or ``~/.repro/ledger``)::
 
@@ -55,7 +56,6 @@ KEY_FIELDS = (
     "scenarios",
     "version",
     "engine_versions",
-    "lint",
 )
 """Manifest fields that determine the run key — the configuration
 identity. Everything else (label, workers, timestamps, results,
@@ -78,7 +78,8 @@ def run_key(manifest: Union[RunManifest, dict]) -> Annotated[str, PURE]:
     SHA-256 over the canonical JSON of :data:`KEY_FIELDS` only, so a
     relabelled or re-parallelised repeat of the same sweep hashes
     identically while any change to a scenario, the seed, the campaign
-    shape, or a numeric engine version produces a new key.
+    configuration (framing included), or a numeric engine version
+    produces a new key.
     """
     data = (
         manifest_to_dict(manifest)

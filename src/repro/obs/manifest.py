@@ -47,7 +47,7 @@ class RunManifest:
         elapsed_s: end-to-end wall-clock of the run.
         workers: worker processes the run was configured for.
         campaign: campaign configuration snapshot (trials per point,
-            payload size, ...).
+            payload size, SI floor, framing as a :func:`config_snapshot`).
         scenarios: one :func:`scenario_snapshot` per operating point.
         timings: span-path -> {total_s, count, mean_ms}
             (:meth:`repro.obs.spans.SpanTracer.as_dict`).
@@ -70,13 +70,11 @@ class RunManifest:
     metrics: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
     events_path: Optional[str] = None
-    lint: Optional[dict] = None
-    """Optional lint provenance: :func:`repro.analysis.tree_fingerprint`
-    of the library tree that produced the run (clean flag + hash)."""
     engine_versions: Optional[dict] = None
-    """Versions of the numeric engines (batched kernel, units table)
-    that produced the run — part of the ledger's identity key, so a
-    kernel rewrite never silently collides with old results."""
+    """Versions of the numeric engines (the batched point kernel and the
+    array-factor engine) that produced the run — part of the ledger's
+    identity key, so a kernel rewrite never silently collides with old
+    results."""
 
     @property
     def total_trials(self) -> int:
@@ -160,15 +158,23 @@ def scenario_snapshot(scenario: object) -> dict:
     field beats no manifest.
     """
     if dataclasses.is_dataclass(scenario):
-        raw = dataclasses.asdict(scenario)
+        snapshot = config_snapshot(scenario)
     else:  # pragma: no cover - campaigns always pass dataclass scenarios
-        raw = {"repr": repr(scenario)}
-    snapshot = _jsonify(raw)
+        snapshot = {"repr": repr(scenario)}
     for derived in ("range_m", "incidence_deg", "fs"):
         value = getattr(scenario, derived, None)
         if value is not None:
             snapshot[derived] = _jsonify(value)
     return snapshot
+
+
+def config_snapshot(config: Any) -> dict:
+    """A JSON-safe snapshot of a configuration dataclass.
+
+    Nested dataclasses expand to dicts; leaves convert as in
+    :func:`scenario_snapshot`.
+    """
+    return _jsonify(dataclasses.asdict(config))
 
 
 def _jsonify(value: Any) -> Any:

@@ -55,7 +55,13 @@ from typing import Optional, Sequence, Tuple, Union
 from repro.contracts import Effectful
 from repro.dsp.rowblocks import _budget_scope, row_budget, usable_cpus
 from repro.obs.ledger import Ledger
-from repro.obs.manifest import EventLog, RunManifest, scenario_snapshot, wall_clock_unix
+from repro.obs.manifest import (
+    EventLog,
+    RunManifest,
+    config_snapshot,
+    scenario_snapshot,
+    wall_clock_unix,
+)
 from repro.obs.metrics import MetricsRegistry, counter, gauge, use_registry
 from repro.obs.progress import ProgressReporter
 from repro.obs.spans import SpanTracer, collect_spans
@@ -313,7 +319,6 @@ def run_observed_campaign(
     pool: Optional[ProcessPoolExecutor] = None,
     manifest_path: Optional[Union[str, Path]] = None,
     events_path: Optional[Union[str, Path]] = None,
-    lint_fingerprint: bool = False,
     progress: Optional[bool] = None,
     ledger: Optional[Union[bool, str, Path, Ledger]] = None,
 ) -> Tuple[CampaignResult, RunManifest]:
@@ -334,15 +339,8 @@ def run_observed_campaign(
     store (:class:`repro.obs.ledger.Ledger`): ``True`` uses the
     default root (``$VAB_LEDGER_DIR`` or ``~/.repro/ledger``), a path
     uses that root, a :class:`Ledger` is used as-is.
-
-    With ``lint_fingerprint=True`` the manifest also records the
-    :func:`repro.analysis.tree_fingerprint` of the installed ``repro``
-    tree — a hash of the exact library sources plus a clean/dirty lint
-    verdict, so a result can later be traced to a tree that provably
-    honoured the determinism contract.
     """
     from repro import __version__
-    from repro.analysis.engines import engine_versions
     from repro.phy.batch import BATCHED_ENGINE_VERSION
     from repro.sim.export import campaign_to_dict, save_manifest
     from repro.vanatta.fastfield import FASTFIELD_ENGINE_VERSION
@@ -379,11 +377,6 @@ def run_observed_campaign(
     finally:
         if events is not None:
             events.close()
-    lint_record = None
-    if lint_fingerprint:
-        from repro.analysis import tree_fingerprint
-
-        lint_record = tree_fingerprint([Path(__file__).resolve().parent.parent])
     manifest = RunManifest(
         label=label,
         seed=campaign.seed,
@@ -396,16 +389,15 @@ def run_observed_campaign(
             "trials_per_point": campaign.trials_per_point,
             "payload_bytes": campaign.payload_bytes,
             "si_suppression_db": campaign.si_suppression_db,
+            "frame_config": config_snapshot(campaign.frame_config),
         },
         scenarios=[scenario_snapshot(s) for s in scenarios],
         timings=tracer.as_dict(),
         metrics=metrics.as_dict(),
         results=campaign_to_dict(result),
         events_path=str(events_path) if events_path is not None else None,
-        lint=lint_record,
         engine_versions={
             "phy.batch": BATCHED_ENGINE_VERSION,
-            **engine_versions(),
             "vanatta.fastfield": FASTFIELD_ENGINE_VERSION,
         },
     )

@@ -1,22 +1,19 @@
-"""Tier-1 tests for the shared lint front-end (``repro.analysis.frontend``).
+"""Tier-1 tests for the lint front-end (``repro.analysis.frontend``).
 
 Locks the exit-code contract (0 clean / 1 findings / 2 unusable input),
-the JSON reporter schema round-trip (including the empty-findings and
-baseline-suppressed cases), and the ``--changed`` git-scoped discovery.
+the JSON reporter schema round-trip (including the empty-findings
+case), the ``--stats`` block, and the CI annotation tool that reads the
+JSON report.
 """
 
 import io
 import json
-import shutil
-import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS
 from repro.analysis.findings import Finding
-from repro.analysis.frontend import changed_files, run_lint
+from repro.analysis.frontend import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -68,11 +65,6 @@ def test_exit_two_on_unknown_rule_id():
     assert code == EXIT_ERROR
 
 
-def test_exit_two_on_update_baseline_without_baseline():
-    code, _ = _run([FIXTURES / "vab001_bad.py"], update_baseline=True)
-    assert code == EXIT_ERROR
-
-
 # ---------------------------------------------------------------------------
 # JSON reporter schema
 # ---------------------------------------------------------------------------
@@ -113,90 +105,6 @@ def test_json_includes_engine_stats_under_units():
     assert payload["units"]["engine_version"]
     assert payload["shapes"]["engine_version"]
     assert payload["counts"] == {"VAB016": 2}
-
-
-def test_baseline_suppressed_findings_exit_clean(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    code, _ = _run(
-        [FIXTURES / "vab001_bad.py"],
-        baseline=str(baseline), update_baseline=True,
-    )
-    assert code == EXIT_CLEAN and baseline.is_file()
-
-    code, text = _run(
-        [FIXTURES / "vab001_bad.py"], baseline=str(baseline), as_json=True
-    )
-    assert code == EXIT_CLEAN
-    payload = json.loads(text)
-    assert payload["clean"] is True
-    assert payload["findings"] == []
-
-
-# ---------------------------------------------------------------------------
-# --changed: git-scoped discovery
-# ---------------------------------------------------------------------------
-
-needs_git = pytest.mark.skipif(
-    shutil.which("git") is None, reason="git not available"
-)
-
-
-def _git_repo_with_two_files(tmp_path):
-    def git(*argv):
-        subprocess.run(
-            ["git", *argv], cwd=tmp_path, check=True, capture_output=True
-        )
-
-    git("init", "-q")
-    git("config", "user.email", "lint@test")
-    git("config", "user.name", "lint")
-    (tmp_path / "steady.py").write_text(
-        "def steady() -> int:\n    return 1\n"
-    )
-    (tmp_path / "moving.py").write_text(
-        "def moving() -> int:\n    return 1\n"
-    )
-    git("add", "-A")
-    git("commit", "-q", "-m", "seed")
-    (tmp_path / "moving.py").write_text(
-        "def moving() -> int:\n    return 2\n"
-    )
-    return tmp_path
-
-
-@needs_git
-def test_changed_restricts_lint_to_dirty_files(tmp_path, monkeypatch):
-    repo = _git_repo_with_two_files(tmp_path)
-    monkeypatch.chdir(repo)
-    code, text = _run([repo], changed="HEAD", as_json=True)
-    assert code == EXIT_CLEAN
-    assert json.loads(text)["files"] == 1
-
-
-@needs_git
-def test_changed_files_lists_modified_and_untracked(tmp_path, monkeypatch):
-    repo = _git_repo_with_two_files(tmp_path)
-    (repo / "fresh.py").write_text("def fresh() -> int:\n    return 3\n")
-    monkeypatch.chdir(repo)
-    names = sorted(p.name for p in changed_files("HEAD"))
-    assert names == ["fresh.py", "moving.py"]
-
-
-@needs_git
-def test_changed_with_bad_ref_exits_two(tmp_path, monkeypatch):
-    repo = _git_repo_with_two_files(tmp_path)
-    monkeypatch.chdir(repo)
-    code, _ = _run([repo], changed="no-such-ref")
-    assert code == EXIT_ERROR
-
-
-def test_changed_outside_a_repo_exits_two(tmp_path, monkeypatch):
-    (tmp_path / "lonely.py").write_text("def lonely() -> int:\n    return 1\n")
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
-    code, _ = _run([tmp_path], changed="HEAD")
-    # git missing and "not a repository" both surface as unusable input
-    assert code == EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -248,146 +156,6 @@ def test_lint_annotations_never_fails_the_step(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# SARIF 2.1.0 export (--sarif)
-# ---------------------------------------------------------------------------
-
-# Vendored subset of the SARIF 2.1.0 schema: the properties the GitHub
-# code-scanning ingestion actually requires.  The full schema is ~500 kB
-# and network access is not available in CI, so we pin the load-bearing
-# structure here and validate with jsonschema.
-SARIF_SUBSET_SCHEMA = {
-    "type": "object",
-    "required": ["version", "runs"],
-    "properties": {
-        "version": {"const": "2.1.0"},
-        "$schema": {"type": "string", "format": "uri"},
-        "runs": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["tool", "results"],
-                "properties": {
-                    "tool": {
-                        "type": "object",
-                        "required": ["driver"],
-                        "properties": {
-                            "driver": {
-                                "type": "object",
-                                "required": ["name"],
-                                "properties": {
-                                    "name": {"type": "string"},
-                                    "version": {"type": "string"},
-                                    "rules": {
-                                        "type": "array",
-                                        "items": {
-                                            "type": "object",
-                                            "required": ["id"],
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                    "results": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["message"],
-                            "properties": {
-                                "ruleId": {"type": "string"},
-                                "level": {
-                                    "enum": [
-                                        "none", "note", "warning", "error",
-                                    ],
-                                },
-                                "message": {
-                                    "type": "object",
-                                    "required": ["text"],
-                                },
-                                "locations": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "object",
-                                        "properties": {
-                                            "physicalLocation": {
-                                                "type": "object",
-                                                "properties": {
-                                                    "artifactLocation": {
-                                                        "type": "object",
-                                                        "required": ["uri"],
-                                                    },
-                                                    "region": {
-                                                        "type": "object",
-                                                        "properties": {
-                                                            "startLine": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                            "startColumn": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                        },
-                                                    },
-                                                },
-                                            },
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-
-def test_sarif_log_validates_against_the_2_1_0_schema(tmp_path):
-    jsonschema = pytest.importorskip("jsonschema")
-    sarif_path = tmp_path / "lint.sarif"
-    code, _ = _run(
-        [FIXTURES / "vab017_bad.py"], units=True, sarif=str(sarif_path)
-    )
-    assert code == EXIT_FINDINGS
-    log = json.loads(sarif_path.read_text(encoding="utf-8"))
-    jsonschema.validate(log, SARIF_SUBSET_SCHEMA)
-
-    run = log["runs"][0]
-    assert run["tool"]["driver"]["name"] == "vablint"
-    rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    # The catalogue spans the parse sentinel, the per-file registry,
-    # and all three engines.
-    assert {"VAB000", "VAB001", "VAB006", "VAB011", "VAB017", "VAB022"} <= rule_ids
-    assert run["results"], "findings must surface as SARIF results"
-    for result in run["results"]:
-        assert result["ruleId"].startswith("VAB")
-        assert result["level"] == "warning"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-
-
-def test_sarif_parse_errors_map_to_level_error(tmp_path):
-    sarif_path = tmp_path / "lint.sarif"
-    _run([FIXTURES / "broken_syntax.py"], sarif=str(sarif_path))
-    log = json.loads(sarif_path.read_text(encoding="utf-8"))
-    results = log["runs"][0]["results"]
-    assert [r["ruleId"] for r in results] == ["VAB000"]
-    assert results[0]["level"] == "error"
-
-
-def test_sarif_clean_run_writes_an_empty_result_set(tmp_path):
-    sarif_path = tmp_path / "lint.sarif"
-    code, _ = _run([FIXTURES / "vab017_clean.py"], units=True,
-                   sarif=str(sarif_path))
-    assert code == EXIT_CLEAN
-    log = json.loads(sarif_path.read_text(encoding="utf-8"))
-    assert log["runs"][0]["results"] == []
-
-
-# ---------------------------------------------------------------------------
 # --stats: per-engine timing and cache hit/miss counts
 # ---------------------------------------------------------------------------
 
@@ -427,109 +195,54 @@ def test_stats_text_block_renders_per_engine_lines(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# --changed: engines keep whole-call-graph visibility
+# all three engines in one pass
 # ---------------------------------------------------------------------------
 
 
-def _git_repo_with_effect_pair(tmp_path):
-    def git(*argv):
-        subprocess.run(
-            ["git", *argv], cwd=tmp_path, check=True, capture_output=True
-        )
-
-    git("init", "-q")
-    git("config", "user.email", "lint@test")
-    git("config", "user.name", "lint")
-    (tmp_path / "producer.py").write_text(
-        "def knob() -> str:\n"
-        '    return "x"\n'
-    )
-    (tmp_path / "caller.py").write_text(
-        "from functools import lru_cache\n"
-        "\n"
-        "from producer import knob\n"
-        "\n"
-        "\n"
-        "@lru_cache(maxsize=None)\n"
-        "def cached_knob() -> str:\n"
-        "    return knob()\n"
-    )
-    git("add", "-A")
-    git("commit", "-q", "-m", "seed")
-    return tmp_path
-
-
-def _make_producer_effectful(repo):
-    (repo / "producer.py").write_text(
-        "import os\n"
-        "\n"
-        "\n"
-        "def knob() -> str:\n"
-        '    return os.getenv("REPRO_KNOB", "x")\n'
-    )
-
-
-@needs_git
-def test_changed_reanalyzes_dependents_of_changed_files(tmp_path, monkeypatch):
-    """Regression: ``--changed`` scopes the *per-file* rules to the
-    dirty files, but the dataflow engines must still see the whole tree
-    — an effect introduced in producer.py has to surface the VAB017 in
-    the unchanged caller.py."""
-    repo = _git_repo_with_effect_pair(tmp_path)
-    _make_producer_effectful(repo)
-    monkeypatch.chdir(repo)
-    code, text = _run([repo], changed="HEAD", units=True, as_json=True)
-    assert code == EXIT_FINDINGS
-    payload = json.loads(text)
-    assert payload["files"] == 1  # per-file rules stay scoped to the edit
-    hits = {(Path(f["path"]).name, f["rule"]) for f in payload["findings"]}
-    assert ("caller.py", "VAB017") in hits
-
-
-@needs_git
-def test_changed_invalidates_warm_engine_caches(tmp_path, monkeypatch):
-    """Same regression with a primed cache: the changed file is forced
-    dirty even when the cache already holds its (stale) summaries, and
-    the dependent closure pulls the unchanged caller with it."""
-    repo = _git_repo_with_effect_pair(tmp_path)
-    monkeypatch.chdir(repo)
-    cache = repo / ".vablint_units_cache.json"
-    code, _ = _run([repo], units=True, units_cache=str(cache), as_json=True)
-    assert code == EXIT_CLEAN  # primes all three engine caches
-
-    _make_producer_effectful(repo)
-    code, text = _run([repo], changed="HEAD", units=True,
-                      units_cache=str(cache), as_json=True)
-    assert code == EXIT_FINDINGS
-    hits = {(Path(f["path"]).name, f["rule"])
-            for f in json.loads(text)["findings"]}
-    assert ("caller.py", "VAB017") in hits
-
-
-# ---------------------------------------------------------------------------
-# baseline round-trip across all three engines
-# ---------------------------------------------------------------------------
-
-
-def test_update_baseline_covers_all_three_engines_in_one_pass(tmp_path):
+def test_json_reports_all_three_engines_in_one_pass():
     targets = [
         FIXTURES / "vab006_bad.py",   # units finding
         FIXTURES / "vab013_bad.py",   # shapes finding
         FIXTURES / "vab017_bad.py",   # effects finding
     ]
-    baseline = tmp_path / "baseline.json"
-    code, _ = _run(targets, units=True,
-                   baseline=str(baseline), update_baseline=True)
-    assert code == EXIT_CLEAN and baseline.is_file()
-
-    recorded = json.loads(baseline.read_text(encoding="utf-8"))
-    keys = "\n".join(recorded["entries"])
-    for rule in ("VAB006", "VAB013", "VAB017"):
-        assert f"::{rule}::" in keys, rule
-
-    code, text = _run(targets, units=True,
-                      baseline=str(baseline), as_json=True)
-    assert code == EXIT_CLEAN
+    code, text = _run(targets, units=True, as_json=True)
+    assert code == EXIT_FINDINGS
     payload = json.loads(text)
-    assert payload["clean"] is True
-    assert payload["findings"] == []
+    assert {"VAB006", "VAB013", "VAB017"} <= set(payload["counts"])
+    assert [payload[e]["files"] for e in ("units", "shapes", "effects")] == [3] * 3
+
+
+# ---------------------------------------------------------------------------
+# discovery: dots above the named directory do not hide its files
+# ---------------------------------------------------------------------------
+
+
+def _tree_with_one_finding(root):
+    (root / "pkg").mkdir(parents=True)
+    (root / "pkg" / "draws.py").write_text(
+        (FIXTURES / "vab001_bad.py").read_text(encoding="utf-8")
+    )
+    # Dot-entries *below* the named directory stay skipped.
+    (root / "pkg" / ".hidden").mkdir()
+    (root / "pkg" / ".hidden" / "skipped.py").write_text("import random\n")
+    return root / "pkg"
+
+
+def test_directory_reached_through_dotdot_is_linted(tmp_path, monkeypatch):
+    _tree_with_one_finding(tmp_path / "checkout")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    code, text = _run(["../checkout/pkg"], as_json=True)
+    payload = json.loads(text)
+    assert code == EXIT_FINDINGS
+    assert payload["files"] == 1
+    assert "VAB001" in payload["counts"]
+
+
+def test_directory_under_a_dot_directory_is_linted(tmp_path):
+    pkg = _tree_with_one_finding(tmp_path / ".cache" / "checkout")
+    code, text = _run([pkg], as_json=True)
+    payload = json.loads(text)
+    assert code == EXIT_FINDINGS
+    assert payload["files"] == 1
+    assert "VAB001" in payload["counts"]

@@ -53,11 +53,16 @@ class TestApiIndex:
 
 class TestNoRetiredHarness:
     # The pre-perfbench harness scripts, their numbered records and the
-    # viewer subcommand that rendered them. Root-level Markdown notes other
-    # than the user-facing documents (change log, roadmap, planning notes)
-    # keep their history, and perfbench's README explains why its numbers
-    # differ.
-    RETIRED = re.compile(r"bench_(?:perf|compare)|BENCH_\d|\bobs\s+timeline")
+    # viewer subcommand that rendered them; the lint modes and the lint
+    # provenance that campaign runs no longer carry, and the second lint
+    # CLI. Root-level Markdown notes other than the user-facing documents
+    # (change log, roadmap, planning notes) keep their history, and
+    # perfbench's README explains why its numbers differ.
+    RETIRED = re.compile(
+        r"bench_(?:perf|compare)|BENCH_\d|\bobs\s+timeline"
+        r"|(?:lint[_-]|tree_)finger(?:print)|lint_base(?:line)"
+        r"|--update-base(?:line)|render_sa(?:rif)|\brepro\s+lint\b"
+    )
     CHECKED_ROOT_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
     def exempt(self, name):

@@ -45,7 +45,6 @@ EXPECTED_EFFECTS_BAD = {
     "VAB018": ("vab018_bad.py", [10, 16, 17, 18]),
     "VAB019": ("vab019_bad.py", [20, 21]),
     "VAB020": ("vab020_bad.py", [11, 12]),
-    "VAB021": ("vab021_bad.py", [5]),
     "VAB022": ("vab022_bad.py", [8, 13]),
 }
 
@@ -198,7 +197,6 @@ def test_effect_summary_round_trips_through_json():
         qualname="m.f", path="m.py",
         effects=(("reads:environ", "os.getenv"),),
         declared=("reads:host",), has_rng_param=True, memoized=True,
-        kind="function", stamped=(),
     )
     rebuilt = EffectSummary.from_dict(
         json.loads(json.dumps(summary.to_dict()))
@@ -268,20 +266,6 @@ def test_sim_cache_hot_path_carries_declared_grants():
     site_key = summaries[prefix + "_site_key"]
     assert site_key.declared == ()  # Pure
     assert site_key.memoized  # purity implies cacheability
-
-
-def test_version_stamp_deletion_is_caught(tmp_path):
-    """The VAB021 acceptance mechanism: start from the clean stamp
-    fixture, drop one constant from the engine_versions dict, and the
-    rule must fire on that constant's definition line."""
-    src = (FIXTURES / "vab021_clean.py").read_text(encoding="utf-8")
-    edited = src.replace('            "fastpath": FASTPATH_ENGINE_VERSION,\n', "")
-    assert edited != src  # the fixture still contains the stamp entry
-    path = tmp_path / "stamps.py"
-    path.write_text(edited)
-    report = analyze_effects([path])
-    assert [(f.rule_id, f.line) for f in report.findings] == [("VAB021", 5)]
-    assert "FASTPATH_ENGINE_VERSION" in report.findings[0].message
 
 
 # ---------------------------------------------------------------------------

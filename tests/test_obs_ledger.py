@@ -1,11 +1,18 @@
 """Tests for the content-addressed run ledger (repro.obs.ledger)."""
 
+import ast
+import importlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.ledger import (
     Ledger,
     diff_manifests,
@@ -16,6 +23,7 @@ from repro.obs.ledger import (
     run_key,
 )
 from repro.obs.manifest import RunManifest
+from repro.phy.frame import FrameConfig
 from repro.sim.parallel import run_observed_campaign
 from repro.sim.scenario import Scenario
 from repro.sim.sweep import sweep_range
@@ -264,9 +272,15 @@ class TestLedgerEndToEnd:
 
     def test_manifest_records_engine_versions(self, sweep_pair):
         _, m1, _ = sweep_pair
-        assert m1.engine_versions is not None
         assert "phy.batch" in m1.engine_versions
-        assert "analysis.units" in m1.engine_versions
+        assert not [k for k in m1.engine_versions if k.startswith("analysis.")]
+
+    def test_every_engine_version_constant_is_stamped(self, sweep_pair):
+        _, m1, _ = sweep_pair
+        constants = engine_version_constants()
+        assert "phy.batch" in constants  # the walk reached the kernels
+        for module, version in constants.items():
+            assert m1.engine_versions.get(module) == version, module
 
     def test_stored_manifest_loads_equal(self, sweep_pair):
         ledger, m1, _ = sweep_pair
@@ -274,3 +288,94 @@ class TestLedgerEndToEnd:
         stored = json.loads(rec.manifest_path.read_text())
         assert stored["seed"] == m1.seed
         assert stored["results"] == m1.results
+
+
+def engine_version_constants():
+    """Module (without ``repro.``) -> value of each module-level
+    ``*_ENGINE_VERSION`` defined there, over every ``repro`` module
+    outside the lint stack (each one is imported)."""
+    root = Path(repro.__file__).resolve().parent
+    found = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        if parts[0] == "analysis" or parts[-1] == "__main__":
+            continue
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = importlib.import_module(".".join(("repro",) + parts))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.endswith(
+                    "_ENGINE_VERSION"
+                ):
+                    found[".".join(parts)] = getattr(module, target.id)
+    return found
+
+
+def observed_key(campaign):
+    _, manifest = run_observed_campaign(
+        [Scenario.river()], campaign, workers=1, progress=False
+    )
+    return run_key(manifest)
+
+
+class TestRunIdentity:
+    """The key covers the framing and nothing from the lint stack."""
+
+    def test_framing_changes_the_key(self):
+        plain = TrialCampaign(trials_per_point=4)
+        longer = TrialCampaign(
+            trials_per_point=4, frame_config=FrameConfig(preamble_repeats=4)
+        )
+        assert observed_key(plain) != observed_key(longer)
+
+    def test_a_lint_engine_version_bump_keeps_the_key(self, monkeypatch):
+        from repro.analysis import engines
+
+        campaign = TrialCampaign(trials_per_point=4)
+        before = observed_key(campaign)
+        bumped = tuple(
+            replace(e, version="9.9.9") if e.name == "effects" else e
+            for e in engines.ENGINES
+        )
+        monkeypatch.setattr(engines, "ENGINES", bumped)
+        assert observed_key(campaign) == before
+
+    def test_campaign_runs_import_no_lint_module(self, tmp_path):
+        script = (
+            "import json, runpy, sys\n"
+            "from repro.sim.parallel import run_observed_campaign\n"
+            "from repro.sim.scenario import Scenario\n"
+            "from repro.sim.trials import TrialCampaign\n"
+            "run_observed_campaign([Scenario.river()],"
+            " TrialCampaign(trials_per_point=2), workers=1, progress=False,"
+            " ledger=sys.argv[1])\n"
+            "sys.argv = ['repro', 'sweep', '--points', '2', '--trials', '2',"
+            " '--no-progress', '--ledger', sys.argv[2]]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as done:\n"
+            "    assert not done.code, done.code\n"
+            "print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith('repro.analysis'))))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             str(tmp_path / "api"), str(tmp_path / "cli")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        for store in ("api", "cli"):
+            assert len(Ledger(tmp_path / store).entries()) == 1, store

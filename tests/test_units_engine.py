@@ -4,11 +4,10 @@ Fixture pairs with pinned line numbers lock each rule; the cache tests
 lock units-specific incremental cases (the cold/warm/edit and version
 contract shared by all three engines is tested in
 ``test_engine_table.py``); the determinism test locks byte-identical
-reports; the baseline tests lock the differential CI gate's arithmetic.
+reports.
 """
 
 import json
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,14 +16,7 @@ import pytest
 import repro
 from repro.analysis import discover_files, engines, lint_paths, render_json
 from repro.analysis.engines import engine_named
-from repro.analysis.findings import Finding
-from repro.analysis.units import (
-    analyze_units,
-    diff_against_baseline,
-    finding_key,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis.units import analyze_units
 from repro.analysis.units.vocab import (
     combine_additive,
     combine_divisive,
@@ -212,62 +204,6 @@ def test_parallel_jobs_match_serial_output():
     serial = render_json(lint_paths(bad, jobs=1))
     parallel = render_json(lint_paths(bad, jobs=2))
     assert serial == parallel
-
-
-# ---------------------------------------------------------------------------
-# differential baselines
-# ---------------------------------------------------------------------------
-
-
-def test_baseline_roundtrip_absorbs_known_findings(tmp_path):
-    report = lint_paths([FIXTURES / "vab006_bad.py"], select=["VAB006"], units=True)
-    assert report.findings
-    path = tmp_path / "baseline.json"
-    write_baseline(report.findings, path)
-    new, resolved = diff_against_baseline(report.findings, load_baseline(path))
-    assert new == [] and resolved == 0
-
-
-def test_baseline_flags_only_new_findings(tmp_path):
-    six = lint_paths([FIXTURES / "vab006_bad.py"], select=["VAB006"], units=True)
-    path = tmp_path / "baseline.json"
-    write_baseline(six.findings, path)
-    both = lint_paths(
-        [FIXTURES / "vab006_bad.py", FIXTURES / "vab007_bad.py"], units=True
-    )
-    new, resolved = diff_against_baseline(both.findings, load_baseline(path))
-    assert {f.rule_id for f in new} == {"VAB007"}
-    assert resolved == 0
-
-
-def test_baseline_counts_resolved_debt(tmp_path):
-    both = lint_paths(
-        [FIXTURES / "vab006_bad.py", FIXTURES / "vab007_bad.py"], units=True
-    )
-    path = tmp_path / "baseline.json"
-    write_baseline(both.findings, path)
-    six_only = lint_paths([FIXTURES / "vab006_bad.py"], units=True)
-    new, resolved = diff_against_baseline(six_only.findings, load_baseline(path))
-    assert new == []
-    assert resolved == len(both.findings) - len(six_only.findings)
-
-
-def test_baseline_keys_ignore_line_numbers():
-    f1 = Finding(path="a.py", line=5, col=0, rule_id="VAB006", message="msg")
-    f2 = Finding(path="a.py", line=50, col=4, rule_id="VAB006", message="msg")
-    assert finding_key(f1) == finding_key(f2)
-    new, _ = diff_against_baseline([f2], Counter({finding_key(f1): 1}))
-    assert new == []
-    # But a second instance of the same violation is new.
-    new, _ = diff_against_baseline([f1, f2], Counter({finding_key(f1): 1}))
-    assert len(new) == 1 and new[0].line == 50
-
-
-def test_baseline_rejects_wrong_version(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 99, "entries": {}}))
-    with pytest.raises(ValueError):
-        load_baseline(path)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,9 @@ parallel runner:
   schema-checked round trip) plus a JSONL `EventLog`
   (`campaign_start` / `chunk_done` / `point_end` / `campaign_end`; a
   point that raises logs `point_failed` and no manifest is written).
+  The manifest's `campaign` record carries the framing
+  (`frame_config`) and its `engine_versions` the numeric engines
+  (`phy.batch`, `vanatta.fastfield`); both enter the ledger's run key.
 
 Render a recorded run with the CLI::
 
@@ -107,18 +110,19 @@ LINT_SECTION = """\
 
 `repro.analysis` is a stdlib-`ast` linter for the invariants the
 reproduction's guarantees rest on — campaign determinism, unit
-discipline in the physics, a typed public API. Run it standalone or as
-a CLI subcommand (same exit codes: 0 clean, 1 findings, 2 unusable
+discipline in the physics, a typed public API. Its one command line
+is `tools/vablint.py` (exit codes: 0 clean, 1 findings, 2 unusable
 input such as a parse error, reported as pseudo-rule `VAB000`)::
 
     python tools/vablint.py              # lints src/repro
     python tools/vablint.py --json pkg/  # machine-readable report
-    python tools/vablint.py --units      # + dimensional analysis
-    python -m repro lint --catalogue     # rule catalogue
+    python tools/vablint.py --units      # + the dataflow engines
+    python tools/vablint.py --catalogue  # rule catalogue
 
 Directory recursion skips `tests/lint_fixtures/**` by default (the
-fixtures are deliberately dirty); add globs with `--exclude PATTERN`
-(repeatable — passing any `--exclude` replaces the default list), and
+fixtures are deliberately dirty) and any entry below the named
+directory whose name starts with `.`; add globs with `--exclude
+PATTERN` (repeatable, added to the default), and
 spread the per-file rules over processes with `--jobs N` (output is
 deterministic regardless of job count).
 
@@ -146,7 +150,6 @@ deterministic regardless of job count).
 | `VAB018` | cache-hit-divergence | (`--units`) no side effect (global/argument mutation, file write) escaping a memoized function — it happens on the computing call and never again on a cache hit |
 | `VAB019` | worker-rng-indiscipline | (`--units`) no callable crossing the process boundary that draws from an ambient RNG stream instead of a `SeedSequence`-derived generator threaded through its parameters |
 | `VAB020` | unpicklable-submit | (`--units`) no lambdas or closure-capturing nested functions on the `ProcessPool` submit path |
-| `VAB021` | version-stamp-completeness | (`--units`) every `*_ENGINE_VERSION` constant must flow into an `engine_versions={...}` manifest stamp (and hence the `run_key`) |
 | `VAB022` | host-dependent-result | (`--units`) no host-configuration read (`os.cpu_count()`, TTY/CI detection, locale) flowing into a returned value without a declared `reads:host` grant |
 
 ### Dimensional analysis (`--units`)
@@ -221,13 +224,13 @@ missing-`keepdims` slip, `records - records.mean(axis=1)`, which pits
 `"samples"` against `"trials"` in one broadcast slot (VAB011); the
 same machinery flags silent phase loss on the complex field sums
 (VAB013) and in-place writes to channel-cache storage (VAB014). The
-engine shares the incremental cache file, the baseline, the
+engine shares the incremental cache file, the
 suppression syntax, and the JSON report (a `shapes` stats block next
 to `units`).
 
 ### Effect/purity analysis (also `--units`)
 
-VAB017..VAB022 come from `repro.analysis.effects`: a third
+VAB017..VAB020 and VAB022 come from `repro.analysis.effects`: a third
 flow-sensitive, interprocedural engine over the same call-graph
 machinery that tracks *effects* — which functions read ambient state,
 which mutate state, and which callables cross the `ProcessPool`
@@ -274,14 +277,7 @@ when the read genuinely must not enter the key (a display knob, a
 scheduling hint) — declare `Effectful[..., "reads:environ"]` to
 accept the contract visibly.
 
-The same machinery proves the version-stamp manifest complete
-(VAB021): every `*_ENGINE_VERSION` constant anywhere in the tree must
-flow into the `engine_versions={...}` stamp that
-`repro.sim.parallel` embeds in campaign manifests (and hence into
-`run_key`), so adding an engine without stamping it fails lint
-instead of silently colliding ledger entries. The lint engines' own
-versions are stamped from the engine table
-(`repro.analysis.engines.ENGINES`). The determinism hot
+The determinism hot
 paths (`repro.sim.cache`, `repro.sim.parallel`, `repro.obs.ledger`,
 `repro.rng`) carry explicit contracts; the committed tree is
 effect-clean with zero suppressions.
@@ -294,24 +290,9 @@ edit re-analyzes only the
 file and its call-graph dependents; everything else is replayed
 byte-identically from cache. `--no-units-cache` forces a cold run
 (what CI does); version bumps and damaged caches degrade to cold runs
-automatically. For an even faster inner loop, `--changed [REF]`
-restricts the per-file rules to files that differ from a git ref
-(default `HEAD`) plus untracked files — the dataflow engines still
-see the whole tree (so a contract edit surfaces findings in unchanged
-dependents) but force the changed files and their dependents through
-re-analysis. `--stats` appends per-engine wall-clock timings and
+automatically. `--stats` appends per-engine wall-clock timings and
 cache hit/miss counts to the report (embedded under `"stats"` in JSON
-mode; opt-in so the default report stays byte-deterministic), and
-`--sarif PATH` additionally writes a SARIF 2.1.0 log for GitHub code
-scanning.
-
-**Differential baseline** — `--baseline lint_baseline.json` absorbs
-known findings (keyed by `path::rule::message`, line-number-free so
-unrelated edits don't churn) and fails only on *new* ones;
-`--update-baseline` rewrites the file from the current tree. The
-committed `lint_baseline.json` is empty — the tree is dimensionally
-clean — so CI's gate is effectively zero-tolerance while still giving
-future debt a paved ramp-down path.
+mode; opt-in so the default report stays byte-deterministic).
 
 ### The RNG-threading contract (what VAB001/VAB002 enforce)
 
@@ -348,27 +329,26 @@ Subclass `repro.analysis.Rule`, set `rule_id` / `name` / `summary`,
 implement `check(ctx: FileContext) -> Iterator[Finding]` (walk
 `ctx.tree`, resolve dotted callables with `ctx.resolve(node)`, emit via
 `ctx.finding(self, node, message)`), and decorate with `@register`.
-Suppression, reporting, exit codes, and the fingerprint pick the rule
+Suppression, reporting and exit codes pick the rule
 up automatically; add a bad/clean fixture pair under
 `tests/lint_fixtures/` to pin its behavior.
 
-### Provenance
+### Lint and campaign runs
 
-`tree_fingerprint(paths)` hashes the linted sources together with the
-rule ids and the clean/dirty verdict. Campaign manifests record it via
-`run_observed_campaign(..., lint_fingerprint=True)` (CLI:
-`python -m repro sweep --manifest run.json --lint-fingerprint`), and
-stamp the `units`, `shapes` and `effects` engine versions under
-`engine_versions` (looping over the engine table), so a result pins
-which checkers vetted the tree. `tests/test_engine_table.py` checks
-that a warm run serves every file of every engine from the cache (the
-signature of a cache-key or dependent-closure bug is a warm run that
-re-analyses). CI runs the full gate — per-file rules plus
-`--units`, differenced against the committed `lint_baseline.json` —
+Campaign runs never import `repro.analysis`. A run manifest's
+`engine_versions` stamps only the numeric engines (`phy.batch`,
+`vanatta.fastfield`): the lint tools never touch the numbers, and the
+manifest's `version` already pins the package. `tests/test_obs_ledger.py`
+checks that every `*_ENGINE_VERSION` constant outside the lint stack
+reaches a real manifest's stamp, and that a campaign run — through the
+API or `python -m repro sweep` — loads no `repro.analysis` module.
+`tests/test_engine_table.py` checks that a warm run serves every file
+of every engine from the cache (the signature of a cache-key or
+dependent-closure bug is a warm run that re-analyses). CI runs the
+full gate — per-file rules plus `--units`, zero findings allowed —
 before the typed-API check, renders the JSON report as inline GitHub
-problem-matcher annotations (`tools/lint_annotations.py`), uploads
-the SARIF log to code scanning, and keeps both reports as build
-artifacts.
+annotations (`tools/lint_annotations.py`), and keeps the report as a
+build artifact.
 
 ### Typed-API gate
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Emit GitHub workflow annotations from a vablint JSON report.
 
-Reads the ``--json`` report written by ``tools/vablint.py`` (or ``repro
-lint --json``) and prints one `workflow command`_ per finding::
+Reads the ``--json`` report written by ``tools/vablint.py`` and prints
+one `workflow command`_ per finding::
 
     ::error file=src/repro/x.py,line=12,col=5,title=VAB013::message
 

@@ -11,9 +11,9 @@ rad/s, m vs km, call-site unit conflicts) and shape/dtype analysis
 reductions, complex->real downcasts, shared-array mutation, unordered
 accumulation, shape-contract violations) and effect/purity analysis
 (``VAB017``..``VAB022``: hidden cache inputs, cache-hit divergence,
-worker RNG indiscipline, unpicklable submissions, version-stamp
-completeness, host-dependent results). See ``repro.analysis`` for the
-framework and ``--catalogue`` for the rules.
+worker RNG indiscipline, unpicklable submissions, host-dependent
+results). See ``repro.analysis`` for the framework and ``--catalogue``
+for the rules.
 
 Usage::
 
@@ -21,9 +21,7 @@ Usage::
     python tools/vablint.py --json src/repro     # CI / machine output
     python tools/vablint.py --select VAB001 src  # one rule only
     python tools/vablint.py --units src/repro    # + dataflow engines
-    python tools/vablint.py --changed main src   # only files touched vs main
-    python tools/vablint.py --units --baseline lint_baseline.json src/repro
-    python tools/vablint.py --fingerprint src/repro
+    python tools/vablint.py --units --stats src/repro  # + timings, cache hits
 
 Exit codes: 0 clean, 1 rule findings, 2 unusable input (bad arguments,
 missing paths, files that fail to parse).
@@ -32,7 +30,6 @@ missing paths, files that fail to parse).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -41,11 +38,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis import (  # noqa: E402
-    EXIT_ERROR,
-    render_catalogue,
-    tree_fingerprint,
-)
+from repro.analysis import render_catalogue  # noqa: E402
 from repro.analysis.frontend import (  # noqa: E402
     add_lint_flags,
     rule_list,
@@ -67,30 +60,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_catalogue())
         return 0
 
-    paths = args.paths or ["src/repro"]
-    if args.fingerprint:
-        try:
-            record = tree_fingerprint(paths)
-        except FileNotFoundError as exc:
-            print(f"vablint: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        print(json.dumps(record, indent=2))
-        return 0 if record["clean"] else 1
-
     return run_lint(
-        paths,
+        args.paths or ["src/repro"],
         select=rule_list(args.select),
         disable=rule_list(args.disable),
         exclude=args.exclude,
         jobs=args.jobs,
-        changed=args.changed,
         units=args.units,
         units_cache=None if args.no_units_cache else args.units_cache,
-        baseline=args.baseline,
-        update_baseline=args.update_baseline,
         as_json=args.as_json,
         stats=args.stats,
-        sarif=args.sarif,
     )
 
 
