@@ -56,7 +56,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Monte-Carlo BER sweep across range."""
-    from repro.sim.parallel import run_campaign_parallel, run_observed_campaign
+    from repro.sim.parallel import run_observed_campaign
     from repro.sim.sweep import log_ranges, sweep_range
 
     from repro.sim.trials import TrialCampaign
@@ -69,26 +69,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         from repro.obs.probes import set_probe_mode
 
         set_probe_mode(args.probes)
-    observed = args.manifest or args.events or args.ledger is not None
-    if observed:
-        result, manifest = run_observed_campaign(
-            scenarios, campaign, label=args.site, workers=args.workers,
-            manifest_path=args.manifest, events_path=args.events,
-            progress=args.progress,
-            ledger=args.ledger if args.ledger is not None else None,
-        )
-    else:
-        from repro.obs.progress import ProgressReporter
-
-        reporter = ProgressReporter(
-            total_trials=len(scenarios) * campaign.trials_per_point,
-            label=args.site,
-            enabled=args.progress,
-        )
-        result = run_campaign_parallel(
-            scenarios, campaign, label=args.site, workers=args.workers,
-            progress=reporter if reporter.enabled else None,
-        )
+    result, manifest = run_observed_campaign(
+        scenarios, campaign, label=args.site, workers=args.workers,
+        manifest_path=args.manifest, events_path=args.events,
+        progress=args.progress, ledger=args.ledger,
+    )
     print(f"{'range_m':>8} {'ber':>9} {'frames':>7} {'snr_db':>7}")
     for p in result.points:
         print(f"{p.range_m:>8.0f} {p.ber:>9.4f} "
@@ -98,7 +83,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"manifest: {args.manifest}")
     if args.events:
         print(f"events  : {args.events}")
-    if observed and args.ledger is not None:
+    if args.ledger is not None:
         from repro.obs.ledger import Ledger, run_key
 
         store = Ledger(None if args.ledger is True else args.ledger)
@@ -383,6 +368,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.points < 2:
+        parser.error("argument --points: need at least two points")
+    if args.command == "sweep" and not 0 < args.start < args.stop:
+        parser.error("argument --stop: need 0 < --start < --stop")
     return args.func(args)
 
 

@@ -7,8 +7,9 @@ configuration produced a result file. This package is the substrate the
 rest of the simulator reports through:
 
 * :mod:`repro.obs.spans` — hierarchical trace spans
-  (``campaign > point > trial > channel/reflect/noise/demod``) with a
-  no-op fast path when no tracer is installed.
+  (``point > batch > channel/reflect/noise/demod``, with
+  ``suppress/detect/cfo/slice/parse`` inside ``demod``) with a no-op
+  fast path when no tracer is installed.
 * :mod:`repro.obs.metrics` — a process-local metrics registry
   (counters, gauges, histograms) that engine layers register
   instruments with.

@@ -2,10 +2,12 @@
 
 A sweep you ran last month is only evidence if you can find it again
 and trust what produced it. The ledger files every observed run under a
-**run key** — a digest of everything that determines the numbers
-(scenario snapshots, master seed, campaign configuration including the
-framing, package and numeric-engine versions) and nothing that doesn't
-(label, worker count, wall-clock, lint tooling). Re-running the same
+**run key** — a digest of everything that determines the numbers (the
+scenario snapshots, the whole campaign with its factories, the seed,
+the schema, package and numeric-engine versions) and nothing that
+doesn't (label, worker count, row-block budget, wall-clock, lint
+tooling). One walk (:func:`repro.obs.manifest._jsonify`) builds it and
+names a factory rather than hashing its code. Re-running the same
 configuration lands on the same key, so repeats of an experiment
 collide into one ledger entry and genuinely different configurations
 never do.
@@ -77,9 +79,9 @@ def run_key(manifest: Union[RunManifest, dict]) -> Annotated[str, PURE]:
 
     SHA-256 over the canonical JSON of :data:`KEY_FIELDS` only, so a
     relabelled or re-parallelised repeat of the same sweep hashes
-    identically while any change to a scenario, the seed, the campaign
-    configuration (framing included), or a numeric engine version
-    produces a new key.
+    identically while any change to a scenario, the seed, any campaign
+    field (framing, payload, SI floor, node and receiver factories), the
+    schema, or a numeric engine version produces a new key.
     """
     data = (
         manifest_to_dict(manifest)
@@ -314,11 +316,18 @@ def _flatten(value: Any, prefix: str = "") -> Dict[str, Any]:
     return out
 
 
+def _config_leaves(manifest: RunManifest) -> Dict[str, Any]:
+    """Dotted leaves of every run-key field except the scenarios."""
+    data = manifest_to_dict(manifest)
+    return _flatten({k: data.get(k) for k in KEY_FIELDS if k != "scenarios"})
+
+
 def diff_manifests(a: RunManifest, b: RunManifest) -> Dict[str, Any]:
     """Structured comparison of two runs.
 
-    Reports, in order of causal priority: configuration deltas
-    (scenario fields, campaign shape, seed, versions — the *why*),
+    Reports, in order of causal priority: configuration deltas (every
+    run-key field: ``config`` holds all but the scenarios, which
+    ``scenarios`` compares point by point — the *why*),
     then per-point metric deltas (BER, frame success, SNR — the
     *what*), then stage-timing deltas (the *how fast*). Two runs under
     the same key show an empty ``scenarios`` section by construction.
@@ -334,25 +343,12 @@ def diff_manifests(a: RunManifest, b: RunManifest) -> Dict[str, Any]:
                     {"point": i, "field": fname, "a": va, "b": vb}
                 )
 
-    config_deltas: List[Dict[str, Any]] = []
-    for section, da, db in (
-        ("campaign", a.campaign, b.campaign),
-        ("engine_versions", a.engine_versions or {}, b.engine_versions or {}),
-    ):
-        fa, fb = _flatten(da), _flatten(db)
-        for fname in sorted(set(fa) | set(fb)):
-            if fa.get(fname) != fb.get(fname):
-                config_deltas.append(
-                    {
-                        "field": f"{section}.{fname}",
-                        "a": fa.get(fname),
-                        "b": fb.get(fname),
-                    }
-                )
-    for scalar in ("seed", "version"):
-        va, vb = getattr(a, scalar), getattr(b, scalar)
-        if va != vb:
-            config_deltas.append({"field": scalar, "a": va, "b": vb})
+    fa, fb = _config_leaves(a), _config_leaves(b)
+    config_deltas = [
+        {"field": fname, "a": fa.get(fname), "b": fb.get(fname)}
+        for fname in sorted(set(fa) | set(fb))
+        if fa.get(fname) != fb.get(fname)
+    ]
 
     metric_deltas: List[Dict[str, Any]] = []
     pa = a.results.get("points", [])

@@ -6,22 +6,28 @@ went, what the caches and the receiver saw. A :class:`RunManifest`
 captures all of that in one JSON-safe record (persisted via
 :mod:`repro.sim.export`, round-trippable like ``CampaignResult``), and
 an :class:`EventLog` streams the run's progress — campaign/point/chunk
-boundaries — as JSON Lines for tailing and post-hoc timelines.
+boundaries — as JSON Lines for tailing and post-hoc timelines. One
+walk, :func:`_jsonify`, builds both and the ledger's run key.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
+import functools
 import json
 import math
 import os
 import threading
 import time
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, List, Optional, Union
 
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
+"""Bumped when the run key's contract changes. Version 2 keys the whole
+campaign and records enums by value; version 1 manifests still load."""
 
 
 def wall_clock_unix() -> float:
@@ -45,9 +51,10 @@ class RunManifest:
         version: ``repro.__version__`` that produced the run.
         created_unix: wall-clock start of the run (Unix seconds).
         elapsed_s: end-to-end wall-clock of the run.
-        workers: worker processes the run was configured for.
-        campaign: campaign configuration snapshot (trials per point,
-            payload size, SI floor, framing as a :func:`config_snapshot`).
+        workers: worker processes the run used (1 when a pool run
+            fell back to serial).
+        campaign: the whole campaign configuration,
+            :meth:`repro.sim.trials.TrialCampaign.snapshot`.
         scenarios: one :func:`scenario_snapshot` per operating point.
         timings: span-path -> {total_s, count, mean_ms}
             (:meth:`repro.obs.spans.SpanTracer.as_dict`).
@@ -103,7 +110,7 @@ class EventLog:
         """Append one event with the current timestamp."""
         record = {"ts": round(time.time(), 6), "event": event}
         record.update(fields)
-        line = json.dumps(record, default=_json_default) + "\n"
+        line = json.dumps(_jsonify(record)) + "\n"
         with self._lock:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -151,50 +158,64 @@ def read_events(path: Union[str, Path], strict: bool = False) -> List[dict]:
 def scenario_snapshot(scenario: object) -> dict:
     """A JSON-safe snapshot of a scenario's full configuration.
 
-    Recursively expands the scenario's nested dataclasses (water,
-    surface, noise, poses) and adds the derived quantities reports key
-    on (slant range, incidence, sample rate). Non-JSON leaves degrade
-    to ``repr`` rather than failing: a manifest with a stringified
-    field beats no manifest.
+    Its walk (water, surface, noise, poses) plus the derived quantities
+    reports key on (slant range, incidence, sample rate).
     """
-    if dataclasses.is_dataclass(scenario):
-        snapshot = config_snapshot(scenario)
-    else:  # pragma: no cover - campaigns always pass dataclass scenarios
-        snapshot = {"repr": repr(scenario)}
-    for derived in ("range_m", "incidence_deg", "fs"):
-        value = getattr(scenario, derived, None)
-        if value is not None:
-            snapshot[derived] = _jsonify(value)
-    return snapshot
+    derived = {d: getattr(scenario, d) for d in ("range_m", "incidence_deg", "fs")}
+    return {**config_snapshot(scenario), **_jsonify(derived)}
 
 
-def config_snapshot(config: Any) -> dict:
-    """A JSON-safe snapshot of a configuration dataclass.
-
-    Nested dataclasses expand to dicts; leaves convert as in
-    :func:`scenario_snapshot`.
-    """
-    return _jsonify(dataclasses.asdict(config))
+def config_snapshot(config: Any) -> Any:
+    """A dataclass (a configuration or a result point) by :func:`_jsonify`."""
+    return _jsonify(config)
 
 
 def _jsonify(value: Any) -> Any:
-    """Best-effort conversion to JSON-safe types."""
+    """The canonical walk every run record is built from.
+
+    Dataclasses expand field by field, enums become their values, numpy
+    values lists and scalars, non-finite floats ``None``. Factories are
+    recorded, never called: a class or module-level function by name,
+    a partial by its parts, a lambda or nested function by name, first
+    line, closure values and defaults. Anything else raises
+    ``TypeError``: it cannot be part of a run's identity.
+    """
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    if isinstance(value, enum.Enum):
+        return _jsonify(value.value)
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if hasattr(value, "item"):  # numpy scalar
-        return _jsonify(value.item())
-    return repr(value)
-
-
-def _json_default(value: Any) -> Any:
-    """json.dumps fallback for event fields."""
-    return _jsonify(value)
+        return float(value) if math.isfinite(value) else None
+    if hasattr(value, "tolist"):  # numpy arrays and scalars
+        return _jsonify(value.tolist())
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _jsonify(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, functools.partial):
+        return _jsonify(
+            {"function": value.func, "args": value.args, "keywords": value.keywords}
+        )
+    if isinstance(value, (type, types.FunctionType)):
+        name = f"{value.__module__}.{value.__qualname__}"
+        if isinstance(value, type) or "<" not in value.__qualname__:
+            return name
+        code, cells = value.__code__, value.__closure__ or ()
+        return {
+            "function": name,
+            "line": code.co_firstlineno,
+            "closure": _jsonify(
+                {v: c.cell_contents for v, c in zip(code.co_freevars, cells)}
+            ),
+            "defaults": _jsonify(value.__defaults__),
+            "kwdefaults": _jsonify(value.__kwdefaults__),
+        }
+    raise TypeError(f"no canonical record for {type(value).__qualname__} {value!r}")
 
 
 def manifest_to_dict(manifest: RunManifest) -> dict:
@@ -215,10 +236,10 @@ def manifest_from_dict(data: dict) -> RunManifest:
     Unknown keys are dropped rather than rejected, so manifests written
     by a newer build with extra fields still load.
     """
-    if data.get("schema") != MANIFEST_SCHEMA_VERSION:
+    if data.get("schema") not in range(1, MANIFEST_SCHEMA_VERSION + 1):
         raise ValueError(
             f"unsupported manifest schema {data.get('schema')!r}; "
-            f"this build reads {MANIFEST_SCHEMA_VERSION}"
+            f"this build reads 1 to {MANIFEST_SCHEMA_VERSION}"
         )
     if data.get("kind") != "run-manifest":
         raise ValueError(f"not a run manifest: kind={data.get('kind')!r}")

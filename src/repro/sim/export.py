@@ -16,6 +16,7 @@ disk. Plain JSON, schema-versioned, round-trip tested. Two record kinds:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -24,6 +25,7 @@ from typing import Union
 from repro.obs.manifest import (  # noqa: F401 - re-exported API
     MANIFEST_SCHEMA_VERSION,
     RunManifest,
+    config_snapshot,
     load_manifest,
     manifest_from_dict,
     manifest_to_dict,
@@ -35,25 +37,11 @@ SCHEMA_VERSION = 1
 
 
 def campaign_to_dict(result: CampaignResult) -> dict:
-    """Serialise a campaign to a plain dict (JSON-safe)."""
+    """Serialise a campaign to a plain dict (JSON-safe; -inf as None)."""
     return {
         "schema": SCHEMA_VERSION,
         "label": result.label,
-        "points": [
-            {
-                "range_m": p.range_m,
-                "incidence_deg": p.incidence_deg,
-                "trials": p.trials,
-                "ber": p.ber,
-                "frame_success_rate": p.frame_success_rate,
-                "detection_rate": p.detection_rate,
-                # -inf is not valid JSON; use None on the wire.
-                "mean_snr_db": (
-                    p.mean_snr_db if math.isfinite(p.mean_snr_db) else None
-                ),
-            }
-            for p in result.points
-        ],
+        "points": [config_snapshot(p) for p in result.points],
     }
 
 
@@ -66,18 +54,10 @@ def campaign_from_dict(data: dict) -> CampaignResult:
         )
     result = CampaignResult(label=data["label"])
     for p in data["points"]:
-        snr = p["mean_snr_db"]
-        result.add(
-            BERPoint(
-                range_m=float(p["range_m"]),
-                incidence_deg=float(p["incidence_deg"]),
-                trials=int(p["trials"]),
-                ber=float(p["ber"]),
-                frame_success_rate=float(p["frame_success_rate"]),
-                detection_rate=float(p["detection_rate"]),
-                mean_snr_db=float(snr) if snr is not None else -math.inf,
-            )
-        )
+        fields = {f.name: p[f.name] for f in dataclasses.fields(BERPoint)}
+        if fields["mean_snr_db"] is None:
+            fields["mean_snr_db"] = -math.inf
+        result.add(BERPoint(**fields))
     return result
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
@@ -58,7 +59,6 @@ from repro.obs.ledger import Ledger
 from repro.obs.manifest import (
     EventLog,
     RunManifest,
-    config_snapshot,
     scenario_snapshot,
     wall_clock_unix,
 )
@@ -148,16 +148,6 @@ def _is_picklable(campaign: TrialCampaign) -> bool:
 def _emit(events: Optional[EventLog], event: str, **fields) -> None:
     if events is not None:
         events.emit(event, **fields)
-
-
-def _point_fields(point: BERPoint) -> dict:
-    return {
-        "range_m": point.range_m,
-        "trials": point.trials,
-        "ber": point.ber,
-        "frame_success_rate": point.frame_success_rate,
-        "detection_rate": point.detection_rate,
-    }
 
 
 def run_campaign_parallel(
@@ -283,7 +273,7 @@ def run_campaign_parallel(
             )
             _emit(
                 events, "point_end", point=i, elapsed_s=elapsed_s,
-                **_point_fields(point),
+                **asdict(point),
             )
     finally:
         if own_pool:
@@ -338,7 +328,10 @@ def run_observed_campaign(
     ``ledger`` files the finished manifest in a content-addressed run
     store (:class:`repro.obs.ledger.Ledger`): ``True`` uses the
     default root (``$VAB_LEDGER_DIR`` or ``~/.repro/ledger``), a path
-    uses that root, a :class:`Ledger` is used as-is.
+    uses that root, a :class:`Ledger` is used as-is. With none of
+    ``manifest_path``, ``events_path`` and ``ledger`` nothing is written.
+    A campaign without a canonical record (:meth:`TrialCampaign.snapshot`)
+    raises ``TypeError`` before any point runs.
     """
     from repro import __version__
     from repro.phy.batch import BATCHED_ENGINE_VERSION
@@ -349,6 +342,8 @@ def run_observed_campaign(
         campaign = TrialCampaign()
     if workers is None:
         workers = default_workers()
+    campaign_record = campaign.snapshot()
+    scenario_records = [scenario_snapshot(s) for s in scenarios]
     tracer = SpanTracer()
     metrics = MetricsRegistry()
     events = EventLog(events_path) if events_path is not None else None
@@ -385,13 +380,8 @@ def run_observed_campaign(
         elapsed_s=round(time.perf_counter() - t0, 6),
         # The count that ran: a serial fallback records 1, not the request.
         workers=int(WORKERS_GAUGE.value(metrics)),
-        campaign={
-            "trials_per_point": campaign.trials_per_point,
-            "payload_bytes": campaign.payload_bytes,
-            "si_suppression_db": campaign.si_suppression_db,
-            "frame_config": config_snapshot(campaign.frame_config),
-        },
-        scenarios=[scenario_snapshot(s) for s in scenarios],
+        campaign=campaign_record,
+        scenarios=scenario_records,
         timings=tracer.as_dict(),
         metrics=metrics.as_dict(),
         results=campaign_to_dict(result),

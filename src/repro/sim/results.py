@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Sequence
 
 from repro.sim.engine import TrialResult
@@ -80,15 +80,4 @@ class CampaignResult:
 
     def as_rows(self) -> List[dict]:
         """Plain-dict rows for printing benchmark tables."""
-        return [
-            {
-                "range_m": p.range_m,
-                "incidence_deg": p.incidence_deg,
-                "trials": p.trials,
-                "ber": p.ber,
-                "frame_success_rate": p.frame_success_rate,
-                "detection_rate": p.detection_rate,
-                "mean_snr_db": p.mean_snr_db,
-            }
-            for p in self.points
-        ]
+        return [asdict(p) for p in self.points]

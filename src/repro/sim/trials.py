@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.obs.manifest import config_snapshot
 from repro.obs.metrics import counter
 from repro.obs.probes import probe_invariant, probe_mode
 from repro.obs.spans import span
@@ -90,6 +91,13 @@ class TrialCampaign:
     node_factory: Callable[[], VanAttaNode] = VanAttaNode
     si_suppression_db: Optional[float] = 130.0
     receiver_factory: Optional[Callable[[Scenario], "object"]] = None
+
+    def snapshot(self) -> dict:
+        """Every field, as a run manifest (and so its run key) records
+        them; factories are named, not called. ``TypeError`` when a
+        field has no canonical form (:func:`repro.obs.manifest._jsonify`).
+        """
+        return config_snapshot(self)
 
     def trial_seeds(self, point_index: int) -> List[np.random.SeedSequence]:
         """The spawned per-trial seed sequences for one operating point.

@@ -60,6 +60,32 @@ class TestSweep:
         assert parallel_out == serial_out
 
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--points", "1"], "--points"),
+            (["--start", "0"], "--stop"),
+            (["--start", "120", "--stop", "120"], "--stop"),
+            (["--start", "200", "--stop", "120"], "--stop"),
+        ],
+    )
+    def test_bad_ranges_are_usage_errors(self, capsys, flags, named):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--trials", "2"] + flags)
+        assert exited.value.code == 2
+        assert f"argument {named}:" in capsys.readouterr().err
+
+    def test_a_plain_sweep_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("VAB_LEDGER_DIR", str(tmp_path / "ledger"))
+        assert main([
+            "sweep", "--start", "40", "--stop", "120",
+            "--points", "2", "--trials", "2", "--no-progress",
+        ]) == 0
+        assert "max range at BER<=1e-3" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestObsReport:
     def test_sweep_manifest_then_report(self, capsys, tmp_path):
         manifest = tmp_path / "run.manifest.json"

@@ -6,7 +6,9 @@ event logs (round-trip through disk), the report renderer, and the
 LinkStats zero-denominator contract.
 """
 
+import dataclasses
 import json
+import math
 import time
 
 import pytest
@@ -39,7 +41,8 @@ from repro.sim.export import (
     manifest_to_dict,
     save_manifest,
 )
-from repro.sim.parallel import run_observed_campaign
+from repro.sim.parallel import run_campaign_parallel, run_observed_campaign
+from repro.sim.results import BERPoint
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign
 
@@ -251,6 +254,17 @@ class TestManifestRoundTrip:
         with pytest.raises(ValueError):
             manifest_from_dict(record)
 
+    def test_schema_one_loads_and_an_unknown_schema_is_refused(
+        self, observed_run
+    ):
+        _, _, manifest = observed_run
+        record = manifest_to_dict(manifest)
+        record["schema"] = 1
+        assert manifest_from_dict(record) == manifest
+        record["schema"] = 3
+        with pytest.raises(ValueError, match="schema 3"):
+            manifest_from_dict(record)
+
     def test_event_log_sequence(self, observed_run):
         tmp, _, manifest = observed_run
         events = read_events(tmp / "run.events.jsonl")
@@ -316,6 +330,29 @@ class TestManifestRoundTrip:
         json.dumps(snapshot)
         assert snapshot["range_m"] > 0
         assert snapshot["fs"] > 0
+
+
+class TestPointEvents:
+    def test_point_end_carries_every_point_field(self, tmp_path):
+        # 3 km: no trial detects, so mean_snr_db is -inf.
+        scenarios = sweep_range(Scenario.river(), [50.0, 3000.0])
+        events_path = tmp_path / "run.events.jsonl"
+        with EventLog(events_path) as events:
+            result = run_campaign_parallel(
+                scenarios, TrialCampaign(trials_per_point=2, seed=3),
+                workers=1, events=events,
+            )
+        assert result.points[1].mean_snr_db == -math.inf
+        ends = [
+            e for e in read_events(events_path) if e["event"] == "point_end"
+        ]
+        assert len(ends) == 2
+        for event, point in zip(ends, result.points):
+            for f in dataclasses.fields(BERPoint):
+                value = getattr(point, f.name)
+                expected = value if math.isfinite(value) else None
+                assert event[f.name] == expected, f.name
+        assert ends[1]["mean_snr_db"] is None
 
 
 class TestEventLogDurability:

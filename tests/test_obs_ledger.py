@@ -1,6 +1,9 @@
 """Tests for the content-addressed run ledger (repro.obs.ledger)."""
 
 import ast
+import dataclasses
+import enum
+import functools
 import importlib
 import json
 import multiprocessing
@@ -10,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -22,12 +26,17 @@ from repro.obs.ledger import (
     run_id,
     run_key,
 )
-from repro.obs.manifest import RunManifest
+from repro.obs.manifest import RunManifest, config_snapshot, scenario_snapshot
 from repro.phy.frame import FrameConfig
+from repro.phy.receiver import ReaderReceiver
 from repro.sim.parallel import run_observed_campaign
 from repro.sim.scenario import Scenario
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign
+from repro.vanatta.array import VanAttaArray
+from repro.vanatta.node import VanAttaNode
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_manifest(label="a", seed=7, ber=0.1, range_m=50.0, elapsed=1.0,
@@ -318,11 +327,16 @@ def engine_version_constants():
     return found
 
 
-def observed_key(campaign):
+def observed_key(campaign, scenarios=None):
     _, manifest = run_observed_campaign(
-        [Scenario.river()], campaign, workers=1, progress=False
+        [Scenario.river()] if scenarios is None else scenarios,
+        campaign, workers=1, progress=False,
     )
     return run_key(manifest)
+
+
+def rake_receiver(scenario):
+    return ReaderReceiver.for_scenario(scenario, rake_taps=2)
 
 
 class TestRunIdentity:
@@ -334,6 +348,21 @@ class TestRunIdentity:
             trials_per_point=4, frame_config=FrameConfig(preamble_repeats=4)
         )
         assert observed_key(plain) != observed_key(longer)
+
+    def test_node_and_receiver_factories_change_the_key(self):
+        scenarios = sweep_range(Scenario.river(), [450.0, 600.0])
+        campaigns = [
+            TrialCampaign(trials_per_point=4),
+            TrialCampaign(
+                trials_per_point=4,
+                node_factory=functools.partial(
+                    VanAttaNode, array=VanAttaArray.uniform(8)
+                ),
+            ),
+            TrialCampaign(trials_per_point=4, receiver_factory=rake_receiver),
+        ]
+        keys = {observed_key(c, scenarios) for c in campaigns}
+        assert len(keys) == 3
 
     def test_a_lint_engine_version_bump_keeps_the_key(self, monkeypatch):
         from repro.analysis import engines
@@ -379,3 +408,238 @@ class TestRunIdentity:
         assert json.loads(proc.stdout.splitlines()[-1]) == []
         for store in ("api", "cli"):
             assert len(Ledger(tmp_path / store).entries()) == 1, store
+
+
+def config_manifest(scenario, campaign):
+    """The manifest a run of ``campaign`` at ``scenario`` would file,
+    built without running a trial (the observations left empty)."""
+    return RunManifest(
+        label="config",
+        seed=campaign.seed,
+        version=repro.__version__,
+        created_unix=0.0,
+        elapsed_s=0.0,
+        workers=1,
+        campaign=campaign.snapshot(),
+        scenarios=[scenario_snapshot(scenario)],
+        engine_versions={"phy.batch": 1},
+    )
+
+
+def bumped(leaf):
+    """``leaf`` changed, for a scalar leaf; None for anything else."""
+    if isinstance(leaf, enum.Enum):
+        members = list(type(leaf))
+        return members[(members.index(leaf) + 1) % len(members)]
+    if isinstance(leaf, bool):
+        return not leaf
+    if isinstance(leaf, int):
+        return leaf + 1
+    if isinstance(leaf, float):
+        return leaf / 2 if leaf else 0.5  # stays inside (0, 1) bounds
+    if isinstance(leaf, str):
+        return leaf + "~"
+    return None
+
+
+def perturbations(value, path="$"):
+    """``(path, build)`` for every scalar leaf under ``value``.
+
+    ``build()`` returns a copy of ``value`` with that one leaf changed,
+    rebuilt through the dataclass constructors, so it raises wherever a
+    constructor rejects the new value. Descends into dataclasses,
+    tuples, numpy arrays and ``functools.partial`` keywords.
+    """
+    new = bumped(value)
+    if new is not None:
+        yield path, lambda: new
+    elif isinstance(value, np.ndarray):
+        for i in range(value.size):
+            def build_array(i=i):
+                copy = value.copy()
+                copy.flat[i] = bumped(copy.flat[i].item())
+                return copy
+            yield f"{path}[{i}]", build_array
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            for sub, build in perturbations(item, f"{path}[{i}]"):
+                yield sub, lambda i=i, build=build: (
+                    value[:i] + (build(),) + value[i + 1:]
+                )
+    elif isinstance(value, functools.partial):
+        for name, item in value.keywords.items():
+            for sub, build in perturbations(item, f"{path}.{name}"):
+                yield sub, lambda name=name, build=build: functools.partial(
+                    value.func, *value.args,
+                    **{**value.keywords, name: build()},
+                )
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            for sub, build in perturbations(
+                getattr(value, f.name), f"{path}.{f.name}"
+            ):
+                yield sub, lambda f=f, build=build: dataclasses.replace(
+                    value, **{f.name: build()}
+                )
+
+
+def node_fields():
+    node = VanAttaNode()
+    return {
+        f.name: getattr(node, f.name)
+        for f in dataclasses.fields(VanAttaNode)
+    }
+
+
+class TestKeyCoverage:
+    """Every scalar input of a run reaches its key, checked without
+    running a trial: the key is built from ``TrialCampaign.snapshot``
+    and ``scenario_snapshot``."""
+
+    SCENARIO = Scenario.river()
+    CAMPAIGN = TrialCampaign(
+        trials_per_point=4,
+        node_factory=functools.partial(VanAttaNode, **node_fields()),
+    )
+
+    def check_every_leaf(self, root, manifest_of):
+        base = manifest_of(root)
+        key = run_key(base)
+        changed, rejected = [], []
+        for path, build in perturbations(root):
+            try:
+                perturbed = build()
+            except ValueError:
+                rejected.append(path)
+                continue
+            other = manifest_of(perturbed)
+            assert run_key(other) != key, path
+            diff = diff_manifests(base, other)
+            assert diff["config"] or diff["scenarios"], path
+            changed.append(path)
+        return changed, rejected
+
+    def test_every_scenario_leaf_changes_the_key(self):
+        changed, rejected = self.check_every_leaf(
+            self.SCENARIO, lambda sc: config_manifest(sc, self.CAMPAIGN)
+        )
+        assert rejected == []
+        assert "$.water.depth_m" in changed and "$.name" in changed
+        assert len(changed) == 27
+
+    def test_every_campaign_frame_and_node_leaf_changes_the_key(self):
+        changed, rejected = self.check_every_leaf(
+            self.CAMPAIGN, lambda c: config_manifest(self.SCENARIO, c)
+        )
+        # VanAttaArray refuses pairs that repeat or leave out an element.
+        assert rejected == [
+            f"$.node_factory.array.pairs[{p}][{e}]"
+            for p in (0, 1) for e in (0, 1)
+        ]
+        for leaf in (
+            "$.seed", "$.payload_bytes", "$.si_suppression_db",
+            "$.frame_config.line_code", "$.frame_config.scramble",
+            "$.node_factory.array.positions_m[3]",
+            "$.node_factory.array.pairing",
+            "$.node_factory.switch.off_isolation_db",
+            "$.node_factory.node_id",
+        ):
+            assert leaf in changed, leaf
+        assert len(changed) == 53
+
+
+def module_level_receiver(scenario):
+    return ReaderReceiver.for_scenario(scenario)
+
+
+class CallCounter:
+    """A callable factory the walk has no canonical form for."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, scenario):
+        self.calls += 1
+        return ReaderReceiver.for_scenario(scenario)
+
+
+def import_e16():
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    try:
+        import bench_e16_equalizer
+    finally:
+        sys.path.pop(0)
+    return bench_e16_equalizer
+
+
+class TestFactoryIdentity:
+    def test_classes_and_module_functions_record_their_names(self):
+        record = TrialCampaign(
+            receiver_factory=module_level_receiver
+        ).snapshot()
+        assert record["node_factory"] == "repro.vanatta.node.VanAttaNode"
+        assert record["receiver_factory"] == (
+            f"{__name__}.module_level_receiver"
+        )
+
+    def test_a_partial_records_its_function_and_walked_arguments(self):
+        array = VanAttaArray.uniform(8)
+        record = TrialCampaign(
+            node_factory=functools.partial(VanAttaNode, array=array)
+        ).snapshot()
+        assert record["node_factory"] == {
+            "function": "repro.vanatta.node.VanAttaNode",
+            "args": [],
+            "keywords": {"array": config_snapshot(array)},
+        }
+        assert record["node_factory"]["keywords"]["array"]["pairing"] == (
+            "cross_polarity"
+        )
+
+    def test_closures_record_name_line_closure_and_defaults(self):
+        e16 = import_e16()
+        plain, equalised = (
+            TrialCampaign(receiver_factory=f).snapshot()["receiver_factory"]
+            for f in (e16.make_receiver(0), e16.make_receiver(24))
+        )
+        assert plain["function"] == (
+            "bench_e16_equalizer.make_receiver.<locals>.factory"
+        )
+        assert plain["line"] == equalised["line"] > 0
+        assert plain["closure"] == {"equalizer_taps": 0, "timing_search": 0}
+        assert equalised["closure"]["equalizer_taps"] == 24
+        scenario = Scenario.river()
+        assert run_key(config_manifest(
+            scenario, TrialCampaign(receiver_factory=e16.make_receiver(0))
+        )) != run_key(config_manifest(
+            scenario, TrialCampaign(receiver_factory=e16.make_receiver(24))
+        ))
+
+        def with_default(scenario, taps=3):
+            return taps
+        assert TrialCampaign(
+            receiver_factory=with_default
+        ).snapshot()["receiver_factory"]["defaults"] == [3]
+
+    def test_no_factory_is_called_to_build_the_key(self):
+        def refuses(*_):
+            raise AssertionError("a factory ran to build the key")
+        record = TrialCampaign(
+            node_factory=refuses, receiver_factory=lambda sc: refuses()
+        ).snapshot()
+        assert record["node_factory"]["function"].endswith("refuses")
+
+    def test_a_factory_without_a_canonical_form_fails_before_any_trial(
+        self, tmp_path
+    ):
+        factory = CallCounter()
+        campaign = TrialCampaign(trials_per_point=2, receiver_factory=factory)
+        with pytest.raises(TypeError, match="CallCounter"):
+            run_observed_campaign(
+                [Scenario.river()], campaign, workers=1, progress=False,
+                events_path=tmp_path / "run.events.jsonl",
+                manifest_path=tmp_path / "run.manifest.json",
+                ledger=tmp_path / "ledger",
+            )
+        assert factory.calls == 0
+        assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 """Tests for confidence intervals and result export."""
 
+import json
 import math
 
 import pytest
@@ -128,6 +129,18 @@ class TestExport:
         assert "Infinity" not in text  # valid strict JSON
         rebuilt = load_campaign(path)
         assert rebuilt.points[1].mean_snr_db == -math.inf
+
+    def test_record_format_is_pinned(self):
+        # Recorded before the records came from dataclasses.fields: the
+        # results part of run ids must not move.
+        c = CampaignResult(label="fixed")
+        c.add(BERPoint(450.0, 30.0, 4, 0.387, 0.25, 0.5, -math.inf))
+        assert json.dumps(campaign_to_dict(c)) == (
+            '{"schema": 1, "label": "fixed", "points": [{"range_m": 450.0, '
+            '"incidence_deg": 30.0, "trials": 4, "ber": 0.387, '
+            '"frame_success_rate": 0.25, "detection_rate": 0.5, '
+            '"mean_snr_db": null}]}'
+        )
 
     def test_schema_guard(self):
         data = campaign_to_dict(sample_campaign())

@@ -17,6 +17,7 @@ import pytest
 from repro.acoustics.noise import NoiseConditions, total_noise_psd_db
 from repro.core import Scenario
 from repro.dsp import noisegen
+from repro.dsp.rowblocks import _budget_scope
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.obs.ledger import Ledger, diff_manifests
 from repro.obs.manifest import EventLog, read_events
@@ -256,15 +257,28 @@ class TestParallelDeterminism:
     def test_obs_diff_pairs_a_serial_and_a_pool_run(self):
         scenarios = sweep_range(Scenario.river(), RANGES)
         campaign = TrialCampaign(trials_per_point=4, seed=31)
-        _, serial = run_observed_campaign(
-            scenarios, campaign, workers=1, progress=False
-        )
+        with _budget_scope(1):
+            _, serial = run_observed_campaign(
+                scenarios, campaign, workers=1, progress=False
+            )
         _, pooled = run_observed_campaign(
             scenarios, campaign, workers=2, progress=False
         )
-        diff = diff_manifests(serial, pooled)
-        assert diff["same_key"]
-        assert diff["config"] == diff["scenarios"] == diff["metrics"] == []
+        # Relabelled, with twice the row-block budget: still one key.
+        with _budget_scope(2):
+            _, relabelled = run_observed_campaign(
+                scenarios, campaign, label="other", workers=1,
+                progress=False,
+            )
+        gauges = [
+            m.metrics["gauges"]["repro.sim.parallel.row_threads"]
+            for m in (serial, relabelled)
+        ]
+        assert gauges == [1, 2]
+        for other in (pooled, relabelled):
+            diff = diff_manifests(serial, other)
+            assert diff["same_key"]
+            assert diff["config"] == diff["scenarios"] == diff["metrics"] == []
         assert set(pooled.timings) == set(serial.timings)
         assert "point/batch/demod" in serial.timings
 

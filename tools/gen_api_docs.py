@@ -92,9 +92,14 @@ parallel runner:
   schema-checked round trip) plus a JSONL `EventLog`
   (`campaign_start` / `chunk_done` / `point_end` / `campaign_end`; a
   point that raises logs `point_failed` and no manifest is written).
-  The manifest's `campaign` record carries the framing
-  (`frame_config`) and its `engine_versions` the numeric engines
-  (`phy.batch`, `vanatta.fastfield`); both enter the ledger's run key.
+  The manifest's `campaign` record is `TrialCampaign.snapshot()`,
+  every campaign field with factories recorded by name (closure values
+  and arguments too, for lambdas, nested functions and partials), and
+  its `engine_versions` the numeric engines (`phy.batch`,
+  `vanatta.fastfield`); both enter the ledger's run key. One canonical
+  walk builds the manifest, the event lines and the key, and raises
+  `TypeError` on a value it has no form for. Manifest schema 2; schema
+  1 still loads.
 
 Render a recorded run with the CLI::
 
