@@ -12,8 +12,9 @@ dimensional-analysis engine (``VAB006``..``VAB010``; see
 arithmetic, and call boundaries, a shape/dtype dataflow engine
 (``VAB011``..``VAB016``; see :mod:`repro.analysis.shapes`) that tracks
 symbolic ndarray shapes, dtypes, and determinism taints through the
-batched kernels, and an effect/purity engine (``VAB017``..``VAB022``;
-see :mod:`repro.analysis.effects`). The three engines are rows of one
+batched kernels, and an effect/purity engine (``VAB017``..``VAB018``;
+see :mod:`repro.analysis.effects`) that keeps hidden inputs and side
+effects out of memoized and content-addressed computations. The three engines are rows of one
 table (:mod:`repro.analysis.engines`) run by one incremental driver
 (:mod:`repro.analysis.incremental`); the annotations they read come
 from the dependency-free :mod:`repro.contracts`, so runtime code —
@@ -27,10 +28,11 @@ Run it via ``python tools/vablint.py src/repro`` or the API::
     report = lint_paths(["src/repro"])
     assert report.clean, report.findings
 
-Suppress a deliberate violation inline with
-``# vablint: disable=VAB001`` (see :mod:`repro.analysis.suppressions`),
-and add rules by subclassing :class:`~repro.analysis.registry.Rule`
-under the :func:`~repro.analysis.registry.register` decorator.
+Every rule runs on every file: there is no inline suppression and no
+rule filter, so a finding is fixed in the code (or, for the effects
+engine, answered by a declared ``Effectful[...]`` grant). Add rules by
+subclassing :class:`~repro.analysis.registry.Rule` under the
+:func:`~repro.analysis.registry.register` decorator.
 """
 
 from repro.analysis.findings import Finding
@@ -45,7 +47,6 @@ from repro.analysis.linter import (
 )
 from repro.analysis.registry import FileContext, Rule, make_rules, register, rule_catalogue
 from repro.analysis.reporters import render_catalogue, render_json, render_text
-from repro.analysis.suppressions import SuppressionIndex
 
 __all__ = [
     "Finding",
@@ -58,7 +59,6 @@ __all__ = [
     "rule_catalogue",
     "make_rules",
     "FileContext",
-    "SuppressionIndex",
     "render_text",
     "render_json",
     "render_catalogue",

@@ -1,11 +1,12 @@
-"""Effect/purity analysis for the VAB tree (VAB017–VAB022).
+"""Effect/purity analysis for the VAB tree (VAB017–VAB018).
 
 Where :mod:`repro.analysis.units` tracks physical units and
 :mod:`repro.analysis.shapes` tracks ndarray shapes/dtypes, this
 subpackage tracks **effects**: which functions read ambient state
 (environ, wall-clock, filesystem, host configuration, mutable module
-globals, process-global RNG streams), which mutate state, and which
-callables cross the ProcessPool process boundary.  Contracts are
+globals, process-global RNG streams) and which mutate state, so that
+none of it reaches a memoized or content-addressed computation.
+Contracts are
 declared with the ``Pure[T]`` / ``Effectful[T, atoms...]`` vocabulary
 of :mod:`repro.contracts`, known stdlib/numpy/repro signatures live in
 a curated database (:mod:`~repro.analysis.effects.sigdb`), and a
@@ -24,8 +25,7 @@ Entry points::
 
 ``analyze_effects(files, cache_path=...)`` is incremental with the same
 sha-keyed, call-graph-aware invalidation contract as ``analyze_units``.
-The rules run under the same ``--units`` CLI flag as VAB006..VAB016 —
-no new CLI surface.
+The rules run under the same ``--units`` CLI flag as VAB006..VAB016.
 """
 
 from pathlib import Path

@@ -1,4 +1,4 @@
-"""Flow-sensitive, interprocedural effect/purity analysis (VAB017–VAB022).
+"""Flow-sensitive, interprocedural effect/purity analysis (VAB017–VAB018).
 
 The engine mirrors the three-layer architecture of the units and shapes
 engines, reusing their symbol tables
@@ -13,9 +13,8 @@ engines, reusing their symbol tables
 2. **Flow analysis** — each body is walked once: calls are matched
    against the curated effect signature database
    (:mod:`repro.analysis.effects.sigdb`) and against callee summaries;
-   module-global and argument mutations are detected syntactically;
-   process-pool objects, nested callables and host-tainted values are
-   tracked through a name environment.
+   module-global and argument mutations are detected syntactically
+   against the set of names bound locally.
 3. **Fixed point** — each function's *propagatable* effect set feeds
    back into the summary table and analysis repeats until stable, so an
    un-annotated caller inherits the effects of everything it calls.
@@ -33,16 +32,6 @@ The rules:
 * **VAB018** ``cache-hit-divergence`` — a side effect (global/argument
   mutation, file write) escapes a memoized function: it happens on the
   computing call and never again on a cache hit.
-* **VAB019** ``worker-rng-indiscipline`` — a callable dispatched across
-  the process boundary draws from an ambient RNG stream instead of a
-  passed ``SeedSequence``-derived generator.
-* **VAB020** ``unpicklable-submit`` — a lambda or closure-capturing
-  nested function crosses the ProcessPool submit path (it cannot
-  pickle, or silently re-binds its closure in the worker).
-* **VAB022** ``host-dependent-result`` — a host-configuration read
-  (``os.cpu_count()``, TTY/CI detection, locale) flowing into a return
-  value without a declared ``reads:host`` grant: results must not
-  depend on where they were computed, only scheduling may.
 """
 
 from __future__ import annotations
@@ -80,9 +69,6 @@ path-ordered passes, so the bound leaves 2x headroom."""
 
 RULE_CACHE_INPUT = "VAB017"
 RULE_CACHE_DIVERGENCE = "VAB018"
-RULE_WORKER_RNG = "VAB019"
-RULE_UNPICKLABLE = "VAB020"
-RULE_HOST_RESULT = "VAB022"
 
 
 @dataclass(frozen=True)
@@ -125,20 +111,6 @@ class EffectSummary:
         if self.effects == effects:
             return self
         return replace(self, effects=effects)
-
-
-@dataclass(frozen=True)
-class EffectVal:
-    """What the flow knows about one bound value."""
-
-    kind: str = "value"  # "value" | "pool" | "nested"
-    host: bool = False  # carries a host/environment-derived payload
-
-
-_PLAIN = EffectVal()
-_HOST = EffectVal(host=True)
-_POOL = EffectVal(kind="pool")
-_NESTED = EffectVal(kind="nested")
 
 
 @dataclass(frozen=True)
@@ -285,7 +257,7 @@ def _root_name(node: ast.AST) -> Optional[str]:
 
 
 class _EffectFlow(FlowBase):
-    """Walks one function body, collecting effect hits and rule findings."""
+    """Walks one function body, collecting effect hits."""
 
     fn: FunctionInfo
 
@@ -301,21 +273,19 @@ class _EffectFlow(FlowBase):
         super().__init__(info, analysis, summaries, methods, fn)
         self.mutable_globals = mutable_globals
         self.summary = summaries.get(fn.qualname)
-        self.declared: Optional[Tuple[str, ...]] = (
-            self.summary.declared if self.summary is not None else None
-        )
         self.hits: List[EffectHit] = []
-        self.env: Dict[str, EffectVal] = {}
         self.declared_globals: Set[str] = set()
-        self.params: Set[str] = set()
         args = fn.node.args  # type: ignore[attr-defined]
-        for arg in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        ):
-            self.params.add(arg.arg)
-            self.env[arg.arg] = _PLAIN
+        self.params: Set[str] = {
+            arg.arg
+            for arg in (
+                list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
+                + ([args.vararg] if args.vararg else [])
+                + ([args.kwarg] if args.kwarg else [])
+            )
+        }
+        self.bound: Set[str] = set(self.params)
+        """Names bound in the body so far: these shadow module globals."""
 
     def _hit(self, node: ast.AST, atom: str, origin: str) -> None:
         self.hits.append(EffectHit(
@@ -327,9 +297,8 @@ class _EffectFlow(FlowBase):
 
     def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # A nested def is a closure-capturing callable, not a new
-            # scope to analyze: remember the name for VAB020.
-            self.env[stmt.name] = _NESTED
+            # A nested def binds a local name; its body is not walked.
+            self.bound.add(stmt.name)
             return
         if isinstance(stmt, ast.ClassDef):
             return
@@ -337,40 +306,34 @@ class _EffectFlow(FlowBase):
             self.declared_globals.update(stmt.names)
             return
         if isinstance(stmt, ast.Assign):
-            val = self._infer(stmt.value)
+            self._visit(stmt.value)
             for target in stmt.targets:
-                self._bind(target, val, stmt)
+                self._bind(target, stmt)
         elif isinstance(stmt, ast.AnnAssign):
-            val = self._infer(stmt.value) if stmt.value is not None else _PLAIN
-            self._bind(stmt.target, val, stmt)
+            self._visit(stmt.value)
+            self._bind(stmt.target, stmt)
         elif isinstance(stmt, ast.AugAssign):
-            val = self._infer(stmt.value)
+            self._visit(stmt.value)
             self._check_store(stmt.target, stmt)
             if isinstance(stmt.target, ast.Name):
-                name = stmt.target.id
-                current = self.env.get(name, _PLAIN)
                 self._read_name(stmt.target)
-                self.env[name] = EffectVal(host=current.host or val.host)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                val = self._infer(stmt.value)
-                self._check_host_return(stmt, val)
-        elif isinstance(stmt, ast.Expr):
-            self._infer(stmt.value)
+                self.bound.add(stmt.target.id)
+        elif isinstance(stmt, (ast.Return, ast.Expr)):
+            self._visit(stmt.value)
         elif isinstance(stmt, (ast.If, ast.While)):
-            self._infer(stmt.test)
+            self._visit(stmt.test)
             self.run(stmt.body)
             self.run(stmt.orelse)
         elif isinstance(stmt, ast.For):
-            iter_val = self._infer(stmt.iter)
-            self._bind(stmt.target, EffectVal(host=iter_val.host), stmt)
+            self._visit(stmt.iter)
+            self._bind(stmt.target, stmt)
             self.run(stmt.body)
             self.run(stmt.orelse)
         elif isinstance(stmt, ast.With):
             for item in stmt.items:
-                val = self._infer(item.context_expr)
+                self._visit(item.context_expr)
                 if item.optional_vars is not None:
-                    self._bind(item.optional_vars, val, stmt)
+                    self._bind(item.optional_vars, stmt)
             self.run(stmt.body)
         elif isinstance(stmt, ast.Try):
             self.run(stmt.body)
@@ -384,198 +347,140 @@ class _EffectFlow(FlowBase):
         elif isinstance(stmt, (ast.Raise, ast.Assert)):
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
-                    self._infer(child)
+                    self._visit(child)
 
-    def _bind(self, target: ast.expr, val: EffectVal, stmt: ast.stmt) -> None:
+    def _bind(self, target: ast.expr, stmt: ast.stmt) -> None:
         if isinstance(target, ast.Name):
             if target.id in self.declared_globals:
                 self._hit(
                     stmt, MUTATES_GLOBAL_ATOM,
                     f"{self.info.module}.{target.id}",
                 )
-            self.env[target.id] = val
+            self.bound.add(target.id)
         elif isinstance(target, (ast.Attribute, ast.Subscript)):
             self._check_store(target, stmt)
             if isinstance(target, ast.Subscript):
-                self._infer(target.slice) if isinstance(
-                    target.slice, ast.expr
-                ) else None
+                self._visit(target.slice)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._bind(elt, EffectVal(host=val.host), stmt)
+                self._bind(elt, stmt)
         elif isinstance(target, ast.Starred):
-            self._bind(target.value, _PLAIN, stmt)
+            self._bind(target.value, stmt)
 
     def _check_store(self, target: ast.expr, stmt: ast.stmt) -> None:
         """A store through a Subscript/Attribute: who owns the base?"""
         if not isinstance(target, (ast.Attribute, ast.Subscript)):
             return
         root = _root_name(target)
-        if root is None:
+        if root is None or root in ("self", "cls"):
             return
-        if root in ("self", "cls"):
-            return
-        if root in self.params and root in self.env:
+        if root in self.params:
             self._hit(stmt, MUTATES_ARG_ATOM, root)
-        elif root in self.mutable_globals or (
-            root not in self.env and root in self._module_names()
-        ):
+        elif root in self.mutable_globals:
             self._hit(stmt, MUTATES_GLOBAL_ATOM, f"{self.info.module}.{root}")
 
-    def _module_names(self) -> Set[str]:
-        return self.mutable_globals
-
-    def _read_name(self, node: ast.Name) -> EffectVal:
+    def _read_name(self, node: ast.Name) -> None:
         name = node.id
         if name in self.declared_globals or (
-            name not in self.env and name in self.mutable_globals
+            name not in self.bound and name in self.mutable_globals
         ):
             self._hit(node, READS_GLOBAL_ATOM, f"{self.info.module}.{name}")
-        return self.env.get(name, _PLAIN)
 
-    def _check_host_return(self, stmt: ast.Return, val: EffectVal) -> None:
-        if not val.host:
+    # -- expressions --------------------------------------------------------
+
+    def _visit(self, node: Optional[ast.AST]) -> None:
+        """Record the effects of evaluating one expression."""
+        if node is None or isinstance(node, (ast.Constant, ast.Lambda)):
             return
-        declared = self.declared or ()
-        if READS_HOST_ATOM in declared:
-            return
-        if self.summary is not None and self.summary.memoized:
-            return  # VAB017 reports hidden inputs of memoized functions
-        self._emit(
-            stmt, RULE_HOST_RESULT,
-            f"host-dependent value flows into the return of "
-            f"{self.fn.name}(); stored results must not depend on the "
-            f"machine that computed them — pass the value in explicitly, "
-            f'or declare Effectful[..., "reads:host"] if this only tunes '
-            f"scheduling or display",
-        )
-
-    # -- expression inference ---------------------------------------------
-
-    def _infer(self, node: Optional[ast.expr]) -> EffectVal:
-        if node is None:
-            return _PLAIN
-        if isinstance(node, ast.Constant):
-            return _PLAIN
         if isinstance(node, ast.Name):
-            return self._read_name(node)
-        if isinstance(node, ast.Attribute):
-            return self._infer_attribute(node)
-        if isinstance(node, ast.Call):
-            return self._infer_call(node)
-        if isinstance(node, ast.Lambda):
-            return _NESTED
-        if isinstance(node, ast.BinOp):
-            left = self._infer(node.left)
-            right = self._infer(node.right)
-            return EffectVal(host=left.host or right.host)
-        if isinstance(node, ast.UnaryOp):
-            return self._infer(node.operand)
-        if isinstance(node, ast.BoolOp):
-            host = False
+            self._read_name(node)
+        elif isinstance(node, ast.Attribute):
+            self._visit_attribute(node)
+        elif isinstance(node, ast.Call):
+            self._visit_call(node)
+        elif isinstance(node, ast.BinOp):
+            self._visit(node.left)
+            self._visit(node.right)
+        elif isinstance(node, ast.BoolOp):
             for child in node.values:
-                host = self._infer(child).host or host
-            return EffectVal(host=host)
-        if isinstance(node, ast.IfExp):
-            self._infer(node.test)
-            a = self._infer(node.body)
-            b = self._infer(node.orelse)
-            return EffectVal(host=a.host or b.host)
-        if isinstance(node, ast.Compare):
-            self._infer(node.left)
+                self._visit(child)
+        elif isinstance(node, ast.IfExp):
+            self._visit(node.test)
+            self._visit(node.body)
+            self._visit(node.orelse)
+        elif isinstance(node, ast.Compare):
+            self._visit(node.left)
             for comp in node.comparators:
-                self._infer(comp)
-            return _PLAIN
-        if isinstance(node, ast.Subscript):
-            base = self._infer(node.value)
-            if isinstance(node.slice, ast.expr):
-                self._infer(node.slice)
-            return EffectVal(host=base.host)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            host = False
+                self._visit(comp)
+        elif isinstance(node, ast.Subscript):
+            self._visit(node.value)
+            self._visit(node.slice)
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
             for elt in node.elts:
-                host = self._infer(elt).host or host
-            return EffectVal(host=host)
-        if isinstance(node, ast.Dict):
-            host = False
+                self._visit(elt)
+        elif isinstance(node, ast.Dict):
             for key in node.keys:
-                if key is not None:
-                    host = self._infer(key).host or host
+                self._visit(key)
             for value in node.values:
-                host = self._infer(value).host or host
-            return EffectVal(host=host)
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                self._visit(value)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
             self._comprehension_generators(node.generators)
-            self._infer(node.elt)
-            return _PLAIN
-        if isinstance(node, ast.DictComp):
+            self._visit(node.elt)
+        elif isinstance(node, ast.DictComp):
             self._comprehension_generators(node.generators)
-            self._infer(node.key)
-            self._infer(node.value)
-            return _PLAIN
-        if isinstance(node, ast.NamedExpr):
-            val = self._infer(node.value)
+            self._visit(node.key)
+            self._visit(node.value)
+        elif isinstance(node, ast.NamedExpr):
+            self._visit(node.value)
             if isinstance(node.target, ast.Name):
-                self.env[node.target.id] = val
-            return val
-        if isinstance(node, ast.Starred):
-            return self._infer(node.value)
-        if isinstance(node, ast.JoinedStr):
+                self.bound.add(node.target.id)
+        elif isinstance(node, ast.UnaryOp):
+            self._visit(node.operand)
+        elif isinstance(node, (ast.Starred, ast.Await, ast.YieldFrom, ast.Yield)):
+            self._visit(node.value)
+        elif isinstance(node, ast.JoinedStr):
             for value in node.values:
                 if isinstance(value, ast.FormattedValue):
-                    self._infer(value.value)
-            return _PLAIN
-        if isinstance(node, (ast.Await, ast.YieldFrom)):
-            return self._infer(node.value)
-        if isinstance(node, ast.Yield):
-            return self._infer(node.value) if node.value else _PLAIN
-        if isinstance(node, ast.Slice):
+                    self._visit(value.value)
+        elif isinstance(node, ast.Slice):
             for bound in (node.lower, node.upper, node.step):
-                self._infer(bound)
-            return _PLAIN
-        return _PLAIN
+                self._visit(bound)
 
     def _comprehension_generators(
         self, generators: Sequence[ast.comprehension]
     ) -> None:
         for gen in generators:
-            iter_val = self._infer(gen.iter)
-            self._bind(gen.target, EffectVal(host=iter_val.host), ast.Pass())
+            self._visit(gen.iter)
+            self._bind(gen.target, ast.Pass())
             for cond in gen.ifs:
-                self._infer(cond)
+                self._visit(cond)
 
-    def _infer_attribute(self, node: ast.Attribute) -> EffectVal:
+    def _visit_attribute(self, node: ast.Attribute) -> None:
         resolved = self.info.resolve(node)
         if resolved is not None and any(
             resolved == e or resolved.startswith(e + ".")
             for e in sigdb.ENVIRON_ATTRS
         ):
             self._hit(node, READS_ENVIRON_ATOM, resolved)
-            return _HOST
-        base = self._infer(node.value)
-        return EffectVal(host=base.host)
+            return
+        self._visit(node.value)
 
     # -- calls ------------------------------------------------------------
 
-    def _infer_call(self, node: ast.Call) -> EffectVal:
+    def _visit_call(self, node: ast.Call) -> None:
         resolved = self.info.resolve(node.func)
-        if isinstance(node.func, ast.Attribute) and self._check_submit(
-            node, node.func
-        ):
-            # arguments were handled by the submit check
-            return _PLAIN
-        arg_vals = [self._infer(arg) for arg in node.args]
-        kw_vals = [self._infer(kw.value) for kw in node.keywords]
+        for arg in node.args:
+            self._visit(arg)
+        for kw in node.keywords:
+            self._visit(kw.value)
         if not isinstance(node.func, (ast.Name, ast.Attribute)):
-            self._infer(node.func)
+            self._visit(node.func)
 
-        if resolved is not None:
-            handled = self._known_call(node, resolved, arg_vals, kw_vals)
-            if handled is not None:
-                return handled
+        if resolved is not None and self._known_call(node, resolved):
+            return
 
         if isinstance(node.func, ast.Attribute):
-            self._infer(node.func.value)
+            self._visit(node.func.value)
             self._method_effects(node, node.func)
 
         summary = self._resolve_summary(node, resolved)
@@ -584,41 +489,26 @@ class _EffectFlow(FlowBase):
                 # Trust the contract: the declared grant *is* the call's
                 # effect set (the body is verified separately), so it
                 # propagates to callers like any inferred effect.
-                for atom in summary.declared:
-                    if atom == MUTATES_ARG_ATOM:
-                        continue
-                    self._hit(node, atom, summary.qualname)
-                return _HOST if READS_HOST_ATOM in summary.declared else _PLAIN
-            for atom, origin in summary.effects:
-                if atom == MUTATES_ARG_ATOM:
-                    continue  # argument mutation does not alias-propagate
-                self._hit(node, atom, origin)
-        return _PLAIN
+                hits = [(atom, summary.qualname) for atom in summary.declared]
+            else:
+                hits = list(summary.effects)
+            for atom, origin in hits:
+                if atom != MUTATES_ARG_ATOM:  # does not alias-propagate
+                    self._hit(node, atom, origin)
 
-    def _known_call(
-        self,
-        node: ast.Call,
-        resolved: str,
-        arg_vals: List[EffectVal],
-        kw_vals: List[EffectVal],
-    ) -> Optional[EffectVal]:
-        if resolved in sigdb.POOL_CONSTRUCTORS:
-            return _POOL
+    def _known_call(self, node: ast.Call, resolved: str) -> bool:
+        """Record a call from the curated signatures; False if unknown."""
         atom = sigdb.EFFECT_CALLS.get(resolved)
         if atom is not None:
             self._hit(node, atom, resolved)
-            host = atom in (READS_HOST_ATOM, READS_ENVIRON_ATOM)
-            return _HOST if host else _PLAIN
-        if any(
+        elif any(
             resolved == e or resolved.startswith(e + ".")
             for e in sigdb.ENVIRON_ATTRS
         ):
             self._hit(node, READS_ENVIRON_ATOM, resolved)
-            return _HOST
-        if resolved in sigdb.AMBIENT_RNG_CALLS:
+        elif resolved in sigdb.AMBIENT_RNG_CALLS:
             self._hit(node, RNG_AMBIENT_ATOM, resolved)
-            return _PLAIN
-        if resolved == "numpy.random.default_rng":
+        elif resolved == "numpy.random.default_rng":
             seeded = bool(node.args) and not (
                 len(node.args) == 1
                 and isinstance(node.args[0], ast.Constant)
@@ -627,12 +517,10 @@ class _EffectFlow(FlowBase):
             seeded = seeded or any(kw.arg == "seed" for kw in node.keywords)
             if not seeded:
                 self._hit(node, RNG_AMBIENT_ATOM, resolved)
-            return _PLAIN
-        if resolved in sigdb.FALLBACK_RNG_FUNCS:
+        elif resolved in sigdb.FALLBACK_RNG_FUNCS:
             if self.summary is None or not self.summary.has_rng_param:
                 self._hit(node, RNG_AMBIENT_ATOM, resolved)
-            return _PLAIN
-        if resolved == "open":
+        elif resolved == "open":
             mode = ""
             if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant):
                 mode = str(node.args[1].value)
@@ -645,11 +533,9 @@ class _EffectFlow(FlowBase):
                 WRITES_FILE_ATOM if writing else READS_FILE_ATOM,
                 "open",
             )
-            return _PLAIN
-        if resolved in sigdb.HOST_PASSTHROUGH_CALLS:
-            host = any(v.host for v in arg_vals) or any(v.host for v in kw_vals)
-            return _HOST if host else _PLAIN
-        return None
+        else:
+            return False
+        return True
 
     def _method_effects(self, node: ast.Call, func: ast.Attribute) -> None:
         attr = func.attr
@@ -658,7 +544,7 @@ class _EffectFlow(FlowBase):
             if root is not None and root not in ("self", "cls"):
                 if root in self.params:
                     self._hit(node, MUTATES_ARG_ATOM, root)
-                elif root not in self.env and root in self.mutable_globals:
+                elif root not in self.bound and root in self.mutable_globals:
                     self._hit(
                         node, MUTATES_GLOBAL_ATOM,
                         f"{self.info.module}.{root}",
@@ -669,62 +555,6 @@ class _EffectFlow(FlowBase):
             self._hit(node, WRITES_FILE_ATOM, f".{attr}()")
         elif attr == "isatty":
             self._hit(node, READS_HOST_ATOM, f".{attr}()")
-
-    def _check_submit(self, node: ast.Call, func: ast.Attribute) -> bool:
-        """VAB019/VAB020 at a ``pool.submit(f, ...)``-style call site.
-
-        Returns True when the call was recognised as a process-boundary
-        dispatch (the caller then skips generic argument inference).
-        """
-        if func.attr not in sigdb.SUBMIT_METHODS:
-            return False
-        base = self._infer(func.value)
-        if base.kind != "pool":
-            return False
-        for arg in node.args[1:]:
-            self._infer(arg)
-        for kw in node.keywords:
-            self._infer(kw.value)
-        if not node.args:
-            return True
-        target = node.args[0]
-        if isinstance(target, ast.Lambda):
-            self._emit(
-                node, RULE_UNPICKLABLE,
-                f"lambda passed to .{func.attr}() crosses the process "
-                f"boundary in {self.fn.name}(); lambdas do not pickle — "
-                "use a module-level function",
-            )
-            return True
-        if isinstance(target, ast.Name):
-            bound = self.env.get(target.id)
-            if bound is not None and bound.kind == "nested":
-                self._emit(
-                    node, RULE_UNPICKLABLE,
-                    f"nested function {target.id!r} passed to "
-                    f".{func.attr}() crosses the process boundary in "
-                    f"{self.fn.name}(); closures do not pickle — hoist it "
-                    "to module level and pass captured state as arguments",
-                )
-                return True
-        summary = self._resolve_summary(node, self.info.resolve(target))
-        if summary is not None:
-            if summary.declared is not None:
-                atoms = [(a, summary.qualname) for a in summary.declared]
-            else:
-                atoms = list(summary.effects)
-            for atom, origin in atoms:
-                if atom == RNG_AMBIENT_ATOM:
-                    callee = summary.qualname.rsplit(".", 1)[-1]
-                    self._emit(
-                        node, RULE_WORKER_RNG,
-                        f"{callee}() is dispatched to a worker process but "
-                        f"draws from an ambient RNG stream (via {origin}); "
-                        "thread a SeedSequence-derived generator through "
-                        "its parameters instead",
-                    )
-                    break
-        return True
 
 
 def _check_memoized(
@@ -772,38 +602,6 @@ def _check_memoized(
             ))
 
 
-def _check_worker_entry(
-    info: ModuleInfo,
-    analysis: ModuleAnalysis,
-    fn: FunctionInfo,
-    summary: Optional[EffectSummary],
-    hits: Sequence[EffectHit],
-) -> None:
-    """VAB019 for the curated worker-dispatch entry points."""
-    if fn.qualname not in sigdb.WORKER_ENTRY_FUNCS:
-        return
-    if summary is not None and summary.declared is not None:
-        return
-    seen: Set[Tuple[str, int]] = set()
-    for hit in hits:
-        if hit.atom != RNG_AMBIENT_ATOM:
-            continue
-        key = (hit.origin, hit.line)
-        if key in seen:
-            continue
-        seen.add(key)
-        analysis.findings.append(Finding(
-            path=str(info.path), line=hit.line, col=hit.col,
-            rule_id=RULE_WORKER_RNG,
-            message=(
-                f"{fn.name}() runs in worker processes but draws from an "
-                f"ambient RNG stream (via {hit.origin}); worker results "
-                "are only reproducible when every stream derives from "
-                "the campaign's SeedSequence spawn"
-            ),
-        ))
-
-
 def analyze_effect_module(
     info: ModuleInfo,
     summaries: Dict[str, EffectSummary],
@@ -818,7 +616,6 @@ def analyze_effect_module(
         flow.run(getattr(fn.node, "body", []))
         summary = summaries.get(fn.qualname)
         _check_memoized(info, analysis, fn, summary, flow.hits)
-        _check_worker_entry(info, analysis, fn, summary, flow.hits)
         propagatable = sorted({
             (hit.atom, hit.origin)
             for hit in flow.hits

@@ -4,8 +4,7 @@ Like the shapes engine's numpy tables, this is the stdlib/numpy/repro
 surface the engine understands *without* seeing a body: which calls
 read ambient state, which draw from process-global RNG streams, which
 method names mutate their receiver, and which repro functions sit on
-the memoization / worker-dispatch boundaries the VAB017–VAB022 rules
-police.  Everything else is inferred from bodies and propagated through
+the memoization boundary the VAB017/VAB018 rules police.  Everything else is inferred from bodies and propagated through
 the call graph.
 """
 
@@ -122,31 +121,3 @@ MEMO_DECORATORS: FrozenSet[str] = frozenset({
     "functools.cache",
 })
 """Decorators that memoize the wrapped function."""
-
-WORKER_ENTRY_FUNCS: FrozenSet[str] = frozenset({
-    "repro.sim.parallel._run_chunk",
-})
-"""Functions dispatched across the ProcessPool boundary by
-``repro.sim.parallel`` — checked by VAB019 even when the submit call is
-not syntactically visible."""
-
-POOL_CONSTRUCTORS: FrozenSet[str] = frozenset({
-    "concurrent.futures.ProcessPoolExecutor",
-    "concurrent.futures.process.ProcessPoolExecutor",
-    "multiprocessing.Pool",
-    "multiprocessing.pool.Pool",
-})
-"""Constructors whose result submits callables to *other processes*."""
-
-SUBMIT_METHODS: FrozenSet[str] = frozenset({
-    "submit", "map", "apply", "apply_async", "map_async", "imap",
-    "imap_unordered", "starmap",
-})
-"""Method names on a pool object that carry a callable across the
-process boundary (the callable is the first positional argument)."""
-
-HOST_PASSTHROUGH_CALLS: FrozenSet[str] = frozenset({
-    "min", "max", "abs", "round", "int", "float", "bool", "str",
-})
-"""Builtins that return a value derived from their arguments — host
-taint flows through them on the way to a ``return``."""

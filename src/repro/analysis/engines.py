@@ -1,7 +1,7 @@
 """The engine table: one record per interprocedural dataflow engine.
 
 ``vablint --units`` runs three engines over one call graph — units
-(VAB006..VAB010), shapes (VAB011..VAB016) and effects (VAB017..VAB022).
+(VAB006..VAB010), shapes (VAB011..VAB016) and effects (VAB017..VAB018).
 Each is described here once: its name (the report, stats and cache
 key), its version (bumping it invalidates that engine's cache entries),
 its rule table, and the callables the shared machinery drives
@@ -154,7 +154,7 @@ ENGINES: Tuple[Engine, ...] = (
     ),
     Engine(
         name="effects",
-        version="1.1.0",
+        version="1.2.0",
         rules={
             "VAB017": (
                 "hidden-cache-input",
@@ -169,26 +169,6 @@ ENGINES: Tuple[Engine, ...] = (
                 "a side effect (global/argument mutation, file write) escapes a "
                 "memoized function: it happens on the computing call and never "
                 "again on a cache hit, so warm and cold runs diverge",
-            ),
-            "VAB019": (
-                "worker-rng-indiscipline",
-                "a callable dispatched across the process boundary draws from "
-                "an ambient RNG stream instead of a SeedSequence-derived "
-                "generator threaded through its parameters — worker results "
-                "stop being reproducible",
-            ),
-            "VAB020": (
-                "unpicklable-submit",
-                "a lambda or closure-capturing nested function crosses the "
-                "ProcessPool submit path: it cannot pickle (or silently "
-                "re-binds its closure in the worker)",
-            ),
-            "VAB022": (
-                "host-dependent-result",
-                "a host-configuration read (os.cpu_count(), TTY/CI detection, "
-                "locale) flows into a returned value without a declared "
-                'Effectful[..., "reads:host"] grant — stored results must not '
-                "depend on the machine that computed them",
             ),
         },
         extract=extract_module,

@@ -26,8 +26,8 @@ A warm run:
    summaries of everything else,
 5. reuses cached findings verbatim for untouched files.
 
-Findings are stored suppression-filtered, so cache hits and cold runs
-produce byte-identical reports — the determinism tests lock this.
+Cache hits and cold runs produce byte-identical reports — the
+determinism tests lock this.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 
 from repro.analysis.dataflow import run_fixed_point
 from repro.analysis.findings import PARSE_ERROR_RULE, Finding
-from repro.analysis.suppressions import SuppressionIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.engines import Engine
@@ -54,7 +53,7 @@ class EngineReport:
     """Output of one (possibly incremental) engine run.
 
     Attributes:
-        findings: the engine's suppression-filtered findings, sorted.
+        findings: the engine's findings, sorted.
         errors: parse failures (VAB000).
         files: number of files covered (analyzed + reused).
         analyzed: files re-parsed and re-analyzed this run.
@@ -157,11 +156,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _filtered(findings: Sequence[Finding], source: str) -> List[Finding]:
-    index = SuppressionIndex.from_source(source)
-    return [f for f in findings if not index.is_suppressed(f.line, f.rule_id)]
-
-
 def _dependent_closure(
     dirty: Set[str],
     entries: Dict[str, CacheEntry],
@@ -258,7 +252,7 @@ def analyze_incremental(
     for key in ordered:
         if key in dirty:
             analysis = analyses.get(key)
-            fresh = _filtered(analysis.findings if analysis else [], sources[key])
+            fresh = list(analysis.findings) if analysis else []
             report.findings.extend(fresh)
             report.analyzed.append(key)
             entries[key] = CacheEntry(

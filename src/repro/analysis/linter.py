@@ -1,8 +1,8 @@
 """Lint orchestration: file discovery and rule execution.
 
-The flow is ``paths -> files -> FileContext -> rules -> findings``,
-with the suppression filter applied last so a ``# vablint: disable=``
-comment silences any rule. :func:`lint_paths` is the everything
+The flow is ``paths -> files -> FileContext -> rules -> findings``.
+Every registered rule runs on every discovered file; there is no
+per-line or per-rule opt-out. :func:`lint_paths` is the everything
 entry point behind ``tools/vablint.py``.
 """
 
@@ -16,8 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import PARSE_ERROR_RULE, Finding
-from repro.analysis.registry import FileContext, Rule, make_rules, rule_catalogue
-from repro.analysis.suppressions import SuppressionIndex
+from repro.analysis.registry import FileContext, make_rules
 
 # Importing the rules module populates the registry as a side effect.
 from repro.analysis import rules as _rules  # noqa: F401
@@ -30,8 +29,8 @@ EXIT_ERROR = 2
 """The CLI exit-code contract: clean / rule findings / unusable input."""
 
 DEFAULT_EXCLUDES: Tuple[str, ...] = ("tests/lint_fixtures/**",)
-"""Glob patterns dropped from discovery unless the caller overrides
-``exclude``: the lint fixtures are *deliberately* dirty."""
+"""Glob patterns dropped from directory discovery: the lint fixtures
+are *deliberately* dirty."""
 
 
 @dataclass
@@ -39,7 +38,7 @@ class LintReport:
     """Everything one lint run produced.
 
     Attributes:
-        findings: rule findings after suppression, sorted by location.
+        findings: rule findings, sorted by location.
         errors: parse failures (``VAB000``) — these mean the run could
             not fully evaluate the tree.
         files: number of Python files inspected.
@@ -92,8 +91,8 @@ class LintReport:
         return dict(sorted(counts.items()))
 
 
-def _excluded(path: Path, patterns: Sequence[str]) -> bool:
-    """True when ``path`` matches any exclude glob.
+def _excluded(path: Path) -> bool:
+    """True when ``path`` matches any :data:`DEFAULT_EXCLUDES` glob.
 
     Patterns are matched against the posix form of the path both as
     given and anchored at any directory boundary, so
@@ -101,32 +100,26 @@ def _excluded(path: Path, patterns: Sequence[str]) -> bool:
     lint was invoked from the repo root or with absolute paths.
     """
     posix = path.as_posix()
-    for pattern in patterns:
+    for pattern in DEFAULT_EXCLUDES:
         if fnmatch(posix, pattern) or fnmatch(posix, f"*/{pattern}"):
             return True
     return False
 
 
-def discover_files(
-    paths: Sequence[PathLike],
-    exclude: Optional[Sequence[str]] = None,
-) -> List[Path]:
+def discover_files(paths: Sequence[PathLike]) -> List[Path]:
     """Expand files/directories into a sorted list of ``.py`` files.
 
     Args:
         paths: files and/or directories. Directories recurse, skipping
-            any entry below them whose name starts with ``.``; dots in
-            the named directory's own path (``..``, ``~/.cache``) count
-            for nothing.
-        exclude: glob patterns to drop (see :func:`_excluded`); defaults
-            to :data:`DEFAULT_EXCLUDES`. Pass ``[]`` to exclude nothing.
-            Explicitly named files are never excluded — only files found
-            by directory recursion.
+            any entry below them whose name starts with ``.`` (dots in
+            the named directory's own path, ``..`` or ``~/.cache``,
+            count for nothing) and any file matching
+            :data:`DEFAULT_EXCLUDES`. Explicitly named files are never
+            excluded — only files found by directory recursion.
 
     Raises:
         FileNotFoundError: when a named path does not exist.
     """
-    patterns = DEFAULT_EXCLUDES if exclude is None else tuple(exclude)
     files: List[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -136,7 +129,7 @@ def discover_files(
                 if not any(
                     part.startswith(".") for part in p.relative_to(path).parts
                 )
-                and not _excluded(p, patterns)
+                and not _excluded(p)
             )
         elif path.is_file():
             files.append(path)
@@ -151,17 +144,12 @@ def discover_files(
     return unique
 
 
-def lint_source(
-    source: str,
-    path: PathLike = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint one module's source; returns suppression-filtered findings.
+def lint_source(source: str, path: PathLike = "<string>") -> List[Finding]:
+    """Lint one module's source with every rule; returns sorted findings.
 
     A syntax error yields a single ``VAB000`` finding rather than
     raising, so one broken file doesn't hide the rest of a tree.
     """
-    active = list(rules) if rules is not None else make_rules()
     try:
         ctx = FileContext.parse(Path(path), source)
     except SyntaxError as exc:
@@ -172,24 +160,15 @@ def lint_source(
             rule_id=PARSE_ERROR_RULE,
             message=f"could not parse file: {exc.msg}",
         )]
-    suppressions = SuppressionIndex.from_source(source)
-    findings: List[Finding] = []
-    for rule in active:
-        for finding in rule.check(ctx):
-            if not suppressions.is_suppressed(finding.line, finding.rule_id):
-                findings.append(finding)
-    return sorted(findings)
+    return sorted(finding for rule in make_rules() for finding in rule.check(ctx))
 
 
-def _lint_one(
-    args: Tuple[str, Optional[List[str]], Optional[List[str]]],
-) -> Tuple[bool, List[Finding]]:
+def _lint_one(path_str: str) -> Tuple[bool, List[Finding]]:
     """Worker for the parallel front-end: lint one file.
 
     Returns ``(read_ok, findings)``; module-level so it pickles into a
     :class:`~concurrent.futures.ProcessPoolExecutor`.
     """
-    path_str, select, disable = args
     file_path = Path(path_str)
     try:
         source = file_path.read_text(encoding="utf-8")
@@ -198,34 +177,27 @@ def _lint_one(
             path=str(file_path), line=1, col=0,
             rule_id=PARSE_ERROR_RULE, message=f"could not read file: {exc}",
         )]
-    rules = make_rules(select=select, disable=disable)
-    return True, lint_source(source, file_path, rules=rules)
+    return True, lint_source(source, file_path)
 
 
 def lint_paths(
     paths: Sequence[PathLike],
-    select: Optional[List[str]] = None,
-    disable: Optional[List[str]] = None,
-    exclude: Optional[Sequence[str]] = None,
     jobs: int = 1,
     units: bool = False,
     units_cache: Optional[PathLike] = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` with the registered rules.
+    """Lint every Python file under ``paths`` with every rule.
 
     Args:
-        paths: files and/or directories (directories recurse).
-        select: run only these rule ids (per-file rules only).
-        disable: drop these rule ids (applies to unit rules too).
-        exclude: glob patterns to skip during directory recursion;
-            defaults to :data:`DEFAULT_EXCLUDES`.
+        paths: files and/or directories (directories recurse, skipping
+            :data:`DEFAULT_EXCLUDES`).
         jobs: worker processes for the per-file rules; ``1`` keeps
             everything in-process.
         units: also run the interprocedural dataflow engines — the
             dimensional analysis (VAB006..VAB010,
             :mod:`repro.analysis.units`), the shape/dtype analysis
             (VAB011..VAB016, :mod:`repro.analysis.shapes`) and the
-            effect/purity analysis (VAB017..VAB022,
+            effect/purity analysis (VAB017..VAB018,
             :mod:`repro.analysis.effects`).
         units_cache: optional cache file for incremental engine runs,
             shared by all three engines (one section each).
@@ -233,30 +205,9 @@ def lint_paths(
     Returns:
         The aggregate :class:`LintReport`.
     """
-    # Engine rules (VAB006..VAB022) live outside the per-file registry,
-    # so select/disable lists are validated against the union and split.
-    # The engines are imported here, not at module level: suffix-only
-    # lint runs never need them.
-    from repro.analysis.engines import ENGINES
-
-    registry_ids = set(rule_catalogue())
-    engine_ids = {r for engine in ENGINES for r in engine.rules}
-
-    def _split(ids: Optional[List[str]], label: str) -> Optional[List[str]]:
-        if ids is None:
-            return None
-        upper = [i.upper() for i in ids]
-        unknown = sorted(set(upper) - registry_ids - engine_ids)
-        if unknown:
-            raise KeyError(f"unknown rule id(s) in {label}: {', '.join(unknown)}")
-        return [i for i in upper if i in registry_ids]
-
-    reg_select = _split(select, "select")
-    reg_disable = _split(disable, "disable")
-    active = make_rules(select=reg_select, disable=reg_disable)
-    report = LintReport(rules=[r.rule_id for r in active])
-    files = discover_files(paths, exclude=exclude)
-    work = [(f.as_posix(), reg_select, reg_disable) for f in files]
+    report = LintReport(rules=[r.rule_id for r in make_rules()])
+    files = discover_files(paths)
+    work = [f.as_posix() for f in files]
     t0 = time.monotonic()
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -269,23 +220,19 @@ def lint_paths(
         for finding in findings:
             (report.errors if finding.is_error else report.findings).append(finding)
     if units:
-        dropped = {r.upper() for r in disable or []}
-        wanted = {r.upper() for r in select} if select is not None else None
+        # Imported here, not at module level: suffix-only lint runs
+        # never need the engines.
+        from repro.analysis.engines import ENGINES
+
         for engine in ENGINES:
-            keep = [
-                r for r in engine.rule_ids
-                if r not in dropped and (wanted is None or r in wanted)
-            ]
             t0 = time.monotonic()
             engine_report = engine.analyze(
                 files, cache_path=Path(units_cache) if units_cache else None
             )
             report.timings[engine.name] = time.monotonic() - t0
-            report.rules.extend(keep)
+            report.rules.extend(engine.rule_ids)
             report.engine_stats[engine.name] = engine_report.stats()
-            report.findings.extend(
-                f for f in engine_report.findings if f.rule_id in keep
-            )
+            report.findings.extend(engine_report.findings)
             report.errors.extend(engine_report.errors)
         # A syntax-broken file surfaces VAB000 from every pass; keep one.
         unique = {

@@ -128,26 +128,9 @@ def rule_catalogue() -> Dict[str, Type[Rule]]:
     return {rule_id: _REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)}
 
 
-def make_rules(
-    select: Optional[List[str]] = None,
-    disable: Optional[List[str]] = None,
-) -> List[Rule]:
-    """Instantiate the registered rules, honouring select/disable lists.
-
-    Args:
-        select: when given, only these rule ids run.
-        disable: rule ids to drop (applied after ``select``).
-
-    Raises:
-        KeyError: when a named rule id is not registered.
-    """
-    catalogue = rule_catalogue()
-    wanted = list(catalogue) if select is None else list(select)
-    for rule_id in list(wanted) + list(disable or []):
-        if rule_id not in catalogue:
-            raise KeyError(f"unknown rule id {rule_id!r}")
-    dropped = set(disable or [])
-    return [catalogue[r]() for r in wanted if r not in dropped]
+def make_rules() -> List[Rule]:
+    """Instantiate every registered rule, in rule-id order."""
+    return [rule_cls() for rule_cls in rule_catalogue().values()]
 
 
 def _import_aliases(tree: ast.Module) -> Dict[str, str]:

@@ -68,7 +68,7 @@ def render_catalogue() -> str:
     Covers the per-file registry (VAB001..VAB005), the
     dimensional-analysis engine's rules (VAB006..VAB010), the
     shape/dtype dataflow engine's rules (VAB011..VAB016), and the
-    effect/purity engine's rules (VAB017..VAB022); the engine rules run
+    effect/purity engine's rules (VAB017..VAB018); the engine rules run
     only under ``--units`` and live outside the registry.
     """
     from repro.analysis.engines import engine_rules

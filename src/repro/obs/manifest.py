@@ -97,21 +97,29 @@ class EventLog:
     :meth:`emit`, so constructing a log never leaves empty files
     behind. Every line is flushed as it is written — a run that dies
     mid-campaign leaves a log that reads up to the crash, not an empty
-    buffer. Emission is thread-safe (progress heartbeats arrive from
-    executor callback threads). Usable as a context manager.
+    buffer. Emission is thread-safe. Once :meth:`close` has run the log
+    is finished: a later :meth:`emit` raises ``ValueError`` rather than
+    reopening (and so truncating) the file. Usable as a context manager.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._fh: Optional[IO[str]] = None
+        self._closed = False
         self._lock = threading.Lock()
 
     def emit(self, event: str, **fields: Any) -> None:
-        """Append one event with the current timestamp."""
+        """Append one event with the current timestamp.
+
+        Raises:
+            ValueError: when the log has been closed.
+        """
         record = {"ts": round(time.time(), 6), "event": event}
         record.update(fields)
         line = json.dumps(_jsonify(record)) + "\n"
         with self._lock:
+            if self._closed:
+                raise ValueError(f"event {event!r} after {self.path} was closed")
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = self.path.open("w")
@@ -121,6 +129,7 @@ class EventLog:
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""
         with self._lock:
+            self._closed = True
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None

@@ -16,10 +16,10 @@ on (``0`` forces it off); a set ``CI`` variable disables autodetection.
 Heartbeat *events* are emitted regardless of the display — they are
 telemetry, not decoration.
 
-Counting is thread-safe: the parallel runner advances the reporter
-from executor completion callbacks, which fire on a different thread
-than the harvest loop. Progress never touches results — it only
-observes completions — so bit-identity is untouched.
+Counting is thread-safe. The parallel runner advances the reporter
+from its ordered harvest loop, serial and pool runs alike, and
+finishes it before the run's event log closes. Progress never touches
+results — it only observes completions — so bit-identity is untouched.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def progress_enabled(
     """Whether the live display should run, per env + TTY detection.
 
     The grant is deliberate: this value only drives *display*, never a
-    stored result — VAB022 would flag any result-shaping use."""
+    stored result."""
     forced = os.environ.get(PROGRESS_ENV, "").strip().lower()
     if forced in ("1", "true", "yes", "on"):
         return True
@@ -106,8 +106,7 @@ class ProgressReporter:
     def advance(self, trials: int = 1) -> None:
         """Record ``trials`` completions; refresh if the throttle allows.
 
-        Safe to call from any thread (the runner calls it from future
-        completion callbacks).
+        Safe to call from any thread.
         """
         with self._lock:
             self.done += int(trials)

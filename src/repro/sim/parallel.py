@@ -63,6 +63,7 @@ from repro.obs.manifest import (
     wall_clock_unix,
 )
 from repro.obs.metrics import MetricsRegistry, counter, gauge, use_registry
+from repro.obs.probes import probe_mode, probes
 from repro.obs.progress import ProgressReporter
 from repro.obs.spans import SpanTracer, collect_spans
 from repro.sim.results import BERPoint, CampaignResult
@@ -113,18 +114,27 @@ def _run_chunk(
     point_index: int,
     collect: bool,
     row_threads: int,
+    probes_mode: str,
 ) -> Tuple[BERPoint, float, Optional[dict]]:
     """Run one point: the unit of work of serial and pool runs alike.
 
     The point's row-independent kernels run on at most ``row_threads``
-    threads (:mod:`repro.dsp.rowblocks`). Returns the point, its
-    elapsed seconds and, when collecting, the point's spans and metrics
-    gathered in a fresh tracer and registry, which the caller merges
-    in point order.
+    threads (:mod:`repro.dsp.rowblocks`), and its runtime probes in
+    ``probes_mode`` (:mod:`repro.obs.probes`): the runner passes its
+    own, since a pool worker's is whatever ``$VAB_PROBES`` says.
+    Returns the point, its elapsed seconds and, when collecting, the
+    point's spans and metrics gathered in a fresh tracer and registry,
+    which the caller merges in point order.
     """
     telemetry = None
     t0 = time.perf_counter()
-    with _budget_scope(row_threads):
+    # The DC blocker's scipy.signal costs about a second to import. Load
+    # it here, before the point's spans open, so the first point of each
+    # process does not bill it to its suppress span; a pool's parent
+    # never demodulates and never loads it.
+    import scipy.signal  # noqa: F401
+
+    with _budget_scope(row_threads), probes(probes_mode):
         if collect:
             tracer = SpanTracer()
             registry = MetricsRegistry()
@@ -187,9 +197,10 @@ def run_campaign_parallel(
             per point, then ``campaign_end``. A point that raises emits
             ``point_failed`` (its index and the error's repr) and the
             original exception propagates: nothing after it is recorded.
-        progress: optional live progress reporter; a pool run advances
-            it as chunks *complete* (from executor callbacks, not the
-            deterministic harvest loop), a serial run once per point.
+        progress: optional live progress reporter, advanced once per
+            point by the ordered harvest loop (so a point finished out
+            of order counts once the points before it are in) and
+            finished before this returns.
 
     Returns:
         Aggregated results, one :class:`BERPoint` per scenario, in
@@ -209,6 +220,7 @@ def run_campaign_parallel(
     ) or not _is_picklable(campaign)
     effective_workers = 1 if serial else workers
     row_threads = row_budget() if serial else _chunk_row_threads(workers)
+    chunk_args = (collect, row_threads, probe_mode())
     if progress is not None:
         progress.start()
     _emit(
@@ -227,28 +239,18 @@ def run_campaign_parallel(
     try:
         if serial:
             chunks = [
-                partial(_run_chunk, campaign, scenario, i, collect, row_threads)
+                partial(_run_chunk, campaign, scenario, i, *chunk_args)
                 for i, scenario in enumerate(scenarios)
             ]
         else:
             if own_pool:
                 pool = ProcessPoolExecutor(max_workers=workers)
-
-            def _advance_on_done(future) -> None:
-                # Runs on the executor's callback thread the moment a
-                # point lands, independent of the ordered harvest below.
-                if not future.cancelled() and future.exception() is None:
-                    progress.advance(future.result()[0].trials)
-
-            jobs = []
-            for i, scenario in enumerate(scenarios):
-                job = pool.submit(
-                    _run_chunk, campaign, scenario, i, collect, row_threads
-                )
-                if progress is not None:
-                    job.add_done_callback(_advance_on_done)
-                jobs.append(job)
-            chunks = [job.result for job in jobs]
+            chunks = [
+                pool.submit(
+                    _run_chunk, campaign, scenario, i, *chunk_args
+                ).result
+                for i, scenario in enumerate(scenarios)
+            ]
         # Harvest in point order, so telemetry merges are as
         # deterministic as the results.
         for i, chunk in enumerate(chunks):
@@ -264,7 +266,7 @@ def run_campaign_parallel(
                     metrics.merge_snapshot(telemetry["metrics"])
             busy_s += elapsed_s
             out.add(point)
-            if serial and progress is not None:
+            if progress is not None:
                 progress.advance(point.trials)
             elapsed_s = round(elapsed_s, 6)
             _emit(

@@ -60,11 +60,6 @@ def test_exit_two_on_syntax_error():
     assert code == EXIT_ERROR
 
 
-def test_exit_two_on_unknown_rule_id():
-    code, _ = _run([FIXTURES / "vab001_bad.py"], select=["VAB999"])
-    assert code == EXIT_ERROR
-
-
 # ---------------------------------------------------------------------------
 # JSON reporter schema
 # ---------------------------------------------------------------------------

@@ -412,6 +412,19 @@ class TestEventLogDurability:
         assert len(events) == 400
         assert all(e["event"] == "tick" for e in events)
 
+    def test_emit_after_close_raises_and_keeps_the_log(self, tmp_path):
+        # A late heartbeat must not reopen (and truncate) a finished log.
+        path = tmp_path / "closed.jsonl"
+        log = EventLog(path)
+        log.emit("campaign_start")
+        log.emit("campaign_end")
+        log.close()
+        with pytest.raises(ValueError):
+            log.emit("heartbeat", done=1)
+        assert [e["event"] for e in read_events(path)] == [
+            "campaign_start", "campaign_end",
+        ]
+
 
 class TestStageRowsEdgeCases:
     def test_empty_timings_dict(self):

@@ -5,7 +5,7 @@ import threading
 
 from repro.obs.manifest import EventLog, read_events
 from repro.obs.progress import ProgressReporter, progress_enabled
-from repro.sim.parallel import run_observed_campaign
+from repro.sim.parallel import run_campaign_parallel, run_observed_campaign
 from repro.sim.scenario import Scenario
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign
@@ -129,3 +129,32 @@ class TestRunnerIntegration:
         ]
         assert beats
         assert beats[-1]["done"] == 6
+
+    def test_pool_run_advances_progress_in_point_order(self, tmp_path):
+        """Progress advances in the ordered harvest loop, pool runs too:
+        each point's heartbeat precedes its ``chunk_done``, and the final
+        one precedes ``campaign_end``."""
+        scenarios = sweep_range(Scenario.river(), [50.0, 150.0])
+        campaign = TrialCampaign(trials_per_point=3, seed=13)
+        path = tmp_path / "pool.events.jsonl"
+        with EventLog(path) as events:
+            reporter = ProgressReporter(
+                6, stream=io.StringIO(), enabled=False, events=events,
+                min_interval_s=0.0,
+            )
+            run_campaign_parallel(
+                scenarios, campaign, workers=2, events=events,
+                progress=reporter,
+            )
+        sequence = [
+            (e["event"], e.get("done")) for e in read_events(path)
+            if e["event"] != "point_end"
+        ]
+        assert sequence == [
+            ("campaign_start", None),
+            ("heartbeat", 3), ("chunk_done", None),
+            ("heartbeat", 6), ("chunk_done", None),
+            ("heartbeat", 6),
+            ("campaign_end", None),
+        ]
+

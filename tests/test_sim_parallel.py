@@ -8,12 +8,16 @@ numbers they return.
 
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.acoustics.noise import NoiseConditions, total_noise_psd_db
 from repro.core import Scenario
 from repro.dsp import noisegen
@@ -21,6 +25,7 @@ from repro.dsp.rowblocks import _budget_scope
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.obs.ledger import Ledger, diff_manifests
 from repro.obs.manifest import EventLog, read_events
+from repro.obs.probes import probes
 from repro.phy.receiver import ReaderReceiver
 from repro.sim import cache
 from repro.sim.parallel import run_campaign_parallel, run_observed_campaign
@@ -109,6 +114,56 @@ class TestParallelDeterminism:
             )
         assert pooled.points == serial.points
         assert metrics.gauges["repro.sim.parallel.workers"] == 1
+
+    def test_spawn_pool_workers_run_under_the_callers_probe_mode(self):
+        scenarios = sweep_range(Scenario.river(), RANGES)
+        campaign = TrialCampaign(trials_per_point=2, seed=5)
+        checks = {}
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            for mode in ("off", "count"):
+                for workers in (1, 2):
+                    metrics = MetricsRegistry()
+                    with probes(mode):
+                        run_campaign_parallel(
+                            scenarios, campaign, workers=workers,
+                            pool=pool if workers > 1 else None,
+                            metrics=metrics,
+                        )
+                    checks[mode, workers] = metrics.counters.get(
+                        "repro.obs.probes.checks", 0
+                    )
+        assert checks["off", 1] == checks["off", 2] == 0
+        assert checks["count", 1] == checks["count", 2] > 0
+
+    def test_scipy_signal_loads_before_the_first_point_span(self):
+        """The DC blocker's ~1 s ``scipy.signal`` import is not billed to
+        the first point's suppress span, and importing the runner (all a
+        pool's parent does) does not load it."""
+        code = (
+            "import sys\n"
+            "from repro.sim.parallel import run_campaign_parallel\n"
+            "from repro.sim.scenario import Scenario\n"
+            "from repro.sim.sweep import sweep_range\n"
+            "from repro.sim.trials import TrialCampaign\n"
+            "loaded = 'scipy.signal' in sys.modules\n"
+            "seen = []\n"
+            "run_point = TrialCampaign.run_point\n"
+            "def spy(self, scenario, point_index=0):\n"
+            "    seen.append('scipy.signal' in sys.modules)\n"
+            "    return run_point(self, scenario, point_index)\n"
+            "TrialCampaign.run_point = spy\n"
+            "run_campaign_parallel(sweep_range(Scenario.river(), [50.0]),\n"
+            "                      TrialCampaign(trials_per_point=2), workers=1)\n"
+            "print(loaded, seen)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src, "PATH": ""},
+        )
+        assert out.stdout.strip() == "False [True]"
 
     def test_manifest_records_the_effective_worker_count(self, tmp_path):
         scenarios = sweep_range(Scenario.river(), [50.0])

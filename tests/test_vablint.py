@@ -2,8 +2,7 @@
 
 One fixture module per rule carries known violations with pinned line
 numbers, next to a clean twin that must pass the *full* rule set; the
-suite also locks the suppression syntax, the exit-code contract, the
-CLI (``tools/vablint.py``), and — the point of the whole exercise —
+suite also locks the exit-code contract, the CLI (``tools/vablint.py``), and — the point of the whole exercise —
 that ``src/repro`` itself lints clean.
 """
 
@@ -19,7 +18,6 @@ from repro.analysis import (
     EXIT_CLEAN,
     EXIT_ERROR,
     EXIT_FINDINGS,
-    SuppressionIndex,
     lint_paths,
     lint_source,
     make_rules,
@@ -53,6 +51,11 @@ def run_vablint(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def rule_findings(report, rule_id):
+    """The report's findings of one rule (every rule runs on every file)."""
+    return [f for f in report.findings if f.rule_id == rule_id]
+
+
 # ---------------------------------------------------------------------------
 # the rules, one by one
 # ---------------------------------------------------------------------------
@@ -61,9 +64,8 @@ def run_vablint(*args):
 @pytest.mark.parametrize("rule_id", ALL_RULES)
 def test_bad_fixture_trips_exactly_the_expected_lines(rule_id):
     name, lines = EXPECTED_BAD[rule_id]
-    report = lint_paths([FIXTURES / name], select=[rule_id])
-    assert [f.rule_id for f in report.findings] == [rule_id] * len(lines)
-    assert [f.line for f in report.findings] == lines
+    report = lint_paths([FIXTURES / name])
+    assert [f.line for f in rule_findings(report, rule_id)] == lines
     assert report.exit_code == EXIT_FINDINGS
 
 
@@ -77,67 +79,18 @@ def test_clean_twin_is_clean_under_every_rule(rule_id):
 
 def test_vab004_exempts_obs_directories():
     exempt = FIXTURES / "obs" / "clock_exempt.py"
-    assert lint_paths([exempt], select=["VAB004"]).clean
+    assert lint_paths([exempt]).clean
     # The same source outside an obs/ directory is a violation.
-    findings = lint_source(
-        exempt.read_text(), path="repro/sim/clock.py",
-        rules=make_rules(select=["VAB004"]),
-    )
+    findings = lint_source(exempt.read_text(), path="repro/sim/clock.py")
     assert [f.rule_id for f in findings] == ["VAB004"]
 
 
 def test_findings_carry_message_and_render():
-    report = lint_paths([FIXTURES / "vab001_bad.py"], select=["VAB001"])
-    first = report.findings[0]
+    report = lint_paths([FIXTURES / "vab001_bad.py"])
+    first = rule_findings(report, "VAB001")[0]
     assert "default_rng" in first.message
     assert first.render().startswith(f"{first.path}:{first.line}:")
     assert "VAB001" in first.render()
-
-
-# ---------------------------------------------------------------------------
-# suppression
-# ---------------------------------------------------------------------------
-
-
-def test_line_suppression_and_all_sentinel():
-    report = lint_paths([FIXTURES / "suppressed_lines.py"])
-    assert report.clean
-    # Without the comments, both sites are VAB001 violations.
-    stripped = "\n".join(
-        line.split("  #")[0]
-        for line in (FIXTURES / "suppressed_lines.py").read_text().splitlines()
-    )
-    findings = lint_source(stripped, rules=make_rules(select=["VAB001"]))
-    assert len(findings) == 2
-
-
-def test_file_level_suppression():
-    report = lint_paths([FIXTURES / "suppressed_file.py"])
-    assert report.clean
-
-
-def test_bare_disable_suppresses_every_rule():
-    """``# vablint: disable`` with no rule list means disable=all."""
-    report = lint_paths([FIXTURES / "suppressed_bare.py"])
-    assert report.clean
-    index = SuppressionIndex.from_source("import x  # vablint: disable\n")
-    assert index.is_suppressed(1, "VAB001")
-    assert index.is_suppressed(1, "VAB999")
-    # The bare form is line-scoped, not file-scoped.
-    assert not index.is_suppressed(2, "VAB001")
-
-
-def test_bare_disable_file_suppresses_everywhere():
-    index = SuppressionIndex.from_source("# vablint: disable-file\nimport x\n")
-    assert index.is_suppressed(1, "VAB001")
-    assert index.is_suppressed(99, "VAB004")
-
-
-def test_suppression_index_ignores_strings():
-    index = SuppressionIndex.from_source(
-        's = "# vablint: disable=VAB001"\nimport numpy\n'
-    )
-    assert not index.is_suppressed(1, "VAB001")
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +109,6 @@ def test_broken_file_yields_vab000_and_exit_2():
 def test_missing_path_raises():
     with pytest.raises(FileNotFoundError):
         lint_paths([FIXTURES / "does_not_exist.py"])
-
-
-def test_unknown_rule_id_raises():
-    with pytest.raises(KeyError):
-        make_rules(select=["VAB999"])
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +130,11 @@ def test_rule_catalogue_is_complete():
     assert tuple(sorted(catalogue)) == ALL_RULES
     for rule_cls in catalogue.values():
         assert rule_cls.summary
+    assert [r.rule_id for r in make_rules()] == list(ALL_RULES)
 
 
 def test_render_json_schema():
-    report = lint_paths([FIXTURES / "vab005_bad.py"], select=["VAB005"])
+    report = lint_paths([FIXTURES / "vab005_bad.py"])
     payload = json.loads(render_json(report))
     assert payload["clean"] is False
     assert payload["files"] == 1
@@ -207,14 +156,20 @@ def test_vablint_cli_exit_code_contract():
     assert code == EXIT_ERROR and err
 
 
-def test_vablint_cli_json_and_select():
-    code, out, _ = run_vablint(
-        "--json", "--select", "VAB003", str(FIXTURES / "vab003_bad.py")
-    )
+def test_vablint_cli_json_report():
+    code, out, _ = run_vablint("--json", str(FIXTURES / "vab003_bad.py"))
     assert code == EXIT_FINDINGS
     payload = json.loads(out)
-    assert payload["rules"] == ["VAB003"]
-    assert [f["line"] for f in payload["findings"]] == [6, 10, 15, 19]
+    assert payload["rules"] == list(ALL_RULES)
+    assert [
+        f["line"] for f in payload["findings"] if f["rule"] == "VAB003"
+    ] == [6, 10, 15, 19]
+
+
+def test_vablint_cli_has_no_rule_filters_or_excludes():
+    for flag in ("--select", "--disable", "--exclude"):
+        code, _, err = run_vablint(flag, "VAB003", str(FIXTURES))
+        assert code == EXIT_ERROR and "unrecognized arguments" in err
 
 
 def test_vablint_cli_default_tree_is_clean():
@@ -233,17 +188,6 @@ def test_discover_files_excludes_fixture_tree_by_default():
     files = discover_files([REPO_ROOT / "tests"])
     assert files, "discovery found nothing under tests/"
     assert not any("lint_fixtures" in f.as_posix() for f in files)
-
-
-def test_discover_files_exclude_override_and_custom_globs():
-    from repro.analysis import discover_files
-
-    # An empty exclude list restores the fixtures.
-    files = discover_files([REPO_ROOT / "tests"], exclude=[])
-    assert any("lint_fixtures" in f.as_posix() for f in files)
-    # Custom globs stack on file names too.
-    files = discover_files([REPO_ROOT / "tests"], exclude=["test_vablint*"])
-    assert not any(f.name.startswith("test_vablint") for f in files)
 
 
 def test_discover_files_never_excludes_named_files():

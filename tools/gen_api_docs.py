@@ -124,12 +124,16 @@ input such as a parse error, reported as pseudo-rule `VAB000`)::
     python tools/vablint.py --units      # + the dataflow engines
     python tools/vablint.py --catalogue  # rule catalogue
 
-Directory recursion skips `tests/lint_fixtures/**` by default (the
-fixtures are deliberately dirty) and any entry below the named
-directory whose name starts with `.`; add globs with `--exclude
-PATTERN` (repeatable, added to the default), and
-spread the per-file rules over processes with `--jobs N` (output is
-deterministic regardless of job count).
+Directory recursion skips `tests/lint_fixtures/**` (the fixtures are
+deliberately dirty) and any entry below the named directory whose name
+starts with `.`; a file named on the command line is always linted.
+Spread the per-file rules over processes with `--jobs N` (output is
+deterministic regardless of job count). Every rule runs on every file:
+there are no rule filters and no suppression comments, so a finding is
+fixed in the code or, for the effects engine, answered by a declared
+`Effectful[...]` grant. README's rule table records, per rule, its
+findings today and over the project's history and the test that
+catches the same bug.
 
 ### Rule catalogue
 
@@ -153,9 +157,6 @@ deterministic regardless of job count).
 | `VAB016` | shape-contract-violation | (`--units`) no returns or call arguments contradicting a `Shaped[...]` contract (rank, named dims, dtype family) |
 | `VAB017` | hidden-cache-input | (`--units`) no hidden input (environ, wall-clock, filesystem, host config, mutable global, ambient RNG) reaching a memoized or content-addressed computation whose cache key cannot see it |
 | `VAB018` | cache-hit-divergence | (`--units`) no side effect (global/argument mutation, file write) escaping a memoized function — it happens on the computing call and never again on a cache hit |
-| `VAB019` | worker-rng-indiscipline | (`--units`) no callable crossing the process boundary that draws from an ambient RNG stream instead of a `SeedSequence`-derived generator threaded through its parameters |
-| `VAB020` | unpicklable-submit | (`--units`) no lambdas or closure-capturing nested functions on the `ProcessPool` submit path |
-| `VAB022` | host-dependent-result | (`--units`) no host-configuration read (`os.cpu_count()`, TTY/CI detection, locale) flowing into a returned value without a declared `reads:host` grant |
 
 ### Dimensional analysis (`--units`)
 
@@ -229,17 +230,15 @@ missing-`keepdims` slip, `records - records.mean(axis=1)`, which pits
 `"samples"` against `"trials"` in one broadcast slot (VAB011); the
 same machinery flags silent phase loss on the complex field sums
 (VAB013) and in-place writes to channel-cache storage (VAB014). The
-engine shares the incremental cache file, the
-suppression syntax, and the JSON report (a `shapes` stats block next
-to `units`).
+engine shares the incremental cache file and the JSON report (a
+`shapes` stats block next to `units`).
 
 ### Effect/purity analysis (also `--units`)
 
-VAB017..VAB020 and VAB022 come from `repro.analysis.effects`: a third
+VAB017 and VAB018 come from `repro.analysis.effects`: a third
 flow-sensitive, interprocedural engine over the same call-graph
-machinery that tracks *effects* — which functions read ambient state,
-which mutate state, and which callables cross the `ProcessPool`
-process boundary. Effects are nine atoms (`reads:environ`,
+machinery that tracks *effects* — which functions read ambient state
+and which mutate state. Effects are nine atoms (`reads:environ`,
 `reads:clock`, `reads:file`, `reads:host`, `reads:global`,
 `mutates:global`, `mutates:arg`, `writes:file`, `rng:ambient`), seeded
 from a curated signature DB (`repro.analysis.effects.sigdb`: `os`,
@@ -285,7 +284,7 @@ accept the contract visibly.
 The determinism hot
 paths (`repro.sim.cache`, `repro.sim.parallel`, `repro.obs.ledger`,
 `repro.rng`) carry explicit contracts; the committed tree is
-effect-clean with zero suppressions.
+effect-clean.
 
 **Incremental cache** — `--units-cache PATH` (tool default
 `.vablint_units_cache.json`, git-ignored) keys per-file results by
@@ -311,31 +310,14 @@ fallback is `repro.rng.fallback_rng()`: a process-global generator
 seeded from the documented `DEFAULT_FALLBACK_SEED`, so even "unseeded"
 use is reproducible run-to-run (reset it with `reseed_fallback`).
 
-### Suppressing a finding
-
-Suppression is per-line or per-file::
-
-    x = np.random.default_rng()  # vablint: disable=VAB001
-    y = legacy()                 # vablint: disable=VAB001,VAB004
-    z = anything()               # vablint: disable
-
-    # vablint: disable-file=VAB003   (anywhere in the file)
-    # vablint: disable-file          (whole file, every rule)
-
-A bare `disable` (no `=RULES`) suppresses **every** rule on that line,
-including the unit rules; `disable=all` is the explicit spelling of the
-same thing. Prefer naming the rule — bare disables also swallow
-findings from rules added later. Comments inside string literals do
-not count (the scanner tokenizes).
-
 ### Adding a rule
 
 Subclass `repro.analysis.Rule`, set `rule_id` / `name` / `summary`,
 implement `check(ctx: FileContext) -> Iterator[Finding]` (walk
 `ctx.tree`, resolve dotted callables with `ctx.resolve(node)`, emit via
 `ctx.finding(self, node, message)`), and decorate with `@register`.
-Suppression, reporting and exit codes pick the rule
-up automatically; add a bad/clean fixture pair under
+Reporting, the catalogue and exit codes pick the rule up
+automatically; add a bad/clean fixture pair under
 `tests/lint_fixtures/` to pin its behavior.
 
 ### Lint and campaign runs

@@ -10,16 +10,15 @@ rad/s, m vs km, call-site unit conflicts) and shape/dtype analysis
 (``VAB011``..``VAB016``: silent broadcasts, batch-collapsing
 reductions, complex->real downcasts, shared-array mutation, unordered
 accumulation, shape-contract violations) and effect/purity analysis
-(``VAB017``..``VAB022``: hidden cache inputs, cache-hit divergence,
-worker RNG indiscipline, unpicklable submissions, host-dependent
-results). See ``repro.analysis`` for the framework and ``--catalogue``
-for the rules.
+(``VAB017``..``VAB018``: hidden cache inputs, cache-hit divergence).
+Every rule runs on every file; there are no rule filters and no
+suppression comments. See ``repro.analysis`` for the framework and
+``--catalogue`` for the rules.
 
 Usage::
 
     python tools/vablint.py src/repro            # lint the library
     python tools/vablint.py --json src/repro     # CI / machine output
-    python tools/vablint.py --select VAB001 src  # one rule only
     python tools/vablint.py --units src/repro    # + dataflow engines
     python tools/vablint.py --units --stats src/repro  # + timings, cache hits
 
@@ -39,11 +38,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import render_catalogue  # noqa: E402
-from repro.analysis.frontend import (  # noqa: E402
-    add_lint_flags,
-    rule_list,
-    run_lint,
-)
+from repro.analysis.frontend import add_lint_flags, run_lint  # noqa: E402
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -62,9 +57,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     return run_lint(
         args.paths or ["src/repro"],
-        select=rule_list(args.select),
-        disable=rule_list(args.disable),
-        exclude=args.exclude,
         jobs=args.jobs,
         units=args.units,
         units_cache=None if args.no_units_cache else args.units_cache,
