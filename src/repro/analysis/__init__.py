@@ -21,11 +21,12 @@ from the dependency-free :mod:`repro.contracts`, so runtime code —
 campaign runs and the ``repro`` CLI included — never imports this
 package.
 
-Run it via ``python tools/vablint.py src/repro`` or the API::
+The gate is the tier-1 test ``test_src_repro_lints_clean`` in
+``tests/test_vablint.py``, which runs every rule through the API::
 
     from repro.analysis import lint_paths
 
-    report = lint_paths(["src/repro"])
+    report = lint_paths(["src/repro"], units=True)
     assert report.clean, report.findings
 
 Every rule runs on every file: there is no inline suppression and no
@@ -36,17 +37,8 @@ subclassing :class:`~repro.analysis.registry.Rule` under the
 """
 
 from repro.analysis.findings import Finding
-from repro.analysis.linter import (
-    EXIT_CLEAN,
-    EXIT_ERROR,
-    EXIT_FINDINGS,
-    LintReport,
-    discover_files,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis.linter import LintReport, discover_files, lint_paths, lint_source
 from repro.analysis.registry import FileContext, Rule, make_rules, register, rule_catalogue
-from repro.analysis.reporters import render_catalogue, render_json, render_text
 
 __all__ = [
     "Finding",
@@ -59,10 +51,4 @@ __all__ = [
     "rule_catalogue",
     "make_rules",
     "FileContext",
-    "render_text",
-    "render_json",
-    "render_catalogue",
-    "EXIT_CLEAN",
-    "EXIT_FINDINGS",
-    "EXIT_ERROR",
 ]

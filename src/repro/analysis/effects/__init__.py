@@ -25,7 +25,8 @@ Entry points::
 
 ``analyze_effects(files, cache_path=...)`` is incremental with the same
 sha-keyed, call-graph-aware invalidation contract as ``analyze_units``.
-The rules run under the same ``--units`` CLI flag as VAB006..VAB016.
+The rules run under the same ``lint_paths(..., units=True)`` switch as
+VAB006..VAB016.
 """
 
 from pathlib import Path

@@ -1,14 +1,15 @@
 """The engine table: one record per interprocedural dataflow engine.
 
-``vablint --units`` runs three engines over one call graph — units
-(VAB006..VAB010), shapes (VAB011..VAB016) and effects (VAB017..VAB018).
+``lint_paths(..., units=True)`` runs three engines over one call graph —
+units (VAB006..VAB010), shapes (VAB011..VAB016) and effects
+(VAB017..VAB018).
 Each is described here once: its name (the report, stats and cache
 key), its version (bumping it invalidates that engine's cache entries),
 its rule table, and the callables the shared machinery drives
 (:func:`repro.analysis.incremental.analyze_incremental`,
-:func:`repro.analysis.dataflow.run_fixed_point`). The linter and the
-reporters loop over :data:`ENGINES`. Campaign runs never import this
-package: a lint engine's version says nothing about a run's numbers.
+:func:`repro.analysis.dataflow.run_fixed_point`). The linter loops over
+:data:`ENGINES`. Campaign runs never import this package: a lint
+engine's version says nothing about a run's numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import ModuleAnalysis
 from repro.analysis.effects import engine as effects
@@ -187,11 +188,3 @@ def engine_named(name: str) -> Engine:
             return engine
     raise KeyError(f"no analysis engine named {name!r}")
 
-
-def engine_rules() -> List[Tuple[str, str, str]]:
-    """(rule_id, name, summary) for every engine rule, in table order."""
-    return [
-        (rule_id, *engine.rules[rule_id])
-        for engine in ENGINES
-        for rule_id in engine.rule_ids
-    ]

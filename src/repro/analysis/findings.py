@@ -2,8 +2,8 @@
 
 A :class:`Finding` pins one violation to a ``(path, line, column)`` and
 names the rule that produced it. Findings are plain values — hashable,
-orderable, JSON-safe — so reporters, tests, and the suppression filter
-all work on the same objects.
+orderable, JSON-safe — so the linter, the engines' incremental cache
+and the tests all work on the same objects.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class Finding:
     message: str
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe mapping (the ``--json`` reporter's record shape)."""
+        """JSON-safe mapping (the incremental cache's record shape)."""
         return {
             "path": self.path,
             "line": self.line,
@@ -60,5 +60,5 @@ class Finding:
 
     @property
     def is_error(self) -> bool:
-        """True for parse failures (exit-code 2 class), not rule hits."""
+        """True for parse failures (``VAB000``), not rule hits."""
         return self.rule_id == PARSE_ERROR_RULE

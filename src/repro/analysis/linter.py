@@ -3,12 +3,12 @@
 The flow is ``paths -> files -> FileContext -> rules -> findings``.
 Every registered rule runs on every discovered file; there is no
 per-line or per-rule opt-out. :func:`lint_paths` is the everything
-entry point behind ``tools/vablint.py``.
+entry point; the tier-1 test ``tests/test_vablint.py`` runs it over
+``src/repro`` with every rule.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
@@ -22,11 +22,6 @@ from repro.analysis.registry import FileContext, make_rules
 from repro.analysis import rules as _rules  # noqa: F401
 
 PathLike = Union[str, Path]
-
-EXIT_CLEAN = 0
-EXIT_FINDINGS = 1
-EXIT_ERROR = 2
-"""The CLI exit-code contract: clean / rule findings / unusable input."""
 
 DEFAULT_EXCLUDES: Tuple[str, ...] = ("tests/lint_fixtures/**",)
 """Glob patterns dropped from directory discovery: the lint fixtures
@@ -53,11 +48,6 @@ class LintReport:
     """Engine name -> run stats (:meth:`EngineReport.stats`) for each
     dataflow engine that ran, in engine-table order; empty for
     suffix-only lint runs."""
-    timings: Dict[str, float] = field(default_factory=dict)
-    """Wall-clock seconds per stage (``rules`` and each engine name).
-    Only rendered under ``--stats`` — the timing values are
-    run-dependent and must stay out of the deterministic report
-    payload."""
 
     @property
     def units_stats(self) -> Optional[Dict[str, object]]:
@@ -75,20 +65,6 @@ class LintReport:
     def clean(self) -> bool:
         """True when no findings and no parse errors."""
         return not self.findings and not self.errors
-
-    @property
-    def exit_code(self) -> int:
-        """The CLI exit code this report maps to."""
-        if self.errors:
-            return EXIT_ERROR
-        return EXIT_FINDINGS if self.findings else EXIT_CLEAN
-
-    def counts_by_rule(self) -> Dict[str, int]:
-        """rule_id -> number of findings."""
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-        return dict(sorted(counts.items()))
 
 
 def _excluded(path: Path) -> bool:
@@ -208,13 +184,11 @@ def lint_paths(
     report = LintReport(rules=[r.rule_id for r in make_rules()])
     files = discover_files(paths)
     work = [f.as_posix() for f in files]
-    t0 = time.monotonic()
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_lint_one, work, chunksize=8))
     else:
         results = [_lint_one(item) for item in work]
-    report.timings["rules"] = time.monotonic() - t0
     for read_ok, findings in results:
         report.files += 1 if read_ok else 0
         for finding in findings:
@@ -225,11 +199,9 @@ def lint_paths(
         from repro.analysis.engines import ENGINES
 
         for engine in ENGINES:
-            t0 = time.monotonic()
             engine_report = engine.analyze(
                 files, cache_path=Path(units_cache) if units_cache else None
             )
-            report.timings[engine.name] = time.monotonic() - t0
             report.rules.extend(engine.rule_ids)
             report.engine_stats[engine.name] = engine_report.stats()
             report.findings.extend(engine_report.findings)

@@ -24,7 +24,7 @@ and a typed public API:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.registry import FileContext, Rule, register
@@ -425,9 +425,3 @@ class ApiHygieneRule(Rule):
                 f"for: {', '.join(missing)}",
             )
 
-
-def _module_docstring_rules() -> Dict[str, str]:  # pragma: no cover - docs helper
-    """rule_id -> summary for documentation generators."""
-    from repro.analysis.registry import rule_catalogue
-
-    return {rid: cls.summary for rid, cls in rule_catalogue().items()}

@@ -21,8 +21,8 @@ Entry points::
 
 ``analyze_shapes(files, cache_path=...)`` is incremental with the same
 sha-keyed, call-graph-aware invalidation contract as ``analyze_units``.
-The rules run under the same ``--units`` CLI flag as VAB006..VAB010 —
-no new CLI surface.
+The rules run under the same ``lint_paths(..., units=True)`` switch as
+VAB006..VAB010.
 """
 
 from pathlib import Path

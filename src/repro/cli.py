@@ -99,7 +99,10 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.sim.export import load_manifest
     from pathlib import Path
 
-    manifest = load_manifest(args.manifest)
+    try:
+        manifest = load_manifest(args.manifest)
+    except FileNotFoundError as exc:
+        return _bad_reference(exc)
     events = None
     events_path = args.events or manifest.events_path
     if events_path and Path(events_path).exists():
@@ -117,23 +120,41 @@ def cmd_obs_ls(args: argparse.Namespace) -> int:
 
 
 def _load_ref(ref: str, ledger_root):
-    """A manifest from a file path or a ledger key/run-id prefix."""
+    """``(manifest, events path or None)`` from a manifest file path or a
+    ledger key/run-id prefix.
+
+    Raises ``KeyError`` for an unknown or ambiguous ledger reference and
+    ``FileNotFoundError`` for a manifest missing from disk.
+    """
     from pathlib import Path
 
     from repro.obs.ledger import Ledger
     from repro.sim.export import load_manifest
 
     if Path(ref).is_file():
-        return load_manifest(ref)
-    return Ledger(ledger_root).load(ref)
+        manifest = load_manifest(ref)
+        return manifest, manifest.events_path
+    record = Ledger(ledger_root).resolve(ref)
+    events_path = str(record.events_path) if record.events_path else None
+    return load_manifest(record.manifest_path), events_path
+
+
+def _bad_reference(exc: Exception) -> int:
+    """Report an unusable run reference on one line; the usage-error code."""
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
 
 
 def cmd_obs_diff(args: argparse.Namespace) -> int:
     """Diff two runs (ledger refs or manifest files): config, metrics, timings."""
     from repro.obs.ledger import diff_manifests, render_diff
 
-    a = _load_ref(args.a, args.ledger)
-    b = _load_ref(args.b, args.ledger)
+    try:
+        a, _ = _load_ref(args.a, args.ledger)
+        b, _ = _load_ref(args.b, args.ledger)
+    except (KeyError, FileNotFoundError) as exc:
+        return _bad_reference(exc)
     diff = diff_manifests(a, b)
     print(render_diff(diff))
     differs = bool(
@@ -146,19 +167,14 @@ def cmd_obs_trace(args: argparse.Namespace) -> int:
     """Export a run as Chrome trace-event JSON (chrome://tracing, Perfetto)."""
     from pathlib import Path
 
-    from repro.obs.ledger import Ledger
     from repro.obs.manifest import read_events
     from repro.obs.trace import validate_trace_events, write_trace
 
-    if Path(args.ref).is_file():
-        manifest = _load_ref(args.ref, args.ledger)
-        events_path = args.events or manifest.events_path
-    else:
-        record = Ledger(args.ledger).resolve(args.ref)
-        manifest = _load_ref(args.ref, args.ledger)
-        events_path = args.events or (
-            str(record.events_path) if record.events_path else None
-        )
+    try:
+        manifest, recorded_events = _load_ref(args.ref, args.ledger)
+    except (KeyError, FileNotFoundError) as exc:
+        return _bad_reference(exc)
+    events_path = args.events or recorded_events
     events = None
     if events_path and Path(events_path).exists():
         events = read_events(events_path)
@@ -370,6 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sweep" and args.points < 2:
         parser.error("argument --points: need at least two points")
+    if args.command == "sweep" and args.trials < 1:
+        parser.error("argument --trials: need at least one trial")
     if args.command == "sweep" and not 0 < args.start < args.stop:
         parser.error("argument --stop: need 0 < --start < --stop")
     return args.func(args)

@@ -93,6 +93,7 @@ class ProgressReporter:
         self._lock = threading.Lock()
         self._t_start: Optional[float] = None
         self._last_emit = 0.0
+        self._beat_done: Optional[int] = None
         self._line_live = False
 
     def start(self) -> None:
@@ -122,10 +123,14 @@ class ProgressReporter:
             self._emit_locked(now)
 
     def finish(self) -> None:
-        """Emit a final heartbeat and terminate the display line."""
+        """Emit a final heartbeat and terminate the display line.
+
+        The heartbeat is skipped when the last one already carries the
+        final count (a run that reached its total).
+        """
         with self._lock:
-            now = time.perf_counter()
-            self._emit_locked(now)
+            if self._beat_done != self.done:
+                self._emit_locked(time.perf_counter())
             if self._line_live:
                 self.stream.write("\n")
                 self.stream.flush()
@@ -146,6 +151,7 @@ class ProgressReporter:
 
     def _emit_locked(self, now: float) -> None:
         snap = self._snapshot_locked(now)
+        self._beat_done = self.done
         if self.events is not None:
             self.events.emit("heartbeat", label=self.label, **snap)
         if self.enabled:

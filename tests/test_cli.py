@@ -75,6 +75,13 @@ class TestSweep:
         assert exited.value.code == 2
         assert f"argument {named}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bad_trial_counts_are_usage_errors(self, capsys, trials):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--points", "2", "--trials", trials])
+        assert exited.value.code == 2
+        assert "argument --trials:" in capsys.readouterr().err
+
     def test_a_plain_sweep_writes_no_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("VAB_LEDGER_DIR", str(tmp_path / "ledger"))
@@ -84,6 +91,15 @@ class TestSweep:
         ]) == 0
         assert "max range at BER<=1e-3" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
+
+
+def assert_one_error_line(capsys, says):
+    """stderr is exactly one ``repro: error:`` line naming ``says``."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("repro: error: ") and says in lines[0]
 
 
 class TestObsReport:
@@ -113,9 +129,9 @@ class TestObsReport:
         point_section = report.split("--- per-point breakdown ---")[1]
         assert "wall_s" in point_section
 
-    def test_report_missing_manifest_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["obs", "report", str(tmp_path / "nope.json")])
+    def test_report_missing_manifest_is_a_usage_error(self, capsys, tmp_path):
+        assert main(["obs", "report", str(tmp_path / "nope.json")]) == 2
+        assert_one_error_line(capsys, "nope.json")
 
     def test_report_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -204,6 +220,33 @@ class TestObsLedgerVerbs:
         ]) == 0
         assert "trace events" in capsys.readouterr().out
         assert out_path.exists()
+
+    @staticmethod
+    def _ambiguous_ledger(root):
+        """A ledger index whose two runs share the key prefix ``aa``."""
+        import json
+
+        root.mkdir()
+        with (root / "index.jsonl").open("w") as fh:
+            for key in ("aa" + "1" * 62, "aa" + "2" * 62):
+                fh.write(json.dumps({"key": key, "run_id": key[::-1]}) + "\n")
+        return str(root)
+
+    @pytest.mark.parametrize(
+        "verb", [["diff", "x"], ["trace"]], ids=["diff", "trace"]
+    )
+    def test_bad_references_are_usage_errors(self, capsys, tmp_path, verb):
+        """An unknown or ambiguous ledger reference and a missing
+        manifest file each end in one error line and exit 2."""
+        ledger = self._ambiguous_ledger(tmp_path / "ledger")
+        for ref, says in (
+            ("ffff", "no ledger run matches"),
+            ("aa", "ambiguous ledger reference"),
+            (str(tmp_path / "nope.json"), "nope.json"),
+        ):
+            argv = ["obs", verb[0], ref] + verb[1:] + ["--ledger", ledger]
+            assert main(argv) == 2, argv
+            assert_one_error_line(capsys, says)
 
     def test_probes_flag_sets_mode_for_the_run(self, capsys):
         from repro.obs.probes import probe_mode, set_probe_mode

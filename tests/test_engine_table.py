@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import engines, lint_paths, render_json
+from repro.analysis import engines, lint_paths
 from repro.analysis.engines import ENGINES, engine_named
 
 # engine -> (producer with a bug, fixed producer, caller, caller finding)
@@ -139,9 +139,7 @@ def test_version_bump_reanalyzes_only_that_engine(tmp_path, monkeypatch):
     warm = lint_paths([root], units=True, units_cache=cache)
     for name, stats in warm.engine_stats.items():
         assert (stats["analyzed"], stats["reused"]) == (0, len(files)), name
-    assert json.loads(render_json(warm))["findings"] == json.loads(
-        render_json(cold)
-    )["findings"]
+    assert warm.findings == cold.findings
 
     bumped = tuple(
         replace(e, version="9.9.9") if e.name == "shapes" else e for e in ENGINES
@@ -188,7 +186,7 @@ def test_damaged_cache_file_gives_a_cold_run(tmp_path, damage):
     cache.write_text(json.dumps(content))
 
     report = lint_paths([root], units=True, units_cache=cache)
-    assert report.exit_code == baseline.exit_code
+    assert report.errors == baseline.errors
     assert [f.to_dict() for f in report.findings] == [
         f.to_dict() for f in baseline.findings
     ]

@@ -90,6 +90,42 @@ class TestReporter:
         reporter.advance(50)  # completion always renders
         assert "100/100" in buf.getvalue()
 
+    @staticmethod
+    def _heartbeats(path):
+        return [e["done"] for e in read_events(path) if e["event"] == "heartbeat"]
+
+    def test_zero_trial_run_gets_one_final_heartbeat(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as events:
+            with ProgressReporter(
+                0, stream=io.StringIO(), enabled=False, events=events,
+                min_interval_s=0.0,
+            ):
+                pass
+        assert self._heartbeats(path) == [0]
+
+    def test_run_stopping_short_gets_one_final_heartbeat(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as events:
+            with ProgressReporter(
+                10, stream=io.StringIO(), enabled=False, events=events,
+                min_interval_s=3600.0,
+            ) as reporter:
+                reporter.advance(4)  # throttled: no heartbeat yet
+        assert self._heartbeats(path) == [4]
+
+    def test_run_reaching_its_total_gets_no_duplicate_heartbeat(
+        self, tmp_path
+    ):
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as events:
+            with ProgressReporter(
+                6, stream=io.StringIO(), enabled=False, events=events,
+                min_interval_s=3600.0,
+            ) as reporter:
+                reporter.advance(6)  # the total always emits
+        assert self._heartbeats(path) == [6]
+
     def test_thread_safe_counting(self):
         reporter = ProgressReporter(
             4000, stream=io.StringIO(), enabled=False, min_interval_s=0.0
@@ -132,8 +168,8 @@ class TestRunnerIntegration:
 
     def test_pool_run_advances_progress_in_point_order(self, tmp_path):
         """Progress advances in the ordered harvest loop, pool runs too:
-        each point's heartbeat precedes its ``chunk_done``, and the final
-        one precedes ``campaign_end``."""
+        each point's heartbeat precedes its ``chunk_done``, and the last
+        point's is the final one: ``finish()`` adds no duplicate."""
         scenarios = sweep_range(Scenario.river(), [50.0, 150.0])
         campaign = TrialCampaign(trials_per_point=3, seed=13)
         path = tmp_path / "pool.events.jsonl"
@@ -154,7 +190,6 @@ class TestRunnerIntegration:
             ("campaign_start", None),
             ("heartbeat", 3), ("chunk_done", None),
             ("heartbeat", 6), ("chunk_done", None),
-            ("heartbeat", 6),
             ("campaign_end", None),
         ]
 

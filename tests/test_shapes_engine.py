@@ -18,8 +18,6 @@ from repro.analysis import (
     discover_files,
     engines,
     lint_paths,
-    render_catalogue,
-    render_json,
 )
 from repro.analysis.dataflow import run_fixed_point
 from repro.analysis.engines import engine_named
@@ -72,7 +70,6 @@ def test_shape_rule_ids_and_catalogue_agree():
     assert SHAPES.rule_ids == tuple(sorted(EXPECTED_SHAPES_BAD))
     for rule_id, (name, summary) in SHAPES.rules.items():
         assert name and summary, rule_id
-        assert f"{rule_id} {name}" in render_catalogue()
 
 
 def test_src_repro_is_shape_clean():
@@ -183,10 +180,7 @@ def test_cache_and_cold_reports_are_byte_identical(tmp_path):
     warm = lint_paths([fixture], units=True, units_cache=cache)
     assert warm.shapes_stats["reused"] == 1
     # Stats differ (analyzed vs reused); the findings must not.
-    cold_payload = json.loads(render_json(cold))
-    warm_payload = json.loads(render_json(warm))
-    assert cold_payload["findings"] == warm_payload["findings"]
-    assert cold_payload["counts"] == warm_payload["counts"]
+    assert cold.findings == warm.findings
 
 
 def _write_kernel_pair(tmp_path):

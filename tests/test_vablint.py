@@ -1,34 +1,23 @@
-"""Tier-1 tests for ``repro.analysis`` (vablint) and its entry points.
+"""Tier-1 tests for ``repro.analysis`` (vablint): the one lint gate.
 
 One fixture module per rule carries known violations with pinned line
 numbers, next to a clean twin that must pass the *full* rule set; the
-suite also locks the exit-code contract, the CLI (``tools/vablint.py``), and — the point of the whole exercise —
-that ``src/repro`` itself lints clean.
+suite also locks parse errors, file discovery, the dataflow engines'
+stats and cache reuse, and — the point of the whole exercise — that
+``src/repro`` itself lints clean under all 18 rules.
 """
 
-import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.analysis import (
-    EXIT_CLEAN,
-    EXIT_ERROR,
-    EXIT_FINDINGS,
-    lint_paths,
-    lint_source,
-    make_rules,
-    render_json,
-    rule_catalogue,
-)
+from repro.analysis import discover_files, lint_paths, lint_source, make_rules, rule_catalogue
+from repro.analysis.engines import ENGINES
 from repro.analysis.findings import PARSE_ERROR_RULE
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
-VABLINT = REPO_ROOT / "tools" / "vablint.py"
+REPO_ROOT = FIXTURES.parent.parent
 
 ALL_RULES = ("VAB001", "VAB002", "VAB003", "VAB004", "VAB005")
 
@@ -40,15 +29,6 @@ EXPECTED_BAD = {
     "VAB004": ("vab004_bad.py", [7, 11]),
     "VAB005": ("vab005_bad.py", [4, 4, 9, 14, 14, 18]),
 }
-
-
-def run_vablint(*args):
-    """Run the standalone CLI; returns (exit_code, stdout, stderr)."""
-    proc = subprocess.run(
-        [sys.executable, str(VABLINT), *args],
-        capture_output=True, text=True, cwd=str(REPO_ROOT),
-    )
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 def rule_findings(report, rule_id):
@@ -66,7 +46,7 @@ def test_bad_fixture_trips_exactly_the_expected_lines(rule_id):
     name, lines = EXPECTED_BAD[rule_id]
     report = lint_paths([FIXTURES / name])
     assert [f.line for f in rule_findings(report, rule_id)] == lines
-    assert report.exit_code == EXIT_FINDINGS
+    assert report.errors == []
 
 
 @pytest.mark.parametrize("rule_id", ALL_RULES)
@@ -74,7 +54,6 @@ def test_clean_twin_is_clean_under_every_rule(rule_id):
     name = EXPECTED_BAD[rule_id][0].replace("_bad", "_clean")
     report = lint_paths([FIXTURES / name])
     assert report.clean, [f.render() for f in report.findings]
-    assert report.exit_code == EXIT_CLEAN
 
 
 def test_vab004_exempts_obs_directories():
@@ -94,16 +73,19 @@ def test_findings_carry_message_and_render():
 
 
 # ---------------------------------------------------------------------------
-# exit codes and parse errors
+# unusable input
 # ---------------------------------------------------------------------------
 
 
-def test_broken_file_yields_vab000_and_exit_2():
-    report = lint_paths([FIXTURES / "broken_syntax.py"])
+@pytest.mark.parametrize("units", [False, True])
+def test_broken_file_yields_one_vab000_error(units):
+    """A file that does not parse is an error, not a finding, and every
+    pass that meets it reports the same one."""
+    report = lint_paths([FIXTURES / "broken_syntax.py"], units=units)
     assert report.findings == []
     assert [e.rule_id for e in report.errors] == [PARSE_ERROR_RULE]
     assert report.errors[0].is_error
-    assert report.exit_code == EXIT_ERROR
+    assert not report.clean
 
 
 def test_missing_path_raises():
@@ -117,12 +99,17 @@ def test_missing_path_raises():
 
 
 def test_src_repro_lints_clean():
-    """The acceptance gate: the shipped library has zero violations."""
+    """The lint gate: the shipped library has zero violations under
+    every rule, the per-file ones and the three dataflow engines'."""
     package_root = Path(repro.__file__).resolve().parent
-    report = lint_paths([package_root])
-    assert report.clean, "\n".join(f.render() for f in report.findings)
+    report = lint_paths([package_root], units=True)
+    assert report.clean, "\n".join(
+        f.render() for f in report.errors + report.findings
+    )
     assert report.files > 50
-    assert report.rules == list(ALL_RULES)
+    engine_rules = [r for engine in ENGINES for r in engine.rule_ids]
+    assert report.rules == list(ALL_RULES) + engine_rules
+    assert len(report.rules) == 18
 
 
 def test_rule_catalogue_is_complete():
@@ -133,113 +120,77 @@ def test_rule_catalogue_is_complete():
     assert [r.rule_id for r in make_rules()] == list(ALL_RULES)
 
 
-def test_render_json_schema():
-    report = lint_paths([FIXTURES / "vab005_bad.py"])
-    payload = json.loads(render_json(report))
-    assert payload["clean"] is False
-    assert payload["files"] == 1
-    assert payload["counts"] == {"VAB005": 6}
-    assert {f["rule"] for f in payload["findings"]} == {"VAB005"}
-
-
 # ---------------------------------------------------------------------------
-# CLI surfaces
-# ---------------------------------------------------------------------------
-
-
-def test_vablint_cli_exit_code_contract():
-    code, out, _ = run_vablint(str(FIXTURES / "vab001_clean.py"))
-    assert code == EXIT_CLEAN and "clean" in out
-    code, out, _ = run_vablint(str(FIXTURES / "vab001_bad.py"))
-    assert code == EXIT_FINDINGS and "VAB001" in out
-    code, _, err = run_vablint(str(FIXTURES / "no_such_dir"))
-    assert code == EXIT_ERROR and err
-
-
-def test_vablint_cli_json_report():
-    code, out, _ = run_vablint("--json", str(FIXTURES / "vab003_bad.py"))
-    assert code == EXIT_FINDINGS
-    payload = json.loads(out)
-    assert payload["rules"] == list(ALL_RULES)
-    assert [
-        f["line"] for f in payload["findings"] if f["rule"] == "VAB003"
-    ] == [6, 10, 15, 19]
-
-
-def test_vablint_cli_has_no_rule_filters_or_excludes():
-    for flag in ("--select", "--disable", "--exclude"):
-        code, _, err = run_vablint(flag, "VAB003", str(FIXTURES))
-        assert code == EXIT_ERROR and "unrecognized arguments" in err
-
-
-def test_vablint_cli_default_tree_is_clean():
-    code, out, _ = run_vablint()
-    assert code == EXIT_CLEAN, out
-
-
-# ---------------------------------------------------------------------------
-# discovery excludes
+# discovery
 # ---------------------------------------------------------------------------
 
 
 def test_discover_files_excludes_fixture_tree_by_default():
-    from repro.analysis import discover_files
-
     files = discover_files([REPO_ROOT / "tests"])
     assert files, "discovery found nothing under tests/"
     assert not any("lint_fixtures" in f.as_posix() for f in files)
 
 
 def test_discover_files_never_excludes_named_files():
-    from repro.analysis import discover_files
-
     target = FIXTURES / "vab001_bad.py"
     assert discover_files([target]) == [target]
 
 
+def _tree_with_one_finding(root):
+    (root / "pkg").mkdir(parents=True)
+    (root / "pkg" / "draws.py").write_text(
+        (FIXTURES / "vab001_bad.py").read_text(encoding="utf-8")
+    )
+    # Dot-entries *below* the named directory stay skipped.
+    (root / "pkg" / ".hidden").mkdir()
+    (root / "pkg" / ".hidden" / "skipped.py").write_text("import random\n")
+    return root / "pkg"
+
+
+def test_directory_reached_through_dotdot_is_linted(tmp_path, monkeypatch):
+    _tree_with_one_finding(tmp_path / "checkout")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    report = lint_paths(["../checkout/pkg"])
+    assert report.files == 1
+    assert rule_findings(report, "VAB001")
+
+
+def test_directory_under_a_dot_directory_is_linted(tmp_path):
+    pkg = _tree_with_one_finding(tmp_path / ".cache" / "checkout")
+    report = lint_paths([pkg])
+    assert report.files == 1
+    assert rule_findings(report, "VAB001")
+
+
 # ---------------------------------------------------------------------------
-# the units engine through the CLIs
+# the dataflow engines: one pass, one shared cache
 # ---------------------------------------------------------------------------
 
 
-def test_vablint_cli_units_flag(tmp_path):
-    cache = tmp_path / "cache.json"
-    code, out, _ = run_vablint(
-        "--units", "--units-cache", str(cache),
-        str(FIXTURES / "vab009_bad.py"),
-    )
-    assert code == EXIT_FINDINGS
-    assert "VAB009" in out
-    code, out, _ = run_vablint(
-        "--units", "--no-units-cache", str(FIXTURES / "vab009_clean.py")
-    )
-    assert code == EXIT_CLEAN
-    assert "units: engine" in out
+def test_all_three_engines_report_in_one_pass():
+    targets = [
+        FIXTURES / "vab006_bad.py",   # units finding
+        FIXTURES / "vab013_bad.py",   # shapes finding
+        FIXTURES / "vab017_bad.py",   # effects finding
+    ]
+    report = lint_paths(targets, units=True)
+    assert {"VAB006", "VAB013", "VAB017"} <= {f.rule_id for f in report.findings}
+    stats = [report.units_stats, report.shapes_stats, report.effects_stats]
+    assert list(report.engine_stats) == [engine.name for engine in ENGINES]
+    for engine, engine_stats in zip(ENGINES, stats):
+        assert engine_stats["engine_version"] == engine.version
+        assert engine_stats["files"] == 3
 
 
-def test_catalogue_lists_unit_rules():
-    code, out, _ = run_vablint("--catalogue")
-    assert code == 0
-    for rule_id in ("VAB006", "VAB007", "VAB008", "VAB009", "VAB010"):
-        assert rule_id in out
-
-
-def test_vablint_cli_catalogue_lists_every_rule():
-    from repro.analysis.engines import ENGINES
-
-    code, out, _ = run_vablint("--catalogue")
-    assert code == 0
-    listed = [line.split()[0] for line in out.splitlines()]
-    engine_ids = [r for engine in ENGINES for r in engine.rule_ids]
-    assert listed == list(ALL_RULES) + engine_ids
-
-
-def test_vablint_cli_units_json():
-    code, out, _ = run_vablint(
-        "--units", "--no-units-cache", "--json", str(FIXTURES / "vab010_bad.py")
-    )
-    assert code == EXIT_FINDINGS
-    payload = json.loads(out)
-    assert payload["counts"] == {"VAB010": 2}
-    assert payload["units"]["engine_version"]
-    assert "VAB010" in payload["rules"]
+def test_warm_run_reuses_every_engine_cache(tmp_path):
+    cache = tmp_path / "units_cache.json"
+    target = [FIXTURES / "vab017_clean.py"]
+    cold = lint_paths(target, units=True, units_cache=cache)
+    warm = lint_paths(target, units=True, units_cache=cache)
+    assert warm.clean
+    for name in ("units", "shapes", "effects"):
+        assert cold.engine_stats[name]["analyzed"] == 1, name
+        assert warm.engine_stats[name]["reused"] == 1, name
+        assert warm.engine_stats[name]["analyzed"] == 0, name
+        assert warm.engine_stats[name]["passes"] >= 1, name

@@ -47,12 +47,14 @@ class TestRetrodirectivity:
             arr = ideal_array(n)
             assert abs(monostatic_gain(arr, F, 0.0, C)) == pytest.approx(n, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
     @given(st.floats(min_value=-75.0, max_value=75.0))
     @settings(max_examples=40)
-    def test_monostatic_gain_flat_across_angle(self, theta):
-        """THE core property: retrodirective gain is angle-independent."""
-        arr = ideal_array(4)
-        assert abs(monostatic_gain(arr, F, theta, C)) == pytest.approx(4.0, rel=1e-9)
+    def test_monostatic_gain_flat_across_angle(self, n, theta):
+        """THE core property: retrodirective gain is angle-independent,
+        and N in field for every element count."""
+        arr = ideal_array(n)
+        assert abs(monostatic_gain(arr, F, theta, C)) == pytest.approx(n, rel=1e-9)
 
     def test_odd_array_also_retrodirective(self):
         arr = ideal_array(5)

@@ -115,20 +115,25 @@ LINT_SECTION = """\
 
 `repro.analysis` is a stdlib-`ast` linter for the invariants the
 reproduction's guarantees rest on — campaign determinism, unit
-discipline in the physics, a typed public API. Its one command line
-is `tools/vablint.py` (exit codes: 0 clean, 1 findings, 2 unusable
-input such as a parse error, reported as pseudo-rule `VAB000`)::
+discipline in the physics, a typed public API. It has no command
+line: the gate is the tier-1 test
+`tests/test_vablint.py::test_src_repro_lints_clean`, which runs all 18
+rules over `src/repro` and allows no finding. The same check from
+Python::
 
-    python tools/vablint.py              # lints src/repro
-    python tools/vablint.py --json pkg/  # machine-readable report
-    python tools/vablint.py --units      # + the dataflow engines
-    python tools/vablint.py --catalogue  # rule catalogue
+    from repro.analysis import lint_paths
 
-Directory recursion skips `tests/lint_fixtures/**` (the fixtures are
-deliberately dirty) and any entry below the named directory whose name
-starts with `.`; a file named on the command line is always linted.
-Spread the per-file rules over processes with `--jobs N` (output is
-deterministic regardless of job count). Every rule runs on every file:
+    report = lint_paths(["src/repro"], units=True)  # + the dataflow engines
+    for finding in report.errors + report.findings:
+        print(finding.render())                    # path:line:col: VABxxx ...
+
+A file that does not parse is reported in `report.errors` as
+pseudo-rule `VAB000`; `report.clean` is true only when both lists are
+empty. Directory recursion skips `tests/lint_fixtures/**` (the
+fixtures are deliberately dirty) and any entry below the named
+directory whose name starts with `.`; a file named explicitly is always
+linted. Spread the per-file rules over processes with `jobs=N` (output
+is deterministic regardless of job count). Every rule runs on every file:
 there are no rule filters and no suppression comments, so a finding is
 fixed in the code or, for the effects engine, answered by a declared
 `Effectful[...]` grant. README's rule table records, per rule, its
@@ -144,21 +149,21 @@ catches the same bug.
 | `VAB003` | unit-suffix-mismatch | no dB/linear, Hz/rad, m/km additive mixing; dB-valued expressions bind to `*_db` names |
 | `VAB004` | wall-clock-in-sim | no `time.time` / `datetime.now` outside `repro.obs` (telemetry is exempt) |
 | `VAB005` | api-hygiene | no mutable default arguments; public functions carry full type annotations |
-| `VAB006` | db-domain-product | (`--units`) no multiplying/dividing two dB-domain quantities — log-domain values compose additively |
-| `VAB007` | db-linear-mix | (`--units`) no additive arithmetic or bindings mixing dB-domain and linear-domain quantities |
-| `VAB008` | hz-rad-confusion | (`--units`) no Hz vs rad/s (or kHz) conflicts in arithmetic, call arguments, trig/filter calls |
-| `VAB009` | m-km-mix | (`--units`) no metre/kilometre mixing; `dB/km` coefficients times metres demand the `/ 1e3` |
-| `VAB010` | call-site-unit-conflict | (`--units`) no argument units contradicting a callee's parameters, or returns contradicting declarations |
-| `VAB011` | silent-broadcast | (`--units`) no elementwise arithmetic between symbolic shapes that provably cannot broadcast (the missing-`keepdims` class of bug) |
-| `VAB012` | batch-collapsing-reduction | (`--units`) no axis-less reductions of named batch arrays, no reduction axes that exceed the declared rank |
-| `VAB013` | complex-downcast | (`--units`) no silent complex→real decay: `float()`/real-buffer stores/ordered comparisons of complex fields must go through `np.abs`/`.real` |
-| `VAB014` | cache-mutation | (`--units`) no in-place writes to arrays handed out by the worker/cache boundary (`reader_node_response`, `cached_between`) — copy first |
-| `VAB015` | set-order-accumulation | (`--units`) no order-dependent accumulation (`+=`, RNG draws) driven by iteration over `set`/`frozenset` — sort first |
-| `VAB016` | shape-contract-violation | (`--units`) no returns or call arguments contradicting a `Shaped[...]` contract (rank, named dims, dtype family) |
-| `VAB017` | hidden-cache-input | (`--units`) no hidden input (environ, wall-clock, filesystem, host config, mutable global, ambient RNG) reaching a memoized or content-addressed computation whose cache key cannot see it |
-| `VAB018` | cache-hit-divergence | (`--units`) no side effect (global/argument mutation, file write) escaping a memoized function — it happens on the computing call and never again on a cache hit |
+| `VAB006` | db-domain-product | (`units=True`) no multiplying/dividing two dB-domain quantities — log-domain values compose additively |
+| `VAB007` | db-linear-mix | (`units=True`) no additive arithmetic or bindings mixing dB-domain and linear-domain quantities |
+| `VAB008` | hz-rad-confusion | (`units=True`) no Hz vs rad/s (or kHz) conflicts in arithmetic, call arguments, trig/filter calls |
+| `VAB009` | m-km-mix | (`units=True`) no metre/kilometre mixing; `dB/km` coefficients times metres demand the `/ 1e3` |
+| `VAB010` | call-site-unit-conflict | (`units=True`) no argument units contradicting a callee's parameters, or returns contradicting declarations |
+| `VAB011` | silent-broadcast | (`units=True`) no elementwise arithmetic between symbolic shapes that provably cannot broadcast (the missing-`keepdims` class of bug) |
+| `VAB012` | batch-collapsing-reduction | (`units=True`) no axis-less reductions of named batch arrays, no reduction axes that exceed the declared rank |
+| `VAB013` | complex-downcast | (`units=True`) no silent complex→real decay: `float()`/real-buffer stores/ordered comparisons of complex fields must go through `np.abs`/`.real` |
+| `VAB014` | cache-mutation | (`units=True`) no in-place writes to arrays handed out by the worker/cache boundary (`reader_node_response`, `cached_between`) — copy first |
+| `VAB015` | set-order-accumulation | (`units=True`) no order-dependent accumulation (`+=`, RNG draws) driven by iteration over `set`/`frozenset` — sort first |
+| `VAB016` | shape-contract-violation | (`units=True`) no returns or call arguments contradicting a `Shaped[...]` contract (rank, named dims, dtype family) |
+| `VAB017` | hidden-cache-input | (`units=True`) no hidden input (environ, wall-clock, filesystem, host config, mutable global, ambient RNG) reaching a memoized or content-addressed computation whose cache key cannot see it |
+| `VAB018` | cache-hit-divergence | (`units=True`) no side effect (global/argument mutation, file write) escaping a memoized function — it happens on the computing call and never again on a cache hit |
 
-### Dimensional analysis (`--units`)
+### Dimensional analysis (`units=True`)
 
 VAB006..VAB010 come from `repro.analysis.units`: a flow-sensitive,
 interprocedural abstract interpretation that tracks a unit lattice
@@ -198,7 +203,7 @@ Conversions are algebraic, not pattern-matched: `m / 1e3` is `km`,
 becomes `dB` after the missing `/ 1e3` (the paper's flagship unit
 trap), `2 * pi * f_hz` is `rad/s`, and `10 * log10(x)` promotes to dB.
 
-### Shape/dtype dataflow analysis (also `--units`)
+### Shape/dtype dataflow analysis (also `units=True`)
 
 VAB011..VAB016 come from `repro.analysis.shapes`: a second
 flow-sensitive, interprocedural engine over the same call-graph
@@ -230,10 +235,10 @@ missing-`keepdims` slip, `records - records.mean(axis=1)`, which pits
 `"samples"` against `"trials"` in one broadcast slot (VAB011); the
 same machinery flags silent phase loss on the complex field sums
 (VAB013) and in-place writes to channel-cache storage (VAB014). The
-engine shares the incremental cache file and the JSON report (a
-`shapes` stats block next to `units`).
+engine shares the incremental cache file and the report (a `shapes`
+entry next to `units` in `LintReport.engine_stats`).
 
-### Effect/purity analysis (also `--units`)
+### Effect/purity analysis (also `units=True`)
 
 VAB017 and VAB018 come from `repro.analysis.effects`: a third
 flow-sensitive, interprocedural engine over the same call-graph
@@ -286,17 +291,16 @@ paths (`repro.sim.cache`, `repro.sim.parallel`, `repro.obs.ledger`,
 `repro.rng`) carry explicit contracts; the committed tree is
 effect-clean.
 
-**Incremental cache** — `--units-cache PATH` (tool default
-`.vablint_units_cache.json`, git-ignored) keys per-file results by
-content sha256 + engine version, one section per engine in that one
-file, so a version bump invalidates only that engine's entries. An
-edit re-analyzes only the
-file and its call-graph dependents; everything else is replayed
-byte-identically from cache. `--no-units-cache` forces a cold run
-(what CI does); version bumps and damaged caches degrade to cold runs
-automatically. `--stats` appends per-engine wall-clock timings and
-cache hit/miss counts to the report (embedded under `"stats"` in JSON
-mode; opt-in so the default report stays byte-deterministic).
+**Incremental cache** — `lint_paths(..., units_cache=PATH)` keys
+per-file results by content sha256 + engine version, one section per
+engine in that one file, so a version bump invalidates only that
+engine's entries. An edit re-analyzes only the file and its call-graph
+dependents; everything else is replayed byte-identically from cache.
+Without a cache path the run is cold (what the tier-1 gate does);
+version bumps and damaged caches degrade to cold runs automatically.
+`LintReport.engine_stats` records, per engine, the files analyzed
+(cache misses), the files reused (cache hits) and the fixed-point
+passes.
 
 ### The RNG-threading contract (what VAB001/VAB002 enforce)
 
@@ -316,9 +320,9 @@ Subclass `repro.analysis.Rule`, set `rule_id` / `name` / `summary`,
 implement `check(ctx: FileContext) -> Iterator[Finding]` (walk
 `ctx.tree`, resolve dotted callables with `ctx.resolve(node)`, emit via
 `ctx.finding(self, node, message)`), and decorate with `@register`.
-Reporting, the catalogue and exit codes pick the rule up
-automatically; add a bad/clean fixture pair under
-`tests/lint_fixtures/` to pin its behavior.
+The linter and the tier-1 gate pick the rule up automatically; add a
+bad/clean fixture pair under `tests/lint_fixtures/` to pin its
+behavior.
 
 ### Lint and campaign runs
 
@@ -331,11 +335,9 @@ reaches a real manifest's stamp, and that a campaign run — through the
 API or `python -m repro sweep` — loads no `repro.analysis` module.
 `tests/test_engine_table.py` checks that a warm run serves every file
 of every engine from the cache (the signature of a cache-key or
-dependent-closure bug is a warm run that re-analyses). CI runs the
-full gate — per-file rules plus `--units`, zero findings allowed —
-before the typed-API check, renders the JSON report as inline GitHub
-annotations (`tools/lint_annotations.py`), and keeps the report as a
-build artifact.
+dependent-closure bug is a warm run that re-analyses). CI's test job
+runs the lint gate with the rest of tier-1 on every Python version it
+tests; its lint job keeps only the typed-API check.
 
 ### Typed-API gate
 
