@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from repro.vanatta.node import VanAttaNode
+from repro.vanatta.reflection import hold_to_length
 
 
 def conventional_monostatic_gain(
@@ -71,13 +73,7 @@ class ConventionalNode(VanAttaNode):
     ) -> np.ndarray:
         """Re-radiate with the self-reflecting (non-retrodirective) gain."""
         incident = np.asarray(incident, dtype=np.complex128)
-        modulation = np.asarray(modulation, dtype=np.float64)
-        if len(modulation) < len(incident):
-            pad = modulation[-1] if len(modulation) else 0.0
-            modulation = np.concatenate(
-                [modulation, np.full(len(incident) - len(modulation), pad)]
-            )
-        modulation = modulation[: len(incident)]
+        modulation = hold_to_length(modulation, incident.shape[-1])
         g_elem = self.array.element.element_gain(theta_deg)
         gain = conventional_monostatic_gain(
             self.array.positions_m,

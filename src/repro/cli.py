@@ -123,17 +123,24 @@ def _load_ref(ref: str, ledger_root):
     """``(manifest, events path or None)`` from a manifest file path or a
     ledger key/run-id prefix.
 
-    Raises ``KeyError`` for an unknown or ambiguous ledger reference and
-    ``FileNotFoundError`` for a manifest missing from disk.
+    A reference with a ``.json`` suffix or a path separator names a
+    file, never a ledger prefix. Raises ``KeyError`` for an unknown or
+    ambiguous ledger reference and ``FileNotFoundError`` for a manifest
+    missing from disk.
     """
+    import os
     from pathlib import Path
 
     from repro.obs.ledger import Ledger
     from repro.sim.export import load_manifest
 
-    if Path(ref).is_file():
+    path = Path(ref)
+    if path.is_file():
         manifest = load_manifest(ref)
         return manifest, manifest.events_path
+    separators = {os.sep, os.altsep} - {None}
+    if path.suffix == ".json" or any(sep in ref for sep in separators):
+        raise FileNotFoundError(f"no such manifest file: {ref}")
     record = Ledger(ledger_root).resolve(ref)
     events_path = str(record.events_path) if record.events_path else None
     return load_manifest(record.manifest_path), events_path

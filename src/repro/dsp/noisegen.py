@@ -41,6 +41,8 @@ def white_noise(
 ) -> np.ndarray:
     """Complex (or real) white Gaussian noise with a given average power.
 
+    Complex noise is a 1-row call of :func:`white_noise_batch`.
+
     Args:
         n: number of samples.
         power: target mean square value E[|x|^2].
@@ -54,8 +56,7 @@ def white_noise(
     if rng is None:
         rng = fallback_rng()
     if complex_:
-        scale = np.sqrt(power / 2.0)
-        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        return white_noise_batch(n, power, [rng])[0]
     return np.sqrt(power) * rng.standard_normal(n)
 
 
@@ -137,10 +138,7 @@ def colored_noise(
 ) -> np.ndarray:
     """Complex baseband noise matching an absolute passband PSD.
 
-    The returned samples represent passband noise around ``carrier_hz``
-    translated to baseband: bin ``f`` of the output spectrum is shaped by
-    ``psd_db_fn(carrier_hz + f)``. Mean-square value equals the PSD
-    integrated across the simulated bandwidth ``fs``.
+    A 1-row call of :func:`colored_noise_batch`.
 
     Args:
         n: number of samples.
@@ -155,17 +153,9 @@ def colored_noise(
     Returns:
         Complex baseband noise samples of length ``n``.
     """
-    if n <= 0:
-        return np.zeros(0, dtype=np.complex128)
     if rng is None:
         rng = fallback_rng()
-    # Bin amplitude: each FFT bin spans fs/n Hz of PSD; synthesise unit
-    # white bins then scale so E[|x[t]|^2] = integral of PSD.
-    bins = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    bins *= _shaping_amplitude(n, fs, psd_db_fn, carrier_hz)
-    noise = np.fft.ifft(bins)
-    noise *= np.sqrt(n)
-    return noise
+    return colored_noise_batch(n, fs, psd_db_fn, carrier_hz, [rng])[0]
 
 
 def _draw_complex_rows(
@@ -199,10 +189,10 @@ def white_noise_batch(
 ) -> np.ndarray:
     """One row of complex white noise per generator, shape ``(len(rngs), n)``.
 
-    Row ``t`` is drawn from ``rngs[t]`` with the exact draw sequence of
-    :func:`white_noise` — the batched campaign engine's bit-identity
-    contract rests on each trial's stream seeing the same requests in the
-    same order as the per-trial path.
+    Row ``t`` is ``sqrt(power / 2) * (N + 1j N)`` drawn from ``rngs[t]``,
+    real parts first: each trial's stream sees the same requests in the
+    same order whatever batch it rides in, which is the campaign
+    engine's bit-identity contract.
     """
     if power < 0:
         raise ValueError("power must be non-negative")
@@ -225,13 +215,15 @@ def colored_noise_batch(
 ) -> np.ndarray:
     """One row of shaped noise per generator, shape ``(len(rngs), n)``.
 
-    The Gaussian bins are drawn per generator (preserving each trial's
-    stream order — see :func:`white_noise_batch`), but the PSD shaping
-    and the inverse FFT run once over the whole ``(trials, n)`` block.
-    Each row is bit-identical to :func:`colored_noise` called with the
-    same generator: the shaping multiply is elementwise and a batched
-    ``ifft`` along the last axis transforms rows independently — which
-    is also what lets row blocks draw and transform on separate threads
+    Row ``t`` represents passband noise around ``carrier_hz`` translated
+    to baseband: unit complex Gaussian bins drawn from ``rngs[t]`` (in
+    the stream order of :func:`white_noise_batch`), bin ``f`` scaled by
+    ``sqrt(PSD(carrier_hz + f) * fs / 2)``, inverse-FFT'd and scaled by
+    ``sqrt(n)``, so the mean-square value equals the PSD integrated
+    across the simulated bandwidth ``fs``. The shaping multiply is
+    elementwise and the inverse FFT transforms rows independently, so a
+    row does not depend on its batch neighbours — which is also what
+    lets row blocks draw and transform on separate threads
     (:func:`repro.dsp.rowblocks.for_row_blocks`), in place.
     """
     if n <= 0:

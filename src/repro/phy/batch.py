@@ -45,8 +45,6 @@ from repro.contracts import (
     IntShaped,
     Shaped,
 )
-from repro.dsp.filters import _dc_block_rows
-from repro.dsp.rowblocks import for_row_blocks
 from repro.obs.metrics import counter, gauge, histogram
 from repro.obs.probes import probe_finite, probe_invariant
 from repro.obs.spans import span
@@ -64,6 +62,7 @@ from repro.phy.receiver import (
     DemodResult,
     ReaderReceiver,
     _eye_snr_db,
+    suppress_carrier_rows,
 )
 
 BATCHED_ENGINE_VERSION = 1
@@ -128,29 +127,8 @@ class BatchedReaderReceiver:
     def suppress_carrier_batch(
         self, records: ComplexShaped["trials", "samples"]
     ) -> ComplexShaped["trials", "samples"]:
-        """Stage 1 over the batch: mean removal + DC blocker per row.
-
-        Row blocks run on separate threads
-        (:func:`repro.dsp.rowblocks.for_row_blocks`), each writing its
-        rows of one output block.
-        """
-        rx = self.receiver
-        records = np.asarray(records)
-        pole = rx.dc_pole if rx.dc_pole and 0.0 < rx.dc_pole < 1.0 else None
-        centred = np.empty_like(
-            records, dtype=np.result_type(records.dtype, np.float64)
-        )
-
-        def block(lo: int, hi: int) -> None:
-            rows, out = records[lo:hi], centred[lo:hi]
-            np.subtract(rows, rows.mean(axis=1, keepdims=True), out=out)
-            if pole is not None:
-                # dc_block_fast's IIR along the last axis: rows are
-                # filtered independently.
-                out[...] = _dc_block_rows(out, pole)
-
-        for_row_blocks(len(records), block)
-        return centred
+        """Stage 1 over the batch (:func:`repro.phy.receiver.suppress_carrier_rows`)."""
+        return suppress_carrier_rows(records, self.receiver.dc_pole)
 
     def _estimate_cfo_batch(
         self,

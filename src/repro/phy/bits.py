@@ -21,6 +21,33 @@ def bits_from_bytes(data: bytes) -> np.ndarray:
     return np.unpackbits(arr).astype(np.int64)
 
 
+def as_bits(bits: Sequence[int], ndim: Optional[int] = None) -> np.ndarray:
+    """``bits`` as an int64 array of 0/1: the PHY's one bit validator.
+
+    The line codes, the FEC, the CRC and their batched kernels all
+    convert through it, once per call; an int64 array passes through
+    without a copy.
+
+    Args:
+        bits: a bit sequence, or an array of any shape.
+        ndim: the number of axes required (None accepts any).
+
+    Raises:
+        ValueError: on a value other than 0/1, or on the wrong number
+            of axes.
+    """
+    if isinstance(bits, np.ndarray):
+        arr = bits if bits.dtype == np.int64 else bits.astype(np.int64)
+    else:
+        arr = np.asarray(list(bits), dtype=np.int64)
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"bits must have {ndim} axes, got shape {arr.shape}")
+    # 0 and 1 are the only int64 values with no bit set above bit 0.
+    if np.count_nonzero(arr & -2):
+        raise ValueError("bits must be 0/1")
+    return arr
+
+
 def bits_to_bytes(bits: Sequence[int]) -> bytes:
     """Pack an MSB-first bit array into bytes.
 
@@ -28,17 +55,12 @@ def bits_to_bytes(bits: Sequence[int]) -> bytes:
         ValueError: if the bit count is not a multiple of 8 or any value
             is not 0/1.
     """
-    if isinstance(bits, np.ndarray):
-        bits = bits if bits.dtype == np.int64 else bits.astype(np.int64)
-    else:
-        bits = np.asarray(list(bits), dtype=np.int64)
-    if bits.size % 8 != 0:
-        raise ValueError(f"bit count {bits.size} is not a multiple of 8")
-    if bits.size and not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0/1")
-    if bits.size == 0:
+    arr = as_bits(bits)
+    if arr.size % 8 != 0:
+        raise ValueError(f"bit count {arr.size} is not a multiple of 8")
+    if arr.size == 0:
         return b""
-    return np.packbits(bits.astype(np.uint8)).tobytes()
+    return np.packbits(arr.astype(np.uint8)).tobytes()
 
 
 def random_bits(n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:

@@ -18,6 +18,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.phy.bits import as_bits
+
 
 class LineCode(enum.Enum):
     """Available uplink line codes."""
@@ -28,102 +30,38 @@ class LineCode(enum.Enum):
     NRZ = "nrz"
 
 
-def _as_bits(bits: Sequence[int]) -> np.ndarray:
-    if isinstance(bits, np.ndarray):
-        # Fast path: no Python-level list round trip. Hot in the frame
-        # build/parse loops of large campaigns.
-        arr = bits if bits.dtype == np.int64 else bits.astype(np.int64)
-    else:
-        arr = np.asarray(list(bits), dtype=np.int64)
-    if arr.size and not ((arr == 0) | (arr == 1)).all():
-        raise ValueError("bits must be 0/1")
-    return arr
-
-
 # --------------------------------------------------------------------------
 # FM0 (bi-phase space)
 # --------------------------------------------------------------------------
 
 
-def fm0_encode(bits: Sequence[int], start_level: int = 1) -> np.ndarray:
-    """FM0-encode bits into chips (2 chips/bit).
+def fm0_encode_batch(bits: np.ndarray, start_level: int = 1) -> np.ndarray:
+    """FM0-encode every row of a ``(rows, n)`` bit matrix (2 chips/bit).
 
     Rules: the level always inverts at a bit boundary; a ``0`` bit inverts
     again mid-bit, a ``1`` holds through the bit.
 
     Args:
-        bits: data bits.
+        bits: data bits, one frame per row.
         start_level: line level before the first bit (0 or 1).
 
     Returns:
-        Chip array of length ``2 * len(bits)``.
+        A ``(rows, 2 * n)`` chip matrix.
     """
-    bits = _as_bits(bits)
-    if start_level not in (0, 1):
-        raise ValueError("start_level must be 0 or 1")
-    chips = np.empty(2 * bits.size, dtype=np.int64)
-    if bits.size == 0:
-        return chips
-    # The line level toggles over a bit exactly when the bit is 1 (one
-    # boundary inversion for a 1, boundary + mid-bit for a 0), so the
-    # level entering bit i is start_level XOR (parity of bits before i).
-    level_before = np.empty_like(bits)
-    level_before[0] = start_level
-    level_before[1:] = start_level ^ (np.cumsum(bits)[:-1] & 1)
-    first = 1 - level_before  # invert at the boundary
-    second = np.where(bits == 0, level_before, first)
-    chips[0::2] = first
-    chips[1::2] = second
-    return chips
-
-
-def fm0_decode(chips: Sequence[int]) -> Tuple[np.ndarray, int]:
-    """Decode FM0 chips back to bits.
-
-    A bit is ``1`` when its two chips match, ``0`` when they differ. The
-    boundary-inversion rule is also checked: each violation (consecutive
-    bits whose adjacent chips fail to invert) is counted as a coding error,
-    which gives the receiver a free integrity signal before the CRC.
-
-    Args:
-        chips: chip array (even length).
-
-    Returns:
-        ``(bits, violations)`` — decoded bits and the number of
-        boundary-rule violations observed.
-    """
-    chips = _as_bits(chips)
-    if chips.size % 2 != 0:
-        raise ValueError("FM0 chip count must be even")
-    pairs = chips.reshape(-1, 2)
-    bits = (pairs[:, 0] == pairs[:, 1]).astype(np.int64)
-    violations = int((pairs[1:, 0] == pairs[:-1, 1]).sum())
-    return bits, violations
-
-
-def fm0_encode_batch(bits: np.ndarray, start_level: int = 1) -> np.ndarray:
-    """FM0-encode every row of a ``(rows, n)`` bit matrix at once.
-
-    Integer-exact against :func:`fm0_encode` row by row; the level
-    parity runs as a row-wise cumulative sum. Used by the batched frame
-    builder so a whole campaign point encodes in one pass.
-    """
-    bits = np.asarray(bits)
-    if bits.ndim != 2:
-        raise ValueError("bits must be a (rows, n) matrix")
-    if bits.size and not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0/1")
+    bits = as_bits(bits, ndim=2)
     if start_level not in (0, 1):
         raise ValueError("start_level must be 0 or 1")
     rows, n = bits.shape
     chips = np.empty((rows, 2 * n), dtype=np.int64)
     if n == 0:
         return chips
-    bits = bits.astype(np.int64, copy=False)
+    # The line level toggles over a bit exactly when the bit is 1 (one
+    # boundary inversion for a 1, boundary + mid-bit for a 0), so the
+    # level entering bit i is start_level XOR (parity of bits before i).
     level_before = np.empty((rows, n), dtype=np.int64)
     level_before[:, 0] = start_level
     level_before[:, 1:] = start_level ^ (np.cumsum(bits[:, :-1], axis=1) & 1)
-    first = 1 - level_before
+    first = 1 - level_before  # invert at the boundary
     second = np.where(bits == 0, level_before, first)
     chips[:, 0::2] = first
     chips[:, 1::2] = second
@@ -131,23 +69,46 @@ def fm0_encode_batch(bits: np.ndarray, start_level: int = 1) -> np.ndarray:
 
 
 def fm0_decode_batch(chips: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode every row of a ``(rows, 2n)`` FM0 chip matrix at once.
+    """Decode every row of a ``(rows, 2n)`` FM0 chip matrix.
 
-    Integer-exact against :func:`fm0_decode` row by row. Returns
-    ``(bits, violations)`` as a ``(rows, n)`` bit matrix and a
-    ``(rows,)`` violation count vector.
+    A bit is ``1`` when its two chips match, ``0`` when they differ. The
+    boundary-inversion rule is also checked: each violation (consecutive
+    bits whose adjacent chips fail to invert) is counted as a coding error,
+    which gives the receiver a free integrity signal before the CRC.
+
+    Returns:
+        ``(bits, violations)`` — a ``(rows, n)`` bit matrix and a
+        ``(rows,)`` vector of boundary-rule violations per row.
     """
-    chips = np.asarray(chips)
-    if chips.ndim != 2:
-        raise ValueError("chips must be a (rows, n) matrix")
-    if chips.size and not ((chips == 0) | (chips == 1)).all():
-        raise ValueError("bits must be 0/1")
-    if chips.shape[1] % 2 != 0:
+    chips = as_bits(chips, ndim=2)
+    rows, n_chips = chips.shape
+    if n_chips % 2 != 0:
         raise ValueError("FM0 chip count must be even")
-    pairs = chips.reshape(chips.shape[0], -1, 2)
+    pairs = chips.reshape(rows, n_chips // 2, 2)
     bits = (pairs[:, :, 0] == pairs[:, :, 1]).astype(np.int64)
     violations = (pairs[:, 1:, 0] == pairs[:, :-1, 1]).sum(axis=1)
     return bits, violations
+
+
+def fm0_encode(bits: Sequence[int], start_level: int = 1) -> np.ndarray:
+    """FM0-encode bits into chips (2 chips/bit).
+
+    A 1-row call of :func:`fm0_encode_batch`, which states the rules.
+    """
+    return fm0_encode_batch(np.asarray(bits)[None], start_level)[0]
+
+
+def fm0_decode(chips: Sequence[int]) -> Tuple[np.ndarray, int]:
+    """Decode FM0 chips back to bits.
+
+    A 1-row call of :func:`fm0_decode_batch`, which states the rules.
+
+    Returns:
+        ``(bits, violations)`` — decoded bits and the number of
+        boundary-rule violations observed.
+    """
+    bits, violations = fm0_decode_batch(np.asarray(chips)[None])
+    return bits[0], int(violations[0])
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +118,7 @@ def fm0_decode_batch(chips: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def manchester_encode(bits: Sequence[int]) -> np.ndarray:
     """Manchester-encode bits into chips (2 chips/bit)."""
-    bits = _as_bits(bits)
+    bits = as_bits(bits)
     chips = np.empty(2 * bits.size, dtype=np.int64)
     chips[0::2] = bits
     chips[1::2] = 1 - bits
@@ -166,7 +127,7 @@ def manchester_encode(bits: Sequence[int]) -> np.ndarray:
 
 def manchester_decode(chips: Sequence[int]) -> np.ndarray:
     """Decode Manchester chips; raises on invalid (flat) symbols."""
-    chips = _as_bits(chips)
+    chips = as_bits(chips)
     if chips.size % 2 != 0:
         raise ValueError("Manchester chip count must be even")
     pairs = chips.reshape(-1, 2)
@@ -186,7 +147,7 @@ def miller_encode(bits: Sequence[int], start_level: int = 1) -> np.ndarray:
     Rules: ``1`` transitions mid-bit; ``0`` holds, except a ``0`` that
     follows a ``0`` transitions at the bit boundary.
     """
-    bits = _as_bits(bits)
+    bits = as_bits(bits)
     if start_level not in (0, 1):
         raise ValueError("start_level must be 0 or 1")
     chips = np.empty(2 * bits.size, dtype=np.int64)
@@ -211,7 +172,7 @@ def miller_encode(bits: Sequence[int], start_level: int = 1) -> np.ndarray:
 
 def miller_decode(chips: Sequence[int]) -> np.ndarray:
     """Decode Miller chips: mid-bit transition = 1, none = 0."""
-    chips = _as_bits(chips)
+    chips = as_bits(chips)
     if chips.size % 2 != 0:
         raise ValueError("Miller chip count must be even")
     pairs = chips.reshape(-1, 2)
@@ -225,12 +186,12 @@ def miller_decode(chips: Sequence[int]) -> np.ndarray:
 
 def nrz_encode(bits: Sequence[int]) -> np.ndarray:
     """NRZ: one chip per bit, identity mapping."""
-    return _as_bits(bits).copy()
+    return as_bits(bits).copy()
 
 
 def nrz_decode(chips: Sequence[int]) -> np.ndarray:
     """NRZ decode: identity mapping."""
-    return _as_bits(chips).copy()
+    return as_bits(chips).copy()
 
 
 # --------------------------------------------------------------------------

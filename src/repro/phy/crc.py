@@ -3,104 +3,84 @@
 Polynomial 0x1021, initial value 0xFFFF, no reflection, no final XOR —
 the variant used by most low-power telemetry framings. Implemented over
 bit arrays because the PHY works in bits end to end.
+
+The CRC is affine over GF(2): the register after ``n`` bits is the
+register the initial value alone leaves, XOR the register each set bit
+alone leaves from a zero start. So one cached ``(n, 16)`` impulse table
+plus an init row turns every row's CRC into one matrix product and a
+parity.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 import numpy as np
+
+from repro.phy.bits import as_bits
 
 _POLY = 0x1021
 _INIT = 0xFFFF
 
 
-def _build_table() -> tuple:
-    """256-entry byte-at-a-time table from the bit recurrence.
+def _step(register: int) -> int:
+    """One zero-input step of the MSB-first bit loop."""
+    if register & 0x8000:
+        return ((register << 1) ^ _POLY) & 0xFFFF
+    return (register << 1) & 0xFFFF
 
-    Entry ``b`` is the register after shifting the byte ``b`` through
-    the MSB-first bit loop with a zero starting register, so one table
-    step is integer-exact against eight bit steps.
+
+def _register_bits(register: int) -> list:
+    """The 16 register bits, MSB first."""
+    return [(register >> (15 - i)) & 1 for i in range(16)]
+
+
+@lru_cache(maxsize=256)
+def _affine_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(impulse, init)`` of the CRC over ``n`` bits.
+
+    Row ``i`` of the float ``(n, 16)`` impulse table is the register
+    bit ``i`` alone leaves from a zero start: ``0x8000`` shifted through
+    the loop's remaining ``n - i`` steps. ``init`` is the register the
+    initial value leaves after ``n`` zero bits. Float, so the row sums
+    run as one BLAS product; they count at most ``n`` ones, exactly.
     """
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ _POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_TABLE = _build_table()
-_TABLE_NP = np.array(_TABLE, dtype=np.int64)
-
-
-def _as_bit_array(bits: Sequence[int]) -> np.ndarray:
-    if isinstance(bits, np.ndarray):
-        arr = bits if bits.dtype == np.int64 else bits.astype(np.int64)
-    else:
-        arr = np.asarray(list(bits), dtype=np.int64)
-    if arr.size and not ((arr == 0) | (arr == 1)).all():
-        raise ValueError("bits must be 0/1")
-    return arr
-
-
-def crc16_ccitt(bits: Sequence[int]) -> np.ndarray:
-    """CRC-16/CCITT-FALSE of a bit sequence, returned as 16 bits (MSB first)."""
-    bits = _as_bit_array(bits)
-    crc = _INIT
-    # Whole bytes go through the table (packbits is MSB-first, matching
-    # the bit loop); a sub-byte tail finishes bit by bit.
-    full = bits.size & ~7
-    if full:
-        for byte in np.packbits(bits[:full].astype(np.uint8)).tolist():
-            crc = ((crc << 8) & 0xFFFF) ^ _TABLE[((crc >> 8) ^ byte) & 0xFF]
-    for b in bits[full:].tolist():
-        crc ^= b << 15
-        if crc & 0x8000:
-            crc = ((crc << 1) ^ _POLY) & 0xFFFF
-        else:
-            crc = (crc << 1) & 0xFFFF
-    return np.array([(crc >> (15 - i)) & 1 for i in range(16)], dtype=np.int64)
+    impulse, init = 0x8000, _INIT
+    rows = []
+    for _ in range(n):
+        impulse, init = _step(impulse), _step(init)
+        rows.append(_register_bits(impulse))
+    table = np.array(rows[::-1], dtype=np.float64).reshape(n, 16)
+    init_row = np.array(_register_bits(init), dtype=np.int64)
+    table.setflags(write=False)
+    init_row.setflags(write=False)
+    return table, init_row
 
 
 def crc16_ccitt_batch(bits: np.ndarray) -> np.ndarray:
     """CRC-16/CCITT-FALSE of every row of a ``(rows, n)`` bit matrix.
 
-    Integer-exact against :func:`crc16_ccitt` row by row — the register
-    recurrence runs vectorised over the row axis, one table step per
-    byte column — so the batched frame codecs can use it without any
-    parity caveat. Returns a ``(rows, 16)`` bit matrix (MSB first).
+    Returns a ``(rows, 16)`` bit matrix (MSB first): each row's parity of
+    the impulse-table rows its set bits select, XOR the init row.
     """
-    bits = np.asarray(bits)
-    if bits.ndim != 2:
-        raise ValueError("bits must be a (rows, n) matrix")
-    if bits.size and not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0/1")
-    rows, n = bits.shape
-    crc = np.full(rows, _INIT, dtype=np.int64)
-    full = n & ~7
-    if full:
-        data = np.packbits(bits[:, :full].astype(np.uint8), axis=1).astype(
-            np.int64
-        )
-        for j in range(data.shape[1]):
-            crc = ((crc << 8) & 0xFFFF) ^ _TABLE_NP[((crc >> 8) ^ data[:, j]) & 0xFF]
-    for j in range(full, n):
-        crc = crc ^ (bits[:, j].astype(np.int64) << 15)
-        crc = np.where(
-            crc & 0x8000, ((crc << 1) ^ _POLY) & 0xFFFF, (crc << 1) & 0xFFFF
-        )
-    return ((crc[:, None] >> (15 - np.arange(16))[None, :]) & 1).astype(np.int64)
+    bits = as_bits(bits, ndim=2)
+    table, init = _affine_tables(bits.shape[1])
+    counts = (bits @ table).astype(np.int64)
+    return (counts + init) & 1
+
+
+def crc16_ccitt(bits: Sequence[int]) -> np.ndarray:
+    """CRC-16/CCITT-FALSE of a bit sequence, returned as 16 bits (MSB first).
+
+    A 1-row call of :func:`crc16_ccitt_batch`.
+    """
+    return crc16_ccitt_batch(np.asarray(bits)[None])[0]
 
 
 def crc16_check(bits_with_fcs: Sequence[int]) -> bool:
     """Verify a bit sequence whose last 16 bits are its CRC."""
-    bits = _as_bit_array(bits_with_fcs)
+    bits = as_bits(bits_with_fcs)
     if bits.size < 16:
         return False
-    payload, fcs = bits[:-16], bits[-16:]
-    return bool(np.array_equal(crc16_ccitt(payload), fcs))
+    return bool(np.array_equal(crc16_ccitt(bits[:-16]), bits[-16:]))

@@ -24,6 +24,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.phy.bits import as_bits
+
 # Generator matrix for systematic Hamming(7,4): codeword = [d1..d4 p1..p3].
 _G = np.array(
     [
@@ -62,13 +64,6 @@ class FECScheme(enum.Enum):
     REPETITION3 = "repetition3"
 
 
-def _as_bits(bits: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(list(bits), dtype=np.int64)
-    if arr.size and not ((arr == 0) | (arr == 1)).all():
-        raise ValueError("bits must be 0/1")
-    return arr
-
-
 # --------------------------------------------------------------------------
 # Hamming(7,4)
 # --------------------------------------------------------------------------
@@ -81,7 +76,7 @@ def hamming74_encode(bits: Sequence[int]) -> np.ndarray:
     length — framing already carries a length field, so the PHY simply
     rounds payloads up.
     """
-    bits = _as_bits(bits)
+    bits = as_bits(bits)
     if bits.size % 4:
         bits = np.concatenate([bits, np.zeros(4 - bits.size % 4, dtype=np.int64)])
     blocks = bits.reshape(-1, 4)
@@ -96,7 +91,7 @@ def hamming74_decode(coded: Sequence[int]) -> Tuple[np.ndarray, int]:
         ``(bits, corrections)`` — decoded data bits and how many blocks
         had an error corrected (an SNR telemetry signal for the reader).
     """
-    coded = _as_bits(coded)
+    coded = as_bits(coded)
     if coded.size % 7:
         raise ValueError("Hamming(7,4) stream length must be a multiple of 7")
     blocks = coded.reshape(-1, 7).copy()
@@ -119,12 +114,12 @@ def hamming74_decode(coded: Sequence[int]) -> Tuple[np.ndarray, int]:
 
 def repetition3_encode(bits: Sequence[int]) -> np.ndarray:
     """Repeat each bit three times."""
-    return np.repeat(_as_bits(bits), 3)
+    return np.repeat(as_bits(bits), 3)
 
 
 def repetition3_decode(coded: Sequence[int]) -> Tuple[np.ndarray, int]:
     """Majority-vote decode; returns (bits, corrected_votes)."""
-    coded = _as_bits(coded)
+    coded = as_bits(coded)
     if coded.size % 3:
         raise ValueError("repetition-3 stream length must be a multiple of 3")
     triples = coded.reshape(-1, 3)
@@ -146,7 +141,7 @@ def interleave(bits: Sequence[int], depth: int) -> np.ndarray:
     Pads with zeros to fill the block; the deinterleaver needs the
     original length to strip the pad.
     """
-    bits = _as_bits(bits)
+    bits = as_bits(bits)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth == 1 or bits.size == 0:
@@ -160,7 +155,7 @@ def interleave(bits: Sequence[int], depth: int) -> np.ndarray:
 
 def deinterleave(bits: Sequence[int], depth: int, original_length: int) -> np.ndarray:
     """Invert :func:`interleave`, trimming back to ``original_length``."""
-    bits = _as_bits(bits)
+    bits = as_bits(bits)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth == 1 or bits.size == 0:
@@ -180,7 +175,7 @@ def deinterleave(bits: Sequence[int], depth: int, original_length: int) -> np.nd
 def fec_encode(bits: Sequence[int], scheme: FECScheme) -> np.ndarray:
     """Encode with a named scheme (identity for NONE)."""
     if scheme is FECScheme.NONE:
-        return _as_bits(bits).copy()
+        return as_bits(bits).copy()
     if scheme is FECScheme.HAMMING74:
         return hamming74_encode(bits)
     if scheme is FECScheme.REPETITION3:
@@ -191,7 +186,7 @@ def fec_encode(bits: Sequence[int], scheme: FECScheme) -> np.ndarray:
 def fec_decode(coded: Sequence[int], scheme: FECScheme) -> Tuple[np.ndarray, int]:
     """Decode with a named scheme; returns (bits, corrections)."""
     if scheme is FECScheme.NONE:
-        return _as_bits(coded).copy(), 0
+        return as_bits(coded).copy(), 0
     if scheme is FECScheme.HAMMING74:
         return hamming74_decode(coded)
     if scheme is FECScheme.REPETITION3:

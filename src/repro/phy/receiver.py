@@ -30,7 +30,9 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from repro.dsp.filters import dc_block_fast
+from repro.contracts import ComplexShaped
+from repro.dsp.filters import _dc_block_rows
+from repro.dsp.rowblocks import for_row_blocks
 from repro.dsp.timing import symbol_samples, symbol_sum
 from repro.obs.metrics import counter, histogram
 from repro.obs.probes import probe_finite
@@ -72,6 +74,39 @@ SNR_HISTOGRAM = histogram(
     "repro.phy.receiver.snr_db",
     help="eye-SNR distribution of detected records, dB",
 )
+
+
+def suppress_carrier_rows(
+    records: ComplexShaped["trials", "samples"], dc_pole: float
+) -> ComplexShaped["trials", "samples"]:
+    """Stage 1 of the receive chain over a ``(trials, samples)`` block.
+
+    Each row loses its mean (the static carrier leak is a complex
+    constant in baseband), then runs through the DC-blocking IIR with
+    pole ``dc_pole`` (0, or any value outside (0, 1), disables it) for
+    slow drift. Rows are filtered independently; row blocks run on
+    separate threads (:func:`repro.dsp.rowblocks.for_row_blocks`), each
+    writing its rows of one output block.
+    """
+    records = np.asarray(records)
+    pole = dc_pole if dc_pole and 0.0 < dc_pole < 1.0 else None
+    centred = np.empty_like(
+        records, dtype=np.promote_types(records.dtype, np.float64)
+    )
+    n = records.shape[1]
+    if centred.size == 0:
+        return centred
+
+    def block(lo: int, hi: int) -> None:
+        rows, out = records[lo:hi], centred[lo:hi]
+        # ndarray.mean's exact ufunc sequence (sum, then divide by the
+        # count), without its dispatch cost on the 1-row path.
+        np.subtract(rows, np.add.reduce(rows, axis=1, keepdims=True) / n, out=out)
+        if pole is not None:
+            out[...] = _dc_block_rows(out, pole)
+
+    for_row_blocks(len(records), block)
+    return centred
 
 
 @dataclass(frozen=True)
@@ -171,14 +206,12 @@ class ReaderReceiver:
     # -- stages -------------------------------------------------------------
 
     def suppress_carrier(self, record: np.ndarray) -> np.ndarray:
-        """Stage 1: remove the static carrier leak and slow drift."""
+        """Stage 1: remove the static carrier leak and slow drift.
+
+        A 1-row call of :func:`suppress_carrier_rows`.
+        """
         record = np.asarray(record, dtype=np.complex128)
-        if len(record) == 0:
-            return record.copy()
-        centred = record - record.mean()
-        if self.dc_pole and 0.0 < self.dc_pole < 1.0:
-            centred = dc_block_fast(centred, self.dc_pole)
-        return centred
+        return suppress_carrier_rows(record[None], self.dc_pole)[0]
 
     def find_preamble(self, centred: np.ndarray) -> Optional[PreambleDetection]:
         """Stage 2: locate the frame start."""

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.phy.bits import pn_sequence
+from repro.phy.bits import as_bits, pn_sequence
 
 SCRAMBLER_TAPS = (7, 6)
 SCRAMBLER_SEED = 0b1011011
@@ -26,9 +26,7 @@ SCRAMBLER_SEED = 0b1011011
 
 def scramble(bits: Sequence[int]) -> np.ndarray:
     """XOR bits with the frame-aligned PN sequence."""
-    bits = np.asarray(list(bits), dtype=np.int64)
-    if bits.size and not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0/1")
+    bits = as_bits(bits)
     pn = pn_sequence(bits.size, taps=SCRAMBLER_TAPS, seed=SCRAMBLER_SEED)
     return bits ^ pn
 

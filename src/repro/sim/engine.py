@@ -38,7 +38,6 @@ from repro.rng import fallback_rng
 from repro.sim.cache import reader_node_response
 from repro.sim.scenario import Scenario
 from repro.vanatta.node import VanAttaNode
-from repro.vanatta.switching import chips_to_waveform_batch
 
 IDLE_CHIPS_BEFORE = 24
 """OFF-state chips simulated before the frame (noise for the detector)."""
@@ -171,9 +170,9 @@ def simulate_point_batch(
         payloads: payload bytes per trial; all the same length.
         rngs: one generator per trial, already advanced past any draws
             the caller made (campaigns draw the payloads first).
-        node: the backscatter node. Nodes that override
-            ``modulation_waveform`` or ``reflect`` fall back to per-row
-            calls of those methods, keeping subclass behaviour intact.
+        node: the backscatter node. Its ``modulation_waveform`` and
+            ``reflect`` are called once per point, on ``(trials, ...)``
+            blocks; a subclass overriding them takes and returns blocks.
         frame_config: PHY framing (FM0 default).
         receiver: reader receive chain (built from the scenario if
             omitted). Chains the batched kernel does not support (see
@@ -207,12 +206,7 @@ def simulate_point_batch(
     idle = np.zeros((trials, IDLE_CHIPS_BEFORE), dtype=np.int64)
     tail = np.zeros((trials, IDLE_CHIPS_AFTER), dtype=np.int64)
     all_chips = np.concatenate([idle, frames, tail], axis=1)
-    if type(node).modulation_waveform is VanAttaNode.modulation_waveform:
-        modulation = chips_to_waveform_batch(all_chips, sps, node.switch, fs)
-    else:
-        modulation = np.stack(
-            [node.modulation_waveform(row, sps, fs) for row in all_chips]
-        )
+    modulation = node.modulation_waveform(all_chips, sps, fs)
 
     # --- propagate: reader -> node (trial-invariant: computed once) ---
     amplitude_tx = 10.0 ** (scenario.source_level_db / 20.0)
@@ -225,21 +219,10 @@ def simulate_point_batch(
 
     # --- reflect off the modulated array ---
     with span("reflect"):
-        if type(node) is VanAttaNode:
-            reflected = node.reflect(
-                incident, modulation, scenario.carrier_hz, theta,
-                scenario.water.sound_speed,
-            )
-        else:
-            reflected = np.stack(
-                [
-                    node.reflect(
-                        incident, modulation[t], scenario.carrier_hz, theta,
-                        scenario.water.sound_speed,
-                    )
-                    for t in range(trials)
-                ]
-            )
+        reflected = node.reflect(
+            incident, modulation, scenario.carrier_hz, theta,
+            scenario.water.sound_speed,
+        )
 
     # --- propagate back: node -> reader (surface animation continues) ---
     with span("channel"):

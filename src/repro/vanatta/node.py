@@ -13,7 +13,6 @@ two behaviours the rest of the system needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from repro.geometry.vec3 import Vec3
 from repro.piezo.harvester import EnergyHarvester, PowerBudget
 from repro.vanatta.array import VanAttaArray
 from repro.vanatta.reflection import reflect_waveform
-from repro.vanatta.switching import ModulationSwitch, chips_to_waveform
+from repro.vanatta.switching import ModulationSwitch, chips_to_waveform_batch
 
 
 @dataclass
@@ -48,10 +47,19 @@ class VanAttaNode:
     # -- communication face ---------------------------------------------------
 
     def modulation_waveform(
-        self, chips: Sequence[int], samples_per_chip: int, fs: float = None
+        self, chips: np.ndarray, samples_per_chip: int, fs: float = None
     ) -> np.ndarray:
-        """Reflection-amplitude waveform for a chip sequence."""
-        return chips_to_waveform(chips, samples_per_chip, self.switch, fs)
+        """Reflection-amplitude waveforms for a ``(trials, chips)`` block.
+
+        One row per trial (see
+        :func:`repro.vanatta.switching.chips_to_waveform_batch`); a 1-D
+        chip sequence gives its one waveform.
+        """
+        chips = np.asarray(chips)
+        waves = chips_to_waveform_batch(
+            np.atleast_2d(chips), samples_per_chip, self.switch, fs
+        )
+        return waves if chips.ndim == 2 else waves[0]
 
     def reflect(
         self,
@@ -61,7 +69,11 @@ class VanAttaNode:
         theta_deg: float,
         sound_speed: float = 1500.0,
     ) -> np.ndarray:
-        """Re-radiate an incident baseband waveform (see reflection module)."""
+        """Re-radiate an incident baseband waveform (see reflection module).
+
+        A ``(trials, samples)`` modulation block reflects each row off
+        the same incident carrier.
+        """
         return reflect_waveform(
             incident, modulation, self.array, frequency_hz, theta_deg, sound_speed
         )

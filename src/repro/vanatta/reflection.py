@@ -22,6 +22,27 @@ from repro.vanatta.array import VanAttaArray
 from repro.vanatta.retrodirective import monostatic_gain
 
 
+def hold_to_length(modulation: np.ndarray, n: int) -> np.ndarray:
+    """Fit a modulation waveform (or block of rows) to ``n`` samples.
+
+    Shorter waveforms are padded with their last value (the node holds
+    its final state; an empty one pads with zeros), longer ones are
+    truncated, along the last axis.
+    """
+    modulation = np.asarray(modulation, dtype=np.float64)
+    n_mod = modulation.shape[-1]
+    if n_mod < n:
+        if n_mod:
+            pad_value = modulation[..., -1:]
+            pad = np.broadcast_to(
+                pad_value, modulation.shape[:-1] + (n - n_mod,)
+            )
+        else:
+            pad = np.zeros(modulation.shape[:-1] + (n - n_mod,))
+        modulation = np.concatenate([modulation, pad], axis=-1)
+    return modulation[..., :n]
+
+
 def reflect_waveform(
     incident: np.ndarray,
     modulation: np.ndarray,
@@ -35,9 +56,8 @@ def reflect_waveform(
     Args:
         incident: complex baseband samples of the carrier at the node.
         modulation: real reflection-amplitude waveform (from
-            :func:`repro.vanatta.switching.chips_to_waveform`); shorter
-            waveforms are padded with their last value (the node holds
-            its final state), longer ones are truncated. A
+            :func:`repro.vanatta.switching.chips_to_waveform`), fitted
+            to the incident length by :func:`hold_to_length`. A
             ``(trials, samples)`` block reflects each row off the same
             incident carrier, returning a matching block.
         array: the Van Atta array doing the reflecting.
@@ -49,18 +69,6 @@ def reflect_waveform(
         Complex baseband waveform re-radiated toward the reader.
     """
     incident = np.asarray(incident, dtype=np.complex128)
-    modulation = np.asarray(modulation, dtype=np.float64)
-    n = incident.shape[-1]
-    n_mod = modulation.shape[-1]
-    if n_mod < n:
-        if n_mod:
-            pad_value = modulation[..., -1:]
-            pad = np.broadcast_to(
-                pad_value, modulation.shape[:-1] + (n - n_mod,)
-            )
-        else:
-            pad = np.zeros(modulation.shape[:-1] + (n - n_mod,))
-        modulation = np.concatenate([modulation, pad], axis=-1)
-    modulation = modulation[..., :n]
+    modulation = hold_to_length(modulation, incident.shape[-1])
     gain = monostatic_gain(array, frequency_hz, theta_deg, sound_speed)
     return incident * modulation * gain

@@ -75,62 +75,28 @@ class ModulationSwitch:
         return self.gate_energy_j * chip_rate_hz
 
 
-def chips_to_waveform(
-    chips: Sequence[int],
-    samples_per_chip: int,
-    switch: ModulationSwitch,
-    fs: float = None,
-) -> np.ndarray:
-    """Expand a chip sequence into the node's reflection-amplitude waveform.
-
-    Chip value 1 maps to the ON amplitude, 0 to the OFF residual. When
-    ``fs`` is given, state changes are smoothed with the switch transition
-    time (linear ramp) instead of being instantaneous.
-
-    Args:
-        chips: binary chip sequence (from the PHY line coder).
-        samples_per_chip: waveform samples per chip.
-        switch: switch model supplying the two amplitudes.
-        fs: sample rate; enables transition shaping when provided.
-
-    Returns:
-        Real amplitude waveform of length ``len(chips) * samples_per_chip``.
-    """
-    if samples_per_chip < 1:
-        raise ValueError("samples_per_chip must be >= 1")
-    chips = np.asarray(list(chips), dtype=np.int64)
-    if chips.size and not ((chips == 0) | (chips == 1)).all():
-        raise ValueError("chips must be 0/1")
-    levels = np.where(chips == 1, switch.on_amplitude, switch.off_amplitude)
-    wave = np.repeat(levels, samples_per_chip).astype(np.float64)
-    if fs is None or switch.transition_time_s == 0:
-        return wave
-    ramp = max(int(round(switch.transition_time_s * fs)), 1)
-    if ramp <= 1:
-        return wave
-    kernel = np.ones(ramp) / ramp
-    smoothed = np.convolve(wave, kernel, mode="full")[: len(wave)]
-    # The moving-average introduces a (ramp-1)/2 group delay; shift back.
-    shift = (ramp - 1) // 2
-    if shift:
-        smoothed = np.concatenate([smoothed[shift:], np.full(shift, smoothed[-1])])
-    return smoothed
-
-
 def chips_to_waveform_batch(
     chips: np.ndarray,
     samples_per_chip: int,
     switch: ModulationSwitch,
     fs: float = None,
 ) -> np.ndarray:
-    """Expand a ``(trials, chips)`` block into reflection waveforms.
+    """Expand a ``(trials, chips)`` block into reflection-amplitude waveforms.
 
-    Batched counterpart of :func:`chips_to_waveform`: the level mapping
-    and chip expansion vectorize over the trial axis, and each row is
-    bitwise-equal to running the scalar function on it alone. Transition
-    shaping (when ``fs`` gives a ramp longer than one sample) runs the
-    scalar smoothing per row — it is a short convolution that campaigns
-    at the default rates never hit.
+    Chip value 1 maps to the ON amplitude, 0 to the OFF residual. When
+    ``fs`` gives a transition ramp longer than one sample, state changes
+    are smoothed with the switch transition time (a moving average
+    shifted back by its group delay, holding the last value) instead of
+    being instantaneous; campaigns at the default rates never hit it.
+
+    Args:
+        chips: binary chip rows (from the PHY line coder).
+        samples_per_chip: waveform samples per chip.
+        switch: switch model supplying the two amplitudes.
+        fs: sample rate; enables transition shaping when provided.
+
+    Returns:
+        Real ``(trials, chips * samples_per_chip)`` amplitude waveforms.
     """
     if samples_per_chip < 1:
         raise ValueError("samples_per_chip must be >= 1")
@@ -141,20 +107,35 @@ def chips_to_waveform_batch(
         raise ValueError("chips must be 0/1")
     levels = np.where(chips == 1, switch.on_amplitude, switch.off_amplitude)
     wave = np.repeat(levels, samples_per_chip, axis=1).astype(np.float64)
-    if fs is None or switch.transition_time_s == 0:
+    n = wave.shape[1]
+    if fs is None or switch.transition_time_s == 0 or n == 0:
         return wave
     ramp = max(int(round(switch.transition_time_s * fs)), 1)
     if ramp <= 1:
         return wave
     kernel = np.ones(ramp) / ramp
-    shift = (ramp - 1) // 2
-    n = wave.shape[1]
-    out = np.empty_like(wave)
-    for t in range(wave.shape[0]):
-        smoothed = np.convolve(wave[t], kernel, mode="full")[:n]
-        if shift:
-            smoothed = np.concatenate(
-                [smoothed[shift:], np.full(shift, smoothed[-1])]
-            )
-        out[t] = smoothed
-    return out
+    # The moving average delays by (ramp - 1) // 2 samples; shift back.
+    shift = min((ramp - 1) // 2, n)
+    for row in wave:
+        smoothed = np.convolve(row, kernel, mode="full")[:n]
+        row[: n - shift] = smoothed[shift:]
+        row[n - shift :] = smoothed[-1]
+    return wave
+
+
+def chips_to_waveform(
+    chips: Sequence[int],
+    samples_per_chip: int,
+    switch: ModulationSwitch,
+    fs: float = None,
+) -> np.ndarray:
+    """Expand a chip sequence into the node's reflection-amplitude waveform.
+
+    A 1-row call of :func:`chips_to_waveform_batch`.
+
+    Returns:
+        Real amplitude waveform of length ``len(chips) * samples_per_chip``.
+    """
+    return chips_to_waveform_batch(
+        np.asarray(chips)[None], samples_per_chip, switch, fs
+    )[0]

@@ -248,6 +248,18 @@ class TestObsLedgerVerbs:
             assert main(argv) == 2, argv
             assert_one_error_line(capsys, says)
 
+    @pytest.mark.parametrize(
+        "verb", [["diff", "x"], ["trace"]], ids=["diff", "trace"]
+    )
+    def test_mistyped_manifest_path_names_the_file(self, capsys, tmp_path, verb):
+        """A missing reference with a ``.json`` suffix or a path separator
+        is reported as a missing file, not looked up in the ledger."""
+        ledger = self._ambiguous_ledger(tmp_path / "ledger")
+        for ref in ("nope.json", str(tmp_path / "runs" / "nope")):
+            argv = ["obs", verb[0], ref] + verb[1:] + ["--ledger", ledger]
+            assert main(argv) == 2, argv
+            assert_one_error_line(capsys, f"no such manifest file: {ref}")
+
     def test_probes_flag_sets_mode_for_the_run(self, capsys):
         from repro.obs.probes import probe_mode, set_probe_mode
 

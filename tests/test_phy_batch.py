@@ -1,11 +1,18 @@
-"""Batched PHY kernels: vectorised stages vs their scalar references.
+"""Batched PHY kernels: the one implementation of each PHY stage.
 
-Two kinds of contract live here:
+Each scalar kernel (``crc16_ccitt``, ``fm0_encode``/``fm0_decode``,
+``white_noise``/``colored_noise``, ``chips_to_waveform``,
+``ReaderReceiver.suppress_carrier``) is a 1-row call of its batched
+kernel, so comparing the two proves nothing about the algorithm. Three
+kinds of contract live here instead:
 
-* **Bitwise** — the batched noise generators, frame codecs, and CRC are
-  required to reproduce their scalar counterparts exactly (integer ops,
-  or float ops in identical order), and ``demodulate_batch`` must equal
-  the per-record ``demodulate`` (which delegates to the same kernel).
+* **Reference** — each batched kernel equals a spec-level oracle written
+  out in the test (the bit-serial CRC recurrence, the per-bit FM0 rule,
+  the expression forms of the noise draws, ``np.repeat`` plus a shifted
+  ``np.convolve``), bitwise.
+* **Row independence** — a 1-row call equals the matching row of an
+  N-row call, at zero, odd and long lengths; and ``demodulate_batch``
+  must equal the per-record ``demodulate`` (which delegates to it).
 * **Tolerance** — the FFT-based batched correlation matches the
   time-domain scalar form only to ~1e-12; its peak decisions must
   still agree.
@@ -40,6 +47,11 @@ from repro.phy.frame import (
 from repro.phy.receiver import ReaderReceiver
 from repro.sim.scenario import Scenario
 from repro.sim.trials import TrialCampaign
+from repro.vanatta.switching import (
+    ModulationSwitch,
+    chips_to_waveform,
+    chips_to_waveform_batch,
+)
 
 
 class TestBatchSupportGate:
@@ -193,23 +205,101 @@ class TestBatchedCorrelation:
         assert out.shape == (3, 0)
 
 
+def psd_db(freq_hz):
+    """A sloped passband PSD, dB: any array-valued callable will do."""
+    return 60.0 - 17.0 * np.log10(freq_hz / 1000.0)
+
+
+def crc_reference(bits):
+    """CRC-16/CCITT-FALSE by its bit-serial register recurrence."""
+    register = 0xFFFF
+    for bit in bits:
+        register ^= int(bit) << 15
+        if register & 0x8000:
+            register = ((register << 1) ^ 0x1021) & 0xFFFF
+        else:
+            register = (register << 1) & 0xFFFF
+    return [(register >> (15 - i)) & 1 for i in range(16)]
+
+
+def fm0_encode_reference(bits, level):
+    """FM0 by its per-bit rule: invert at every boundary, again mid-bit
+    for a 0."""
+    chips = []
+    for bit in bits:
+        level = 1 - level
+        chips.append(level)
+        if bit == 0:
+            level = 1 - level
+        chips.append(level)
+    return chips
+
+
+def fm0_decode_reference(chips):
+    """A bit is 1 when its chips match; a violation is a bit boundary
+    without an inversion."""
+    bits = [int(chips[i] == chips[i + 1]) for i in range(0, len(chips), 2)]
+    violations = sum(
+        chips[i] == chips[i - 1] for i in range(2, len(chips), 2)
+    )
+    return bits, violations
+
+
+def waveform_reference(chips, sps, switch, fs):
+    """Levels by ``np.repeat``, the ramp as a moving average by
+    ``np.convolve`` shifted back by its group delay."""
+    levels = np.where(
+        np.asarray(chips) == 1, switch.on_amplitude, switch.off_amplitude
+    )
+    wave = np.repeat(levels, sps)
+    ramp = max(int(round(switch.transition_time_s * fs)), 1)
+    if ramp == 1:
+        return wave
+    shift = (ramp - 1) // 2
+    smoothed = np.convolve(wave, np.ones(ramp) / ramp)[: len(wave)]
+    return np.concatenate([smoothed[shift:], np.full(shift, smoothed[-1])])
+
+
+SMOOTH_SWITCH = ModulationSwitch(transition_time_s=1e-3)
+"""A 16-sample transition ramp at 16 kHz: exercises the smoothing."""
+
+
 class TestBatchedNoise:
     def test_white_noise_rows_bitwise_match_scalar_streams(self):
         rngs = [np.random.default_rng((1, t)) for t in range(4)]
         batch = white_noise_batch(256, 2.5, rngs)
+        scale = np.sqrt(2.5 / 2.0)
         for t in range(4):
-            want = white_noise(256, 2.5, np.random.default_rng((1, t)))
-            assert np.array_equal(batch[t], want)
+            rng = np.random.default_rng((1, t))
+            draws = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+            want = scale * draws
+            assert batch[t].tobytes() == want.tobytes()
 
     def test_colored_noise_rows_bitwise_match_scalar_streams(self):
-        psd = NoiseConditions().psd_db
+        n, fs, carrier = 512, 192_000.0, 18_500.0
         rngs = [np.random.default_rng((2, t)) for t in range(4)]
-        batch = colored_noise_batch(512, 192_000.0, psd, 18_500.0, rngs)
+        batch = colored_noise_batch(n, fs, psd_db, carrier, rngs)
+        # Bin f of the baseband spectrum carries PSD(carrier + f) (clamped
+        # to 1 Hz) over the bin's fs / n Hz share of the bandwidth.
+        freqs = np.maximum(carrier + np.fft.fftfreq(n, d=1.0 / fs), 1.0)
+        amplitude = np.sqrt(10.0 ** (psd_db(freqs) / 10.0) * fs / 2.0)
         for t in range(4):
-            want = colored_noise(
-                512, 192_000.0, psd, 18_500.0, np.random.default_rng((2, t))
-            )
-            assert np.array_equal(batch[t], want)
+            rng = np.random.default_rng((2, t))
+            bins = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            want = np.fft.ifft(bins * amplitude) * np.sqrt(n)
+            assert batch[t].tobytes() == want.tobytes()
+
+
+class TestChipWaveform:
+    @pytest.mark.parametrize(
+        "switch", [ModulationSwitch(), SMOOTH_SWITCH], ids=["sharp", "ramp"]
+    )
+    def test_waveform_matches_repeat_and_shifted_convolve(self, switch):
+        chips = np.random.default_rng(10).integers(0, 2, size=(4, 45))
+        got = chips_to_waveform_batch(chips, 8, switch, 16_000.0)
+        for t in range(4):
+            want = waveform_reference(chips[t], 8, switch, 16_000.0)
+            assert got[t].tobytes() == want.tobytes()
 
 
 class TestBatchedFrameCodecs:
@@ -217,20 +307,20 @@ class TestBatchedFrameCodecs:
         rng = np.random.default_rng(3)
         for n in (0, 1, 7, 8, 9, 100, 230):
             bits = rng.integers(0, 2, size=(6, n))
-            want = np.stack([crc16_ccitt(bits[i]) for i in range(6)])
-            assert np.array_equal(crc16_ccitt_batch(bits), want)
+            want = [crc_reference(row) for row in bits]
+            assert crc16_ccitt_batch(bits).tolist() == want
 
     def test_fm0_batch_matches_scalar(self):
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=(5, 37))
         for level in (0, 1):
-            want = np.stack([fm0_encode(bits[i], level) for i in range(5)])
-            assert np.array_equal(fm0_encode_batch(bits, level), want)
+            want = [fm0_encode_reference(row, level) for row in bits]
+            assert fm0_encode_batch(bits, level).tolist() == want
         chips = rng.integers(0, 2, size=(5, 74))
         got_bits, got_violations = fm0_decode_batch(chips)
         for i in range(5):
-            want_bits, want_violations = fm0_decode(chips[i])
-            assert np.array_equal(got_bits[i], want_bits)
+            want_bits, want_violations = fm0_decode_reference(chips[i])
+            assert got_bits[i].tolist() == want_bits
             assert got_violations[i] == want_violations
 
     def test_build_frames_batch_matches_scalar(self):
@@ -267,3 +357,76 @@ class TestBatchedFrameCodecs:
         ]
         got = parse_frames_batch(chips, n_chips, config)
         assert got == want
+
+
+ROWS = 5
+ROW_LENGTHS = (0, 1, 13, 4099)
+
+
+def _bits(n):
+    return np.random.default_rng((11, n)).integers(0, 2, size=(ROWS, n))
+
+
+def _streams():
+    return [np.random.default_rng((12, t)) for t in range(ROWS)]
+
+
+def _samples(n):
+    rng = np.random.default_rng((13, n))
+    return rng.normal(size=(ROWS, n)) + 1j * rng.normal(size=(ROWS, n)) + 0.7
+
+
+RECEIVER = ReaderReceiver(fs=16000.0, chip_rate=2000.0)
+FS, CARRIER = 16_000.0, 18_500.0
+
+# kernel -> (every row of one N-row call, row t as a 1-row call), at n.
+ONE_ROW_CASES = {
+    "crc": (
+        lambda n: list(crc16_ccitt_batch(_bits(n))),
+        lambda n, t: crc16_ccitt(_bits(n)[t]),
+    ),
+    "fm0-encode": (
+        lambda n: list(fm0_encode_batch(_bits(n), 0)),
+        lambda n, t: fm0_encode(_bits(n)[t], 0),
+    ),
+    "fm0-decode": (
+        lambda n: list(zip(*fm0_decode_batch(_bits(2 * n)))),
+        lambda n, t: fm0_decode(_bits(2 * n)[t]),
+    ),
+    "white-noise": (
+        lambda n: list(white_noise_batch(n, 2.5, _streams())),
+        lambda n, t: white_noise(n, 2.5, _streams()[t]),
+    ),
+    "colored-noise": (
+        lambda n: list(colored_noise_batch(n, FS, psd_db, CARRIER, _streams())),
+        lambda n, t: colored_noise(n, FS, psd_db, CARRIER, _streams()[t]),
+    ),
+    "waveform": (
+        lambda n: list(chips_to_waveform_batch(_bits(n), 3, SMOOTH_SWITCH, FS)),
+        lambda n, t: chips_to_waveform(_bits(n)[t], 3, SMOOTH_SWITCH, FS),
+    ),
+    "suppress": (
+        lambda n: list(
+            BatchedReaderReceiver(RECEIVER).suppress_carrier_batch(_samples(n))
+        ),
+        lambda n, t: RECEIVER.suppress_carrier(_samples(n)[t]),
+    ),
+}
+
+
+def _bitwise(value):
+    """A value's exact bits: arrays by bytes and shape, tuples by part."""
+    if isinstance(value, tuple):
+        return tuple(_bitwise(part) for part in value)
+    array = np.asarray(value)
+    return array.shape, array.dtype.str, array.tobytes()
+
+
+@pytest.mark.parametrize("n", ROW_LENGTHS)
+@pytest.mark.parametrize("kernel", sorted(ONE_ROW_CASES))
+def test_one_row_call_equals_its_row_of_an_n_row_call(kernel, n):
+    batch_rows, row_call = ONE_ROW_CASES[kernel]
+    rows = batch_rows(n)
+    assert len(rows) == ROWS
+    for t, row in enumerate(rows):
+        assert _bitwise(row_call(n, t)) == _bitwise(row)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.bits import (
+    as_bits,
     bits_from_bytes,
     bits_to_bytes,
     bits_to_levels,
@@ -23,7 +24,9 @@ from repro.phy.coding import (
     miller_decode,
     miller_encode,
 )
-from repro.phy.crc import crc16_ccitt, crc16_check
+from repro.phy.crc import crc16_ccitt, crc16_ccitt_batch, crc16_check
+from repro.phy.fec import FECScheme, fec_encode, hamming74_encode
+from repro.phy.scrambler import scramble
 
 bit_arrays = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=64)
 
@@ -45,6 +48,37 @@ class TestBits:
     def test_bits_to_bytes_rejects_non_binary(self):
         with pytest.raises(ValueError):
             bits_to_bytes([2] * 8)
+
+    @pytest.mark.parametrize("bad", [[0, 2], [1, -1], [[0, 1], [1, 3]]])
+    def test_as_bits_rejects_values_other_than_0_1(self, bad):
+        with pytest.raises(ValueError, match="bits must be 0/1"):
+            as_bits(bad)
+
+    def test_as_bits_passes_an_int64_array_through(self):
+        arr = np.array([0, 1, 1], dtype=np.int64)
+        assert as_bits(arr) is arr
+        assert as_bits(np.array([True, False])).dtype == np.int64
+
+    def test_as_bits_checks_the_axis_count(self):
+        with pytest.raises(ValueError, match="axes"):
+            as_bits([0, 1], ndim=2)
+
+    @pytest.mark.parametrize(
+        "codec",
+        [
+            bits_to_bytes,
+            crc16_ccitt,
+            lambda bits: crc16_ccitt_batch([bits]),
+            fm0_encode,
+            manchester_encode,
+            hamming74_encode,
+            lambda bits: fec_encode(bits, FECScheme.NONE),
+            scramble,
+        ],
+    )
+    def test_every_codec_validates_through_as_bits(self, codec):
+        with pytest.raises(ValueError, match="bits must be 0/1"):
+            codec([0, 1, 2, 0, 0, 0, 0, 0])
 
     def test_random_bits_deterministic_with_seed(self):
         a = random_bits(100, np.random.default_rng(5))

