@@ -31,6 +31,9 @@ from repro.core import Scenario
 from repro.geometry.placement import Pose
 from repro.geometry.vec3 import Vec3
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.phy.coding import LineCode
+from repro.phy.fec import FECScheme
+from repro.phy.frame import FrameConfig
 from repro.phy.receiver import ReaderReceiver
 from repro.sim.engine import simulate_point_batch, simulate_trial
 from repro.sim.parallel import run_campaign_parallel
@@ -118,6 +121,26 @@ CASES = {
     ),
     "rake-2": (lambda: Scenario.river(100.0), {"receiver_factory": rake_receiver}),
     "dfe-e16": (dfe_cell, {"receiver_factory": dfe_receiver}),
+    # Non-default framing: E12's body FEC at its detected-but-erroring
+    # range, repetition-3, the payload scrambler and the Miller line code.
+    "e12-hamming74-il8": (
+        lambda: Scenario.river(410.0),
+        {"frame_config": FrameConfig(
+            fec=FECScheme.HAMMING74, interleave_depth=8
+        )},
+    ),
+    "repetition3": (
+        lambda: Scenario.river(410.0),
+        {"frame_config": FrameConfig(fec=FECScheme.REPETITION3)},
+    ),
+    "scramble": (
+        lambda: Scenario.river(400.0),
+        {"frame_config": FrameConfig(scramble=True)},
+    ),
+    "miller": (
+        lambda: Scenario.river(330.0),
+        {"frame_config": FrameConfig(line_code=LineCode.MILLER)},
+    ),
 }
 NOISE_FREE = "noise-free"
 
