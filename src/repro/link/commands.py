@@ -29,6 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.phy.bits import as_bits
+
 CRC4_POLY = 0x3  # x^4 + x + 1
 COMMAND_BITS = 16
 
@@ -92,10 +94,8 @@ class Command:
 def crc4(bits: Sequence[int]) -> int:
     """CRC-4 (poly x^4+x+1, init 0) over a bit sequence."""
     reg = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0/1")
-        reg ^= int(b) << 3
+    for b in as_bits(bits).tolist():
+        reg ^= b << 3
         if reg & 0x8:
             reg = ((reg << 1) ^ CRC4_POLY) & 0xF
         else:

@@ -15,6 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.phy.bits import as_bits
+
 
 @dataclass(frozen=True)
 class PIEConfig:
@@ -65,9 +67,7 @@ def pie_encode(
         config = PIEConfig()
     segments = []
     low_n = max(int(round(config.low_s * fs)), 1)
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0/1")
+    for b in as_bits(bits).tolist():
         high_s = config.tari_s * (config.one_ratio if b else 1.0)
         high_n = max(int(round(high_s * fs)), 1)
         segments.append(np.ones(high_n))

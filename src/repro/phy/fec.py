@@ -14,7 +14,10 @@ fades span many chips), and an interleaver converts bursts into the
 scattered single errors Hamming can fix.
 
 All functions operate on 0/1 bit arrays and compose with the line codes
-in :mod:`repro.phy.coding` (FEC first, then FM0).
+in :mod:`repro.phy.coding` (FEC first, then FM0). Each scheme has one
+implementation, its ``(rows, n)`` kernel behind :func:`fec_encode_batch`
+/ :func:`fec_decode_batch`; the per-scheme 1-D functions are 1-row calls
+of it, and the interleaver works over the last axis of any array.
 """
 
 from __future__ import annotations
@@ -47,13 +50,11 @@ _H = np.array(
     dtype=np.int64,
 )
 
-# Syndrome (as integer) -> error position in the 7-bit codeword.
-_SYNDROME_TO_POSITION = {}
-for _pos in range(7):
-    _e = np.zeros(7, dtype=np.int64)
-    _e[_pos] = 1
-    _s = (_H @ _e) % 2
-    _SYNDROME_TO_POSITION[int("".join(map(str, _s)), 2)] = _pos
+# Syndrome (as the integer s0 s1 s2) -> the single-bit error pattern that
+# produces it: Hamming(7,4) is perfect, so each nonzero syndrome is one
+# column of _H and row 0 (no error) stays zero.
+_SYNDROME_ERROR = np.zeros((8, 7), dtype=np.int64)
+_SYNDROME_ERROR[_H.T @ (4, 2, 1), np.arange(7)] = 1
 
 
 class FECScheme(enum.Enum):
@@ -64,24 +65,93 @@ class FECScheme(enum.Enum):
     REPETITION3 = "repetition3"
 
 
-# --------------------------------------------------------------------------
-# Hamming(7,4)
-# --------------------------------------------------------------------------
+def coded_length(n_bits: int, scheme: FECScheme) -> int:
+    """Coded bits for ``n_bits`` of data (Hamming pads to 4-bit blocks)."""
+    if scheme is FECScheme.HAMMING74:
+        return -(-n_bits // 4) * 7
+    if scheme is FECScheme.REPETITION3:
+        return 3 * n_bits
+    return n_bits
+
+
+def fec_encode_batch(bits: np.ndarray, scheme: FECScheme) -> np.ndarray:
+    """Encode every row of a ``(rows, n)`` bit matrix with a named scheme.
+
+    * NONE: the identity.
+    * HAMMING74: systematic codewords ``[d1..d4 p1..p3]``; each row is
+      zero-padded to a multiple of 4 bits (framing carries a length
+      field, so the PHY simply rounds payloads up).
+    * REPETITION3: each bit three times.
+    """
+    bits = as_bits(bits, ndim=2)
+    rows, n = bits.shape
+    if scheme is FECScheme.NONE:
+        return bits.copy()
+    if scheme is FECScheme.REPETITION3:
+        return np.repeat(bits, 3, axis=1)
+    if scheme is FECScheme.HAMMING74:
+        n_blocks = -(-n // 4)
+        padded = np.zeros((rows, 4 * n_blocks), dtype=np.int64)
+        padded[:, :n] = bits
+        blocks = padded.reshape(rows, n_blocks, 4)
+        return ((blocks @ _G) % 2).reshape(rows, 7 * n_blocks)
+    raise ValueError(f"unknown FEC scheme: {scheme}")
+
+
+def fec_decode_batch(
+    coded: np.ndarray, scheme: FECScheme
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode every row of a ``(rows, n)`` coded matrix.
+
+    HAMMING74 corrects one error per 7-bit block by its syndrome;
+    REPETITION3 takes the majority of each triple.
+
+    Returns:
+        ``(bits, corrections)`` — the decoded bit matrix and, per row,
+        the blocks corrected (Hamming) or the non-unanimous triples
+        (repetition-3): an SNR telemetry signal for the reader.
+
+    Raises:
+        ValueError: if ``n`` is not a whole number of blocks.
+    """
+    coded = as_bits(coded, ndim=2)
+    rows, n = coded.shape
+    if scheme is FECScheme.NONE:
+        return coded.copy(), np.zeros(rows, dtype=np.int64)
+    if scheme is FECScheme.REPETITION3:
+        if n % 3:
+            raise ValueError("repetition-3 stream length must be a multiple of 3")
+        sums = coded.reshape(rows, n // 3, 3).sum(axis=2)
+        unanimous = (sums == 0) | (sums == 3)
+        return (sums >= 2).astype(np.int64), np.count_nonzero(~unanimous, axis=1)
+    if scheme is FECScheme.HAMMING74:
+        if n % 7:
+            raise ValueError("Hamming(7,4) stream length must be a multiple of 7")
+        blocks = coded.reshape(rows, n // 7, 7)
+        syndromes = ((blocks @ _H.T) % 2) @ (4, 2, 1)
+        data = blocks[:, :, :4] ^ _SYNDROME_ERROR[syndromes, :4]
+        corrections = np.count_nonzero(syndromes, axis=1)
+        return data.reshape(rows, 4 * (n // 7)), corrections
+    raise ValueError(f"unknown FEC scheme: {scheme}")
+
+
+def fec_encode(bits: Sequence[int], scheme: FECScheme) -> np.ndarray:
+    """Encode with a named scheme: a 1-row call of :func:`fec_encode_batch`."""
+    return fec_encode_batch(np.asarray(bits)[None], scheme)[0]
+
+
+def fec_decode(coded: Sequence[int], scheme: FECScheme) -> Tuple[np.ndarray, int]:
+    """Decode with a named scheme; returns (bits, corrections).
+
+    A 1-row call of :func:`fec_decode_batch`.
+    """
+    bits, corrections = fec_decode_batch(np.asarray(coded)[None], scheme)
+    return bits[0], int(corrections[0])
 
 
 def hamming74_encode(bits: Sequence[int]) -> np.ndarray:
-    """Encode bits with Hamming(7,4); pads to a multiple of 4 with zeros.
-
-    The pad is removed on decode only if the caller tracks the original
-    length — framing already carries a length field, so the PHY simply
-    rounds payloads up.
-    """
-    bits = as_bits(bits)
-    if bits.size % 4:
-        bits = np.concatenate([bits, np.zeros(4 - bits.size % 4, dtype=np.int64)])
-    blocks = bits.reshape(-1, 4)
-    coded = (blocks @ _G) % 2
-    return coded.reshape(-1)
+    """Encode bits with Hamming(7,4); pads to a multiple of 4 with zeros."""
+    return fec_encode(bits, FECScheme.HAMMING74)
 
 
 def hamming74_decode(coded: Sequence[int]) -> Tuple[np.ndarray, int]:
@@ -89,45 +159,19 @@ def hamming74_decode(coded: Sequence[int]) -> Tuple[np.ndarray, int]:
 
     Returns:
         ``(bits, corrections)`` — decoded data bits and how many blocks
-        had an error corrected (an SNR telemetry signal for the reader).
+        had an error corrected.
     """
-    coded = as_bits(coded)
-    if coded.size % 7:
-        raise ValueError("Hamming(7,4) stream length must be a multiple of 7")
-    blocks = coded.reshape(-1, 7).copy()
-    corrections = 0
-    syndromes = (blocks @ _H.T) % 2
-    for i, s in enumerate(syndromes):
-        key = int("".join(map(str, s)), 2)
-        if key:
-            pos = _SYNDROME_TO_POSITION.get(key)
-            if pos is not None:
-                blocks[i, pos] ^= 1
-                corrections += 1
-    return blocks[:, :4].reshape(-1), corrections
-
-
-# --------------------------------------------------------------------------
-# Repetition-3
-# --------------------------------------------------------------------------
+    return fec_decode(coded, FECScheme.HAMMING74)
 
 
 def repetition3_encode(bits: Sequence[int]) -> np.ndarray:
     """Repeat each bit three times."""
-    return np.repeat(as_bits(bits), 3)
+    return fec_encode(bits, FECScheme.REPETITION3)
 
 
 def repetition3_decode(coded: Sequence[int]) -> Tuple[np.ndarray, int]:
-    """Majority-vote decode; returns (bits, corrected_votes)."""
-    coded = as_bits(coded)
-    if coded.size % 3:
-        raise ValueError("repetition-3 stream length must be a multiple of 3")
-    triples = coded.reshape(-1, 3)
-    sums = triples.sum(axis=1)
-    bits = (sums >= 2).astype(np.int64)
-    # A "correction" is any non-unanimous triple.
-    corrections = int(np.count_nonzero((sums != 0) & (sums != 3)))
-    return bits, corrections
+    """Majority-vote decode; returns (bits, non-unanimous triples)."""
+    return fec_decode(coded, FECScheme.REPETITION3)
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +180,7 @@ def repetition3_decode(coded: Sequence[int]) -> Tuple[np.ndarray, int]:
 
 
 def interleave(bits: Sequence[int], depth: int) -> np.ndarray:
-    """Block interleaver: write row-wise into ``depth`` rows, read column-wise.
+    """Block-interleave the last axis: write ``depth`` rows, read columns.
 
     Pads with zeros to fill the block; the deinterleaver needs the
     original length to strip the pad.
@@ -144,54 +188,29 @@ def interleave(bits: Sequence[int], depth: int) -> np.ndarray:
     bits = as_bits(bits)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth == 1 or bits.size == 0:
+    n = bits.shape[-1]
+    if depth == 1 or n == 0:
         return bits.copy()
-    cols = -(-bits.size // depth)
-    padded = np.concatenate(
-        [bits, np.zeros(depth * cols - bits.size, dtype=np.int64)]
-    )
-    return padded.reshape(depth, cols).T.reshape(-1)
+    lead, cols = bits.shape[:-1], -(-n // depth)
+    padded = np.zeros((*lead, depth * cols), dtype=np.int64)
+    padded[..., :n] = bits
+    out = padded.reshape(*lead, depth, cols).swapaxes(-1, -2)
+    return out.reshape(*lead, depth * cols)
 
 
 def deinterleave(bits: Sequence[int], depth: int, original_length: int) -> np.ndarray:
-    """Invert :func:`interleave`, trimming back to ``original_length``."""
+    """Invert :func:`interleave` on the last axis; trim to ``original_length``."""
     bits = as_bits(bits)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth == 1 or bits.size == 0:
-        return bits[:original_length].copy()
-    cols = bits.size // depth
-    if cols * depth != bits.size:
+    n = bits.shape[-1]
+    if depth == 1 or n == 0:
+        return bits[..., :original_length].copy()
+    if n % depth:
         raise ValueError("interleaved length must be a multiple of depth")
-    out = bits.reshape(cols, depth).T.reshape(-1)
-    return out[:original_length]
-
-
-# --------------------------------------------------------------------------
-# Scheme dispatch
-# --------------------------------------------------------------------------
-
-
-def fec_encode(bits: Sequence[int], scheme: FECScheme) -> np.ndarray:
-    """Encode with a named scheme (identity for NONE)."""
-    if scheme is FECScheme.NONE:
-        return as_bits(bits).copy()
-    if scheme is FECScheme.HAMMING74:
-        return hamming74_encode(bits)
-    if scheme is FECScheme.REPETITION3:
-        return repetition3_encode(bits)
-    raise ValueError(f"unknown FEC scheme: {scheme}")
-
-
-def fec_decode(coded: Sequence[int], scheme: FECScheme) -> Tuple[np.ndarray, int]:
-    """Decode with a named scheme; returns (bits, corrections)."""
-    if scheme is FECScheme.NONE:
-        return as_bits(coded).copy(), 0
-    if scheme is FECScheme.HAMMING74:
-        return hamming74_decode(coded)
-    if scheme is FECScheme.REPETITION3:
-        return repetition3_decode(coded)
-    raise ValueError(f"unknown FEC scheme: {scheme}")
+    lead = bits.shape[:-1]
+    out = bits.reshape(*lead, n // depth, depth).swapaxes(-1, -2)
+    return out.reshape(*lead, n)[..., :original_length]
 
 
 def code_rate(scheme: FECScheme) -> float:

@@ -18,6 +18,11 @@ Everything is line-coded (FM0 by default) after FEC. The length field
 counts payload *bytes*, capping payloads at 255 bytes — generous for
 sensor readings, and short frames are how backscatter survives
 time-varying channels anyway.
+
+Every :class:`FrameConfig` builds and parses through one batched codec
+(:func:`build_frames_batch`, :func:`parse_frames_batch`), each stage a
+``(rows, n)`` kernel; :func:`build_frame` and :func:`parse_frame` are
+its 1-row calls.
 """
 
 from __future__ import annotations
@@ -28,20 +33,26 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.phy import coding
-from repro.phy.bits import bits_from_bytes, bits_to_bytes
+from repro.phy.bits import bits_from_bytes
 from repro.phy.coding import LineCode
-from repro.phy.crc import crc16_ccitt, crc16_ccitt_batch
+from repro.phy.crc import crc16_ccitt_batch
 from repro.phy.fec import (
     FECScheme,
     code_rate,
+    coded_length,
     deinterleave,
-    fec_decode,
-    fec_encode,
+    fec_decode_batch,
+    fec_encode_batch,
     interleave,
 )
 from repro.phy.preamble import preamble_chips
+from repro.phy.scrambler import descramble, scramble
 
 MAX_PAYLOAD_BYTES = 255
+
+# Header bits -> (node id, length): the MSB-first weights of each byte.
+_HEADER_BYTES = np.zeros((16, 2), dtype=np.int64)
+_HEADER_BYTES[:8, 0] = _HEADER_BYTES[8:, 1] = 1 << np.arange(7, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -83,17 +94,8 @@ class FrameConfig:
 
     def coded_body_bits(self, payload_bytes: int) -> int:
         """Body bits after FEC expansion and interleaver padding."""
-        info = self.body_bits(payload_bytes)
-        if self.fec is FECScheme.HAMMING74:
-            coded = -(-info // 4) * 7
-        elif self.fec is FECScheme.REPETITION3:
-            coded = info * 3
-        else:
-            coded = info
-        if self.interleave_depth > 1:
-            cols = -(-coded // self.interleave_depth)
-            coded = self.interleave_depth * cols
-        return coded
+        coded = coded_length(self.body_bits(payload_bytes), self.fec)
+        return self.interleave_depth * -(-coded // self.interleave_depth)
 
     def frame_bits(self, payload_bytes: int) -> int:
         """Line-coded bit count: header plus (coded) body."""
@@ -118,8 +120,9 @@ class ParsedFrame:
         node_id: 8-bit source identifier.
         payload: payload bytes.
         crc_ok: whether the CRC checked out.
-        fm0_violations: FM0 boundary violations seen while decoding
-            (0 for other line codes).
+        fm0_violations: line-code rule violations in the frame's chips:
+            FM0 boundaries without an inversion, Manchester symbols
+            without a mid-bit transition (0 for Miller and NRZ).
         fec_corrections: FEC blocks corrected while decoding the body.
     """
 
@@ -130,10 +133,57 @@ class ParsedFrame:
     fec_corrections: int = 0
 
 
+def build_frames_batch(
+    node_id: int,
+    payloads: Sequence[bytes],
+    config: Optional[FrameConfig] = None,
+) -> np.ndarray:
+    """Build the chip sequences of many frames as one ``(rows, chips)`` block.
+
+    Payloads must all be the same length (one campaign point transmits
+    one frame shape). Every stage sweeps the row axis: scramble the
+    payload, CRC header + payload, FEC-encode and interleave the body,
+    line-code header + body, prepend the preamble.
+
+    Raises:
+        ValueError: if the payload lengths differ, ``node_id`` does not
+            fit in 8 bits, or a payload exceeds 255 bytes.
+    """
+    if config is None:
+        config = FrameConfig()
+    payloads = [bytes(p) for p in payloads]
+    if len({len(p) for p in payloads}) > 1:
+        raise ValueError("all payloads in a batch must frame to one length")
+    if not payloads:
+        return np.zeros((0, 0), dtype=np.int64)
+    if not 0 <= node_id <= 255:
+        raise ValueError("node_id must fit in 8 bits")
+    length = len(payloads[0])
+    if length > MAX_PAYLOAD_BYTES:
+        raise ValueError(f"payload exceeds {MAX_PAYLOAD_BYTES} bytes")
+    rows = len(payloads)
+
+    header = np.broadcast_to(bits_from_bytes(bytes([node_id, length])), (rows, 16))
+    raw = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(rows, length)
+    payload_bits = np.unpackbits(raw, axis=1).astype(np.int64)
+    if config.scramble:
+        payload_bits = scramble(payload_bits)
+    fcs = crc16_ccitt_batch(np.concatenate([header, payload_bits], axis=1))
+    body = fec_encode_batch(np.concatenate([payload_bits, fcs], axis=1), config.fec)
+    body = interleave(body, config.interleave_depth)
+    coded = coding.encode_batch(
+        np.concatenate([header, body], axis=1), config.line_code
+    )
+    preamble = np.broadcast_to(config.preamble, (rows, len(config.preamble)))
+    return np.concatenate([preamble, coded], axis=1)
+
+
 def build_frame(
     node_id: int, payload: bytes, config: Optional[FrameConfig] = None
 ) -> np.ndarray:
     """Build the full chip sequence for a frame (preamble + coded bits).
+
+    A 1-row call of :func:`build_frames_batch`.
 
     Args:
         node_id: 8-bit source identifier.
@@ -143,90 +193,7 @@ def build_frame(
     Returns:
         Chip array ready for :func:`repro.vanatta.switching.chips_to_waveform`.
     """
-    if config is None:
-        config = FrameConfig()
-    if not 0 <= node_id <= 255:
-        raise ValueError("node_id must fit in 8 bits")
-    if len(payload) > MAX_PAYLOAD_BYTES:
-        raise ValueError(f"payload exceeds {MAX_PAYLOAD_BYTES} bytes")
-
-    header_bytes = bytes([node_id, len(payload)])
-    header_bits = bits_from_bytes(header_bytes)
-    payload_bits = bits_from_bytes(bytes(payload))
-    if config.scramble:
-        from repro.phy.scrambler import scramble
-
-        payload_bits = scramble(payload_bits)
-    fcs = crc16_ccitt(np.concatenate([header_bits, payload_bits]))
-
-    body = np.concatenate([payload_bits, fcs])
-    body = fec_encode(body, config.fec)
-    if config.interleave_depth > 1:
-        body = interleave(body, config.interleave_depth)
-
-    coded = coding.encode(np.concatenate([header_bits, body]), config.line_code)
-    return np.concatenate([config.preamble, coded])
-
-
-def _batchable(config: FrameConfig) -> bool:
-    """Whether the vectorised frame codecs cover this config."""
-    return (
-        config.line_code is LineCode.FM0
-        and config.fec is FECScheme.NONE
-        and config.interleave_depth == 1
-        and not config.scramble
-    )
-
-
-def build_frames_batch(
-    node_id: int,
-    payloads: Sequence[bytes],
-    config: Optional[FrameConfig] = None,
-) -> np.ndarray:
-    """Build the chip sequences of many frames as one ``(rows, chips)`` block.
-
-    Integer-exact against :func:`build_frame` row by row. Payloads must
-    all be the same length (one campaign point transmits one frame
-    shape); the default FM0/no-FEC/no-interleave config runs fully
-    vectorised — CRC, FM0 encode, and bit packing sweep the row axis —
-    and any other config falls back to per-frame :func:`build_frame`.
-
-    Raises:
-        ValueError: if the payload lengths differ.
-    """
-    if config is None:
-        config = FrameConfig()
-    payloads = [bytes(p) for p in payloads]
-    if len({len(p) for p in payloads}) > 1:
-        raise ValueError("all payloads in a batch must frame to one length")
-    if not payloads:
-        return np.zeros((0, 0), dtype=np.int64)
-    if not _batchable(config):
-        return np.stack(
-            [build_frame(node_id, p, config) for p in payloads]
-        )
-    if not 0 <= node_id <= 255:
-        raise ValueError("node_id must fit in 8 bits")
-    length = len(payloads[0])
-    if length > MAX_PAYLOAD_BYTES:
-        raise ValueError(f"payload exceeds {MAX_PAYLOAD_BYTES} bytes")
-    rows = len(payloads)
-
-    header_bits = bits_from_bytes(bytes([node_id, length]))
-    header = np.broadcast_to(header_bits, (rows, 16))
-    if length:
-        raw = np.frombuffer(b"".join(payloads), dtype=np.uint8)
-        payload_bits = np.unpackbits(raw.reshape(rows, length), axis=1).astype(
-            np.int64
-        )
-    else:
-        payload_bits = np.zeros((rows, 0), dtype=np.int64)
-    fcs = crc16_ccitt_batch(np.concatenate([header, payload_bits], axis=1))
-    coded = coding.fm0_encode_batch(
-        np.concatenate([header, payload_bits, fcs], axis=1)
-    )
-    preamble = np.broadcast_to(config.preamble, (rows, len(config.preamble)))
-    return np.concatenate([preamble, coded], axis=1)
+    return build_frames_batch(node_id, [payload], config)[0]
 
 
 def parse_frames_batch(
@@ -237,61 +204,66 @@ def parse_frames_batch(
     """Parse many frames' coded regions at once.
 
     ``chips`` is a padded ``(rows, max_chips)`` 0/1 matrix; row ``t`` is
-    valid through ``n_chips[t]``. Result ``t`` equals
-    ``parse_frame(chips[t, :n_chips[t]], config)`` exactly — the chip
-    decode, CRC, and packing are integer operations, vectorised here
-    over rows grouped by their decoded length byte (corrupt headers can
-    disagree on length, so each distinct length parses as its own
-    sub-batch). Configs outside the vectorised set (non-FM0, FEC,
-    interleaving, scrambling) fall back to per-row :func:`parse_frame`.
+    valid through ``n_chips[t]`` (the stream may be longer than one
+    frame: the header's length field decides how much is consumed).
+    Each row's chips are line-decoded once; rows then group by their
+    decoded length byte (corrupt headers can disagree on length), and
+    each group runs deinterleave, FEC decode, CRC and descramble as one
+    sub-batch. Line-code violations count over the frame's bits only,
+    read off prefix sums of the per-bit violation flags.
+
+    Returns:
+        One entry per row: None when the row is too short for its
+        header or its frame. CRC failures still return a frame (with
+        ``crc_ok=False``) so callers can count them.
     """
     if config is None:
         config = FrameConfig()
-    chips = np.asarray(chips)
-    n_chips = np.asarray(n_chips)
-    rows = chips.shape[0]
-    results: List[Optional[ParsedFrame]] = [None] * rows
-    if not _batchable(config):
-        return [
-            parse_frame(chips[t, : n_chips[t]], config) for t in range(rows)
-        ]
-    header_chips = config.header_bits() * 2
-    have_header = np.flatnonzero(n_chips >= header_chips)
-    if not len(have_header):
+    cpb = coding.chips_per_bit(config.line_code)
+    n_bits = np.floor_divide(n_chips, cpb)
+    results: List[Optional[ParsedFrame]] = [None] * len(n_bits)
+    width = max(n_bits.tolist(), default=0)
+    if width < config.header_bits():
         return results
-    header_bits, _ = coding.fm0_decode_batch(chips[have_header, :header_chips])
-    header_bytes = np.packbits(header_bits.astype(np.uint8), axis=1)
-    node_ids = header_bytes[:, 0]
-    lengths = header_bytes[:, 1]
-    for length in np.unique(lengths).tolist():
-        total_chips = config.frame_bits(length) * 2
-        sel = np.flatnonzero(
-            (lengths == length) & (n_chips[have_header] >= total_chips)
-        )
-        if not len(sel):
+    bits, flags = coding.decode_batch(
+        np.asarray(chips)[:, : width * cpb], config.line_code
+    )
+    violations = np.add.accumulate(flags, axis=1, dtype=np.int64)
+    node_ids, lengths = (bits[:, :16] @ _HEADER_BYTES).T
+    node_ids = node_ids.tolist()
+    for length in set(lengths.tolist()):
+        frame_bits = config.frame_bits(length)
+        # Rows shorter than their frame (or header) stay None.
+        rows = ((lengths == length) & (n_bits >= frame_bits)).nonzero()[0]
+        if not len(rows):
             continue
-        g_rows = have_header[sel]
-        all_bits, violations = coding.fm0_decode_batch(
-            chips[g_rows, :total_chips]
+        framed = bits[rows, :frame_bits]
+        body = deinterleave(
+            framed[:, 16:],
+            config.interleave_depth,
+            coded_length(config.body_bits(length), config.fec),
         )
-        payload_bits = all_bits[:, 16 : 16 + length * 8]
-        fcs = all_bits[:, 16 + length * 8 : 16 + length * 8 + 16]
-        crc = crc16_ccitt_batch(
-            np.concatenate([all_bits[:, :16], payload_bits], axis=1)
-        )
-        ok = (crc == fcs).all(axis=1)
-        packed = (
-            np.packbits(payload_bits.astype(np.uint8), axis=1)
-            if length
-            else None
-        )
-        for j, t in enumerate(g_rows.tolist()):
+        body, corrections = fec_decode_batch(body, config.fec)
+        # The CRC covers the header and the scrambled (on-air) payload;
+        # run on through a matching FCS, its register ends at zero.
+        checked = np.concatenate([framed[:, :16], body[:, : length * 8 + 16]], axis=1)
+        crc_failed = np.logical_or.reduce(crc16_ccitt_batch(checked), axis=1)
+        payload_bits = body[:, : length * 8]
+        if config.scramble:
+            payload_bits = descramble(payload_bits)
+        payloads = np.packbits(payload_bits.astype(np.uint8), axis=1).tobytes()
+        for j, (t, failed, n_violations, n_corrections) in enumerate(zip(
+            rows.tolist(),
+            crc_failed.tolist(),
+            violations[:, frame_bits - 1][rows].tolist(),
+            corrections.tolist(),
+        )):
             results[t] = ParsedFrame(
-                node_id=int(node_ids[sel[j]]),
-                payload=packed[j].tobytes() if packed is not None else b"",
-                crc_ok=bool(ok[j]),
-                fm0_violations=int(violations[j]),
-                fec_corrections=0,
+                node_id=node_ids[t],
+                payload=payloads[j * length : (j + 1) * length],
+                crc_ok=not failed,
+                fm0_violations=n_violations,
+                fec_corrections=n_corrections,
             )
     return results
 
@@ -301,73 +273,8 @@ def parse_frame(
 ) -> Optional[ParsedFrame]:
     """Parse the coded region of a frame (chips *after* the preamble).
 
-    The chip stream may be longer than one frame (the receiver slices on
-    detection and hands over everything it has); the header's length
-    field decides how much is consumed.
-
-    Returns:
-        The parsed frame, or None when the stream is too short. CRC
-        failures still return a frame (with ``crc_ok=False``) so callers
-        can count them.
+    A 1-row call of :func:`parse_frames_batch`, which states what is
+    consumed and when None is returned.
     """
-    if config is None:
-        config = FrameConfig()
-    cpb = coding.chips_per_bit(config.line_code)
-    header_chips = config.header_bits() * cpb
-    if len(chips) < header_chips:
-        return None
-
-    violations = 0
-    if config.line_code is LineCode.FM0:
-        header_bits, violations = coding.fm0_decode(chips[:header_chips])
-    else:
-        header_bits = coding.decode(chips[:header_chips], config.line_code)
-    header = bits_to_bytes(header_bits)
-    node_id, length = header[0], header[1]
-
-    total_chips = config.frame_bits(length) * cpb
-    if len(chips) < total_chips:
-        return None
-    body_chips = chips[header_chips:total_chips]
-    if config.line_code is LineCode.FM0:
-        # Decode the full coded region once so boundary accounting spans
-        # the header/body seam correctly.
-        all_bits, violations = coding.fm0_decode(chips[:total_chips])
-        body_coded = all_bits[config.header_bits():]
-    else:
-        body_coded = coding.decode(body_chips, config.line_code)
-
-    info_bits = config.body_bits(length)
-    if config.interleave_depth > 1:
-        pre_pad = config.coded_body_bits(length)
-        # Length before interleaver padding (= after FEC expansion).
-        if config.fec is FECScheme.HAMMING74:
-            fec_len = -(-info_bits // 4) * 7
-        elif config.fec is FECScheme.REPETITION3:
-            fec_len = info_bits * 3
-        else:
-            fec_len = info_bits
-        body_coded = deinterleave(body_coded[:pre_pad], config.interleave_depth, fec_len)
-    body_bits, corrections = fec_decode(body_coded, config.fec)
-    body_bits = body_bits[:info_bits]
-
-    payload_bits = body_bits[: length * 8]
-    fcs = body_bits[length * 8 : length * 8 + 16]
-    # The CRC covers the scrambled (on-air) payload bits.
-    ok = bool(
-        np.array_equal(
-            crc16_ccitt(np.concatenate([header_bits, payload_bits])), fcs
-        )
-    )
-    if config.scramble:
-        from repro.phy.scrambler import descramble
-
-        payload_bits = descramble(payload_bits)
-    payload = bits_to_bytes(payload_bits)
-    return ParsedFrame(
-        node_id=node_id,
-        payload=payload,
-        crc_ok=ok,
-        fm0_violations=violations,
-        fec_corrections=corrections,
-    )
+    chips = np.asarray(chips)
+    return parse_frames_batch(chips[None], [chips.shape[0]], config)[0]

@@ -25,9 +25,12 @@ SCRAMBLER_SEED = 0b1011011
 
 
 def scramble(bits: Sequence[int]) -> np.ndarray:
-    """XOR bits with the frame-aligned PN sequence."""
+    """XOR the last axis with the frame-aligned PN sequence.
+
+    Every row of a ``(rows, n)`` matrix restarts the sequence.
+    """
     bits = as_bits(bits)
-    pn = pn_sequence(bits.size, taps=SCRAMBLER_TAPS, seed=SCRAMBLER_SEED)
+    pn = pn_sequence(bits.shape[-1], taps=SCRAMBLER_TAPS, seed=SCRAMBLER_SEED)
     return bits ^ pn
 
 

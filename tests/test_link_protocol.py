@@ -62,6 +62,11 @@ class TestCommands:
             bits = pie_decode(env, fs)
             assert decode_command(bits) == cmd
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_crc4_rejects_non_bits(self, bad):
+        with pytest.raises(ValueError, match="bits must be 0/1"):
+            crc4([1, 0, bad, 1])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Command(Opcode.ACK, 300)

@@ -1,6 +1,7 @@
 """Batched PHY kernels: the one implementation of each PHY stage.
 
-Each scalar kernel (``crc16_ccitt``, ``fm0_encode``/``fm0_decode``,
+Each scalar kernel (``crc16_ccitt``, the line codes, the FEC, the
+interleaver, the scrambler, ``build_frame``/``parse_frame``,
 ``white_noise``/``colored_noise``, ``chips_to_waveform``,
 ``ReaderReceiver.suppress_carrier``) is a 1-row call of its batched
 kernel, so comparing the two proves nothing about the algorithm. Three
@@ -8,7 +9,8 @@ kinds of contract live here instead:
 
 * **Reference** — each batched kernel equals a spec-level oracle written
   out in the test (the bit-serial CRC recurrence, the per-bit FM0 rule,
-  the expression forms of the noise draws, ``np.repeat`` plus a shifted
+  the former scalar frame codec with the loop forms of its stages, the
+  expression forms of the noise draws, ``np.repeat`` plus a shifted
   ``np.convolve``), bitwise.
 * **Row independence** — a 1-row call equals the matching row of an
   N-row call, at zero, odd and long lengths; and ``demodulate_batch``
@@ -18,8 +20,11 @@ kinds of contract live here instead:
   still agree.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dsp.correlate import normalized_correlation, normalized_correlation_batch
 from repro.dsp.noisegen import (
@@ -30,20 +35,36 @@ from repro.dsp.noisegen import (
 )
 from repro.acoustics.noise import NoiseConditions
 from repro.phy import BatchedReaderReceiver, batch_supported
+from repro.phy.bits import bits_from_bytes, pn_sequence
 from repro.phy.coding import (
+    LineCode,
+    decode_batch,
+    encode,
+    encode_batch,
     fm0_decode,
     fm0_decode_batch,
     fm0_encode,
     fm0_encode_batch,
 )
 from repro.phy.crc import crc16_ccitt, crc16_ccitt_batch
+from repro.phy.fec import (
+    FECScheme,
+    deinterleave,
+    fec_decode,
+    fec_decode_batch,
+    fec_encode,
+    fec_encode_batch,
+    interleave,
+)
 from repro.phy.frame import (
     FrameConfig,
+    ParsedFrame,
     build_frame,
     build_frames_batch,
     parse_frame,
     parse_frames_batch,
 )
+from repro.phy.scrambler import SCRAMBLER_SEED, SCRAMBLER_TAPS, scramble
 from repro.phy.receiver import ReaderReceiver
 from repro.sim.scenario import Scenario
 from repro.sim.trials import TrialCampaign
@@ -245,6 +266,196 @@ def fm0_decode_reference(chips):
     return bits, violations
 
 
+def miller_encode_reference(bits, level=1):
+    """Miller by its per-bit loop: a 1 transitions mid-bit, a 0 holds
+    unless it follows a 0, which transitions at the boundary."""
+    chips, prev = [], None
+    for bit in bits:
+        if bit == 1:
+            first, second = level, 1 - level
+        else:
+            first = 1 - level if prev == 0 else level
+            second = first
+        chips += [first, second]
+        level, prev = second, bit
+    return chips
+
+
+def line_encode_reference(bits, code):
+    if code is LineCode.FM0:
+        return fm0_encode_reference(bits, 1)
+    if code is LineCode.MANCHESTER:
+        return [chip for bit in bits for chip in (bit, 1 - bit)]
+    if code is LineCode.MILLER:
+        return miller_encode_reference(bits)
+    return list(bits)
+
+
+def line_decode_reference(chips, code):
+    """``(bits, violations)``: FM0 counts boundaries without an inversion;
+    Manchester reads a symbol's first chip and counts flat symbols."""
+    if code is LineCode.NRZ:
+        return list(chips), 0
+    if code is LineCode.FM0:
+        return fm0_decode_reference(chips)
+    pairs = [(chips[i], chips[i + 1]) for i in range(0, len(chips), 2)]
+    if code is LineCode.MANCHESTER:
+        return [a for a, _ in pairs], sum(a == b for a, b in pairs)
+    return [int(a != b) for a, b in pairs], 0
+
+
+HAMMING_G = [
+    [1, 0, 0, 0, 1, 1, 0],
+    [0, 1, 0, 0, 1, 0, 1],
+    [0, 0, 1, 0, 0, 1, 1],
+    [0, 0, 0, 1, 1, 1, 1],
+]
+HAMMING_H = [
+    [1, 1, 0, 1, 1, 0, 0],
+    [1, 0, 1, 1, 0, 1, 0],
+    [0, 1, 1, 1, 0, 0, 1],
+]
+
+
+def _syndrome(block):
+    return int("".join(
+        str(sum(h * x for h, x in zip(row, block)) % 2) for row in HAMMING_H
+    ), 2)
+
+
+def hamming74_decode_reference(coded):
+    """Hamming(7,4) block by block: look the syndrome up in a dict of
+    single-bit error positions and flip that bit."""
+    position = {
+        _syndrome([int(i == pos) for i in range(7)]): pos for pos in range(7)
+    }
+    bits, corrections = [], 0
+    for i in range(0, len(coded), 7):
+        block = list(coded[i : i + 7])
+        key = _syndrome(block)
+        if key:
+            block[position[key]] ^= 1
+            corrections += 1
+        bits += block[:4]
+    return bits, corrections
+
+
+def fec_encode_reference(bits, scheme):
+    if scheme is FECScheme.HAMMING74:
+        bits = list(bits) + [0] * (-len(bits) % 4)
+        return [
+            sum(b * g for b, g in zip(bits[i : i + 4], column)) % 2
+            for i in range(0, len(bits), 4)
+            for column in zip(*HAMMING_G)
+        ]
+    if scheme is FECScheme.REPETITION3:
+        return [bit for bit in bits for _ in range(3)]
+    return list(bits)
+
+
+def fec_decode_reference(coded, scheme):
+    if scheme is FECScheme.HAMMING74:
+        return hamming74_decode_reference(coded)
+    if scheme is FECScheme.REPETITION3:
+        votes = [sum(coded[i : i + 3]) for i in range(0, len(coded), 3)]
+        return [int(v >= 2) for v in votes], sum(v not in (0, 3) for v in votes)
+    return list(coded), 0
+
+
+def fec_length_reference(n, scheme):
+    if scheme is FECScheme.HAMMING74:
+        return -(-n // 4) * 7
+    return 3 * n if scheme is FECScheme.REPETITION3 else n
+
+
+def interleave_reference(bits, depth):
+    """Write row-wise into ``depth`` rows of ``cols``, read column-wise."""
+    cols = -(-len(bits) // depth)
+    padded = list(bits) + [0] * (depth * cols - len(bits))
+    return [padded[r * cols + c] for c in range(cols) for r in range(depth)]
+
+
+def deinterleave_reference(bits, depth, length):
+    cols = len(bits) // depth
+    out = [0] * len(bits)
+    for c in range(cols):
+        for r in range(depth):
+            out[r * cols + c] = bits[c * depth + r]
+    return out[:length]
+
+
+def scramble_reference(bits):
+    pn = pn_sequence(len(bits), taps=SCRAMBLER_TAPS, seed=SCRAMBLER_SEED)
+    return [int(b) ^ int(p) for b, p in zip(bits, pn)]
+
+
+def build_frame_oracle(node_id, payload, config):
+    """The former scalar ``build_frame`` over the reference stages."""
+    header_bits = list(bits_from_bytes(bytes([node_id, len(payload)])))
+    payload_bits = list(bits_from_bytes(payload))
+    if config.scramble:
+        payload_bits = scramble_reference(payload_bits)
+    fcs = crc_reference(header_bits + payload_bits)
+    body = fec_encode_reference(payload_bits + fcs, config.fec)
+    if config.interleave_depth > 1:
+        body = interleave_reference(body, config.interleave_depth)
+    coded = line_encode_reference(header_bits + body, config.line_code)
+    return list(config.preamble) + coded
+
+
+def _byte_values(bits):
+    return [int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8)]
+
+
+def parse_frame_oracle(chips, config):
+    """The former scalar ``parse_frame`` over the reference stages."""
+    chips = [int(c) for c in chips]
+    cpb = 1 if config.line_code is LineCode.NRZ else 2
+    if len(chips) < 16 * cpb:
+        return None
+    header_bits, _ = line_decode_reference(chips[: 16 * cpb], config.line_code)
+    node_id, length = _byte_values(header_bits)
+    info_bits = 8 * length + 16
+    fec_bits = fec_length_reference(info_bits, config.fec)
+    depth = config.interleave_depth
+    total_chips = (16 + depth * -(-fec_bits // depth)) * cpb
+    if len(chips) < total_chips:
+        return None
+    all_bits, violations = line_decode_reference(
+        chips[:total_chips], config.line_code
+    )
+    body = deinterleave_reference(all_bits[16:], depth, fec_bits)
+    body, corrections = fec_decode_reference(body, config.fec)
+    payload_bits, fcs = body[: 8 * length], body[8 * length : info_bits]
+    crc_ok = crc_reference(header_bits + payload_bits) == fcs
+    if config.scramble:
+        payload_bits = scramble_reference(payload_bits)
+    return ParsedFrame(
+        node_id=node_id,
+        payload=bytes(_byte_values(payload_bits)),
+        crc_ok=crc_ok,
+        fm0_violations=violations,
+        fec_corrections=corrections,
+    )
+
+
+CONFIGS = [
+    FrameConfig(line_code=code, fec=fec, interleave_depth=depth, scramble=scrambled)
+    for code, fec, depth, scrambled in itertools.product(
+        LineCode, FECScheme, (1, 8), (False, True)
+    )
+]
+
+
+def config_id(config):
+    return "-".join([
+        config.line_code.value,
+        config.fec.value,
+        f"il{config.interleave_depth}",
+        "scrambled" if config.scramble else "plain",
+    ])
+
+
 def waveform_reference(chips, sps, switch, fs):
     """Levels by ``np.repeat``, the ramp as a moving average by
     ``np.convolve`` shifted back by its group delay."""
@@ -323,41 +534,76 @@ class TestBatchedFrameCodecs:
             assert got_bits[i].tolist() == want_bits
             assert got_violations[i] == want_violations
 
-    def test_build_frames_batch_matches_scalar(self):
+    @pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+    def test_build_frames_batch_matches_oracle(self, config):
         rng = np.random.default_rng(6)
-        payloads = [
-            bytes(rng.integers(0, 256, size=8, dtype=np.uint8))
-            for _ in range(7)
-        ]
-        want = np.stack([build_frame(9, p) for p in payloads])
-        assert np.array_equal(build_frames_batch(9, payloads), want)
+        for length in (0, 1, 8):
+            payloads = [
+                bytes(rng.integers(0, 256, size=length, dtype=np.uint8))
+                for _ in range(4)
+            ]
+            got = build_frames_batch(9, payloads, config)
+            for row, payload in zip(got, payloads):
+                assert row.tolist() == build_frame_oracle(9, payload, config)
+                assert _bitwise(build_frame(9, payload, config)) == _bitwise(row)
 
     def test_build_frames_batch_rejects_mixed_lengths(self):
         with pytest.raises(ValueError, match="one length"):
             build_frames_batch(1, [b"ab", b"abc"])
 
-    def test_parse_frames_batch_matches_scalar(self):
+    @pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+    def test_parse_frames_batch_matches_oracle(self, config):
         rng = np.random.default_rng(8)
-        config = FrameConfig()
         payloads = [
-            bytes(rng.integers(0, 256, size=8, dtype=np.uint8))
+            bytes(rng.integers(0, 256, size=5, dtype=np.uint8))
             for _ in range(10)
         ]
         frames = build_frames_batch(2, payloads, config)
-        chips = frames[:, len(config.preamble):]
-        # Corrupt chips (some rows will mis-decode the length byte),
-        # truncate others below the header / frame thresholds.
-        chips = np.where(rng.random(chips.shape) < 0.05, 1 - chips, chips)
-        n_chips = np.full(len(payloads), chips.shape[1])
-        n_chips[0] = 3
-        n_chips[1] = 40
-        want = [
-            parse_frame(chips[t, : n_chips[t]], config)
-            for t in range(len(payloads))
-        ]
+        frame_chips = frames.shape[1] - len(config.preamble)
+        chips = np.concatenate(
+            [frames[:, len(config.preamble):],
+             rng.integers(0, 2, size=(10, 30))],
+            axis=1,
+        )
+        # Rows 4-9 take chip errors (some will mis-decode the length
+        # byte); rows 0-3 are truncated below the header, below and at
+        # the frame end.
+        flips = rng.random(chips.shape) < 0.03
+        flips[:4] = False
+        chips = np.where(flips, 1 - chips, chips)
+        n_chips = np.full(10, chips.shape[1])
+        n_chips[:4] = [3, 40, frame_chips - 1, frame_chips]
         got = parse_frames_batch(chips, n_chips, config)
+        want = [
+            parse_frame_oracle(chips[t, : n_chips[t]], config)
+            for t in range(10)
+        ]
         assert got == want
+        assert got[:4] == [None, None, None, got[3]]
+        assert got[3].crc_ok and got[3].payload == payloads[3]
+        for t in range(10):
+            assert parse_frame(chips[t, : n_chips[t]], config) == got[t]
 
+    @given(
+        st.sampled_from(CONFIGS),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=300),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_parsing_random_chips_never_raises(self, config, rows, width, data):
+        n_bytes = -(-rows * width // 8)
+        raw = data.draw(st.binary(min_size=n_bytes, max_size=n_bytes))
+        chips = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        chips = chips[: rows * width].astype(np.int64).reshape(rows, width)
+        n_chips = data.draw(st.lists(
+            st.integers(0, width), min_size=rows, max_size=rows
+        ))
+        got = parse_frames_batch(chips, n_chips, config)
+        assert got == [
+            parse_frame_oracle(chips[t, : n_chips[t]], config)
+            for t in range(rows)
+        ]
 
 ROWS = 5
 ROW_LENGTHS = (0, 1, 13, 4099)
@@ -411,7 +657,44 @@ ONE_ROW_CASES = {
         ),
         lambda n, t: RECEIVER.suppress_carrier(_samples(n)[t]),
     ),
+    "interleave": (
+        lambda n: list(interleave(_bits(n), 8)),
+        lambda n, t: interleave(_bits(n)[t], 8),
+    ),
+    "deinterleave": (
+        lambda n: list(deinterleave(_bits(8 * n), 8, n)),
+        lambda n, t: deinterleave(_bits(8 * n)[t], 8, n),
+    ),
+    "scramble": (
+        lambda n: list(scramble(_bits(n))),
+        lambda n, t: scramble(_bits(n)[t]),
+    ),
 }
+for _code in LineCode:
+    ONE_ROW_CASES[f"encode-{_code.value}"] = (
+        lambda n, code=_code: list(encode_batch(_bits(n), code)),
+        lambda n, t, code=_code: encode(_bits(n)[t], code),
+    )
+    ONE_ROW_CASES[f"decode-{_code.value}"] = (
+        lambda n, code=_code: list(zip(*decode_batch(_bits(2 * n), code))),
+        lambda n, t, code=_code: tuple(
+            part[0] for part in decode_batch(_bits(2 * n)[t][None], code)
+        ),
+    )
+for _scheme, _block in ((FECScheme.NONE, 1), (FECScheme.HAMMING74, 7),
+                        (FECScheme.REPETITION3, 3)):
+    ONE_ROW_CASES[f"fec-encode-{_scheme.value}"] = (
+        lambda n, scheme=_scheme: list(fec_encode_batch(_bits(n), scheme)),
+        lambda n, t, scheme=_scheme: fec_encode(_bits(n)[t], scheme),
+    )
+    ONE_ROW_CASES[f"fec-decode-{_scheme.value}"] = (
+        lambda n, scheme=_scheme, block=_block: list(
+            zip(*fec_decode_batch(_bits(block * n), scheme))
+        ),
+        lambda n, t, scheme=_scheme, block=_block: fec_decode(
+            _bits(block * n)[t], scheme
+        ),
+    )
 
 
 def _bitwise(value):

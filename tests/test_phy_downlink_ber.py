@@ -64,6 +64,11 @@ class TestPIE:
         with pytest.raises(ValueError):
             pie_encode([2], 32_000.0)
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_pie_encode_rejects_non_bits(self, bad):
+        with pytest.raises(ValueError, match="bits must be 0/1"):
+            pie_encode([1, bad, 0], 32_000.0)
+
 
 class TestQFunction:
     def test_q_at_zero(self):

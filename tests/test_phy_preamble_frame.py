@@ -126,6 +126,20 @@ class TestFrame:
         assert frame is not None
         assert not frame.crc_ok
 
+    @pytest.mark.parametrize("chip, crc_ok", [(0, False), (1, True)])
+    def test_manchester_flat_symbol_decodes_by_first_chip(self, chip, crc_ok):
+        # One flipped chip leaves a flat Manchester symbol. It decodes by
+        # its first chip and the CRC decides, as for the other line codes.
+        cfg = FrameConfig(line_code=LineCode.MANCHESTER)
+        body = build_frame(3, b"hello", cfg)[len(cfg.preamble):].copy()
+        body[2 * 20 + chip] ^= 1  # bit 20 is a payload bit
+        frame = parse_frame(body, cfg)
+        assert frame is not None
+        assert frame.node_id == 3
+        assert frame.crc_ok is crc_ok
+        assert frame.fm0_violations == 1
+        assert (frame.payload == b"hello") is crc_ok
+
     def test_truncated_stream_returns_none(self):
         cfg = FrameConfig()
         chips = build_frame(9, b"hello world", cfg)
