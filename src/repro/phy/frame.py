@@ -216,18 +216,28 @@ def parse_frames_batch(
         One entry per row: None when the row is too short for its
         header or its frame. CRC failures still return a frame (with
         ``crc_ok=False``) so callers can count them.
+
+    Raises:
+        ValueError: if an ``n_chips[t]`` exceeds the width of ``chips``.
     """
     if config is None:
         config = FrameConfig()
+    chips = np.asarray(chips)
+    n_chips = np.asarray(n_chips, dtype=np.int64)
+    over = np.flatnonzero(n_chips > chips.shape[-1])
+    if len(over):
+        t = int(over[0])
+        raise ValueError(
+            f"n_chips[{t}] = {n_chips[t]} exceeds the chip matrix "
+            f"width {chips.shape[-1]}"
+        )
     cpb = coding.chips_per_bit(config.line_code)
     n_bits = np.floor_divide(n_chips, cpb)
     results: List[Optional[ParsedFrame]] = [None] * len(n_bits)
     width = max(n_bits.tolist(), default=0)
     if width < config.header_bits():
         return results
-    bits, flags = coding.decode_batch(
-        np.asarray(chips)[:, : width * cpb], config.line_code
-    )
+    bits, flags = coding.decode_batch(chips[:, : width * cpb], config.line_code)
     violations = np.add.accumulate(flags, axis=1, dtype=np.int64)
     node_ids, lengths = (bits[:, :16] @ _HEADER_BYTES).T
     node_ids = node_ids.tolist()

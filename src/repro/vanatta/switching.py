@@ -106,7 +106,9 @@ def chips_to_waveform_batch(
     if chips.size and not ((chips == 0) | (chips == 1)).all():
         raise ValueError("chips must be 0/1")
     levels = np.where(chips == 1, switch.on_amplitude, switch.off_amplitude)
-    wave = np.repeat(levels, samples_per_chip, axis=1).astype(np.float64)
+    wave = np.repeat(levels, samples_per_chip, axis=1).astype(
+        np.float64, copy=False
+    )
     n = wave.shape[1]
     if fs is None or switch.transition_time_s == 0 or n == 0:
         return wave

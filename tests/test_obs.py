@@ -34,6 +34,7 @@ from repro.obs import (
     use_registry,
 )
 from repro.obs.metrics import HistogramData
+from repro.sim import engine
 from repro.sim.export import (
     MANIFEST_SCHEMA_VERSION,
     load_manifest,
@@ -111,12 +112,27 @@ class TestSpans:
             for index, range_m in enumerate((100.0, 200.0)):
                 campaign.run_point(Scenario.river(range_m), index)
         _, counts = tracer.leaf_totals()
-        stages = ("suppress", "detect", "cfo", "slice", "parse")
-        for stage in stages:
-            assert counts[stage] == 2, stage
-            # Nested inside the engine's demod span, so a report shows
-            # them as the batched receiver's share of demod time.
-            assert tracer.counts[("point", "batch", "demod", stage)] == 2
+        # A 4-trial point is one record tile. Slicing has a per-tile half
+        # (integrate-and-dump) and a per-point half (the phase loop).
+        stages = {"suppress": 2, "detect": 2, "cfo": 2, "slice": 4, "parse": 2}
+        for stage, count in stages.items():
+            assert counts[stage] == count, stage
+            # Nested inside a demod span, so a report shows them as the
+            # batched receiver's share of demod time.
+            assert tracer.counts[("point", "batch", "demod", stage)] == count
+
+    def test_batched_front_stages_are_spanned_per_tile(self, monkeypatch):
+        monkeypatch.setattr(engine, "TILE_ROWS", 2)
+        campaign = TrialCampaign(trials_per_point=5, seed=3)
+        with collect_spans() as tracer:
+            campaign.run_point(Scenario.river(100.0), 0)
+        # Three tiles (2 + 2 + 1): the sample-domain stages run per tile,
+        # the phase loop, parse and scoring once per point.
+        counts = {path[-1]: n for path, n in tracer.counts.items()}
+        want = {"reflect": 3, "noise": 3, "suppress": 3, "detect": 3,
+                "cfo": 3, "slice": 4, "parse": 1, "score": 1, "demod": 4}
+        assert {stage: counts[stage] for stage in want} == want
+        assert tracer.counts[("point", "batch", "channel")] == 4
 
     def test_pickle_drops_live_stack(self):
         import pickle

@@ -11,8 +11,8 @@ invariants keep that pipeline honest:
   DFE chains that demodulate row by row. The pipeline must reproduce it
   bit for bit.
 * **Per-row = batched.** A loop of 1-row ``simulate_trial`` calls, a
-  whole-point ``run_trials``, and any sub-batch split of the point agree
-  field for field.
+  whole-point ``run_trials``, any sub-batch split of the point and any
+  record tiling of it (``engine.TILE_ROWS``) agree field for field.
 
 Regenerate the fixture (``python tests/test_sim_batched_parity.py``)
 only for a deliberate, versioned results break.
@@ -35,6 +35,7 @@ from repro.phy.coding import LineCode
 from repro.phy.fec import FECScheme
 from repro.phy.frame import FrameConfig
 from repro.phy.receiver import ReaderReceiver
+from repro.sim import engine
 from repro.sim.engine import simulate_point_batch, simulate_trial
 from repro.sim.parallel import run_campaign_parallel
 from repro.sim.results import BERPoint
@@ -50,7 +51,7 @@ SEED = 2023
 
 class PabNode(VanAttaNode):
     """A PAB node as a subclass: the engine calls its overrides once per
-    point, on ``(trials, ...)`` blocks."""
+    record tile, on ``(rows, ...)`` blocks."""
 
     def modulation_waveform(self, chips, samples_per_chip, fs=None):
         return super().modulation_waveform(chips, samples_per_chip, fs)
@@ -292,6 +293,64 @@ class TestBatchedMatchesPerTrial:
             for i, scenario in enumerate(scenarios)
         ]
         assert whole.points == points
+
+
+TILED_TRIALS = 70
+"""A point of three default tiles (32 + 32 + 6 rows)."""
+
+TILED_RANGE_M = 410.0
+"""Near the range limit: every tile mixes clean, CRC-failed and missed
+frames."""
+
+
+TILED_CAMPAIGN = TrialCampaign(trials_per_point=TILED_TRIALS, seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def tiled_river_loop():
+    """The 70-trial river(410 m) point as a loop of 1-row calls."""
+    return per_row(Scenario.river(TILED_RANGE_M), TILED_CAMPAIGN)
+
+
+class TestTilesMatchPerTrial:
+    def test_default_tiles_split_a_point_in_three(self):
+        assert engine.TILE_ROWS == 32
+        assert -(-TILED_TRIALS // engine.TILE_ROWS) == 3
+
+    def test_three_tile_point_matches_the_loop(self, tiled_river_loop):
+        got = TILED_CAMPAIGN.run_trials(Scenario.river(TILED_RANGE_M), 0)
+        assert got == tiled_river_loop
+        # The per-point finish joins tiles of mixed outcomes.
+        assert {(r.detected, r.frame_ok) for r in got} == {
+            (True, True), (True, False), (False, False)
+        }
+
+    @pytest.mark.parametrize("tile_rows", [1, 7, 32, 250])
+    def test_any_tile_size_matches_the_loop(
+        self, monkeypatch, tiled_river_loop, tile_rows
+    ):
+        monkeypatch.setattr(engine, "TILE_ROWS", tile_rows)
+        got = TILED_CAMPAIGN.run_trials(Scenario.river(TILED_RANGE_M), 0)
+        assert got == tiled_river_loop
+
+    def test_dfe_point_demodulates_per_row_inside_tiles(self, monkeypatch):
+        # 40 trials: a full tile and an 8-row one, each demodulated row
+        # by row by the DFE chain.
+        campaign = campaign_for("dfe-e16", trials_per_point=40)
+        want = per_row(dfe_cell(), campaign)
+        assert campaign.run_trials(dfe_cell(), 0) == want
+        monkeypatch.setattr(engine, "TILE_ROWS", 7)
+        assert campaign.run_trials(dfe_cell(), 0) == want
+
+    @pytest.mark.parametrize("tile_rows", [1, 4])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_tiled_whole_point_reproduces_golden(
+        self, monkeypatch, goldens, name, tile_rows
+    ):
+        monkeypatch.setattr(engine, "TILE_ROWS", tile_rows)
+        build, _ = CASES[name]
+        got = campaign_for(name).run_trials(build(), 0)
+        assert [encode(r) for r in got] == goldens[name]
 
 
 class TestEngineDispatch:

@@ -198,7 +198,8 @@ class TestParallelDeterminism:
             workers=1, tracer=tracer,
         )
         totals, counts = tracer.leaf_totals()
-        # Stages run once per point batch, not per trial.
+        # Stages run once per record tile (a 2-trial point is one), not
+        # per trial.
         for stage in ("batch", "channel", "reflect", "noise", "demod"):
             assert counts[stage] >= 1
             assert totals[stage] >= 0.0
@@ -232,9 +233,11 @@ class TestParallelDeterminism:
         # Wall-clocks differ across processes, but the counts — how many
         # times each span path ran — must agree path for path.
         assert parallel_tracer.counts == serial_tracer.counts
-        # Batched engine: one batch span per point, stages per batch.
+        # Batched engine: one batch span per point; per point, one demod
+        # span per record tile (a 6-trial point is one tile) and one for
+        # the per-point finish.
         assert serial_tracer.counts[("point", "batch")] == 2
-        assert serial_tracer.counts[("point", "batch", "demod")] == 2
+        assert serial_tracer.counts[("point", "batch", "demod")] == 4
 
     def test_per_row_demod_runs_inside_one_batch_per_point(self):
         scenarios = sweep_range(Scenario.river(), RANGES)
@@ -248,7 +251,7 @@ class TestParallelDeterminism:
         run_campaign_parallel(scenarios, campaign, workers=1, tracer=tracer)
         _, counts = tracer.leaf_totals()
         # Rows demodulate one at a time, but channel and noise still run
-        # once per point.
+        # once per record tile (a 6-trial point is one).
         for stage in ("batch", "channel", "noise", "demod"):
             assert counts[stage] == (2 if stage != "channel" else 4)
         assert "trial" not in counts

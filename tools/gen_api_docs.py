@@ -47,7 +47,16 @@ invisible in the returned numbers:
 Caches are process-local and keyed by value; invalidate explicitly
 after mutating water/surface tables in place.
 
-The point pipeline's row-independent, GIL-free kernels (the per-trial
+A point runs in two phases (`repro.sim.engine.simulate_point_batch`).
+Its sample-domain stages (modulate, reflect, channel, Doppler, noise,
+SI suppression, preamble detect, CFO and integrate-and-dump) run on
+tiles of `engine.TILE_ROWS` (32) trials that refill buffers allocated
+once per point, so a point's peak memory does not grow with its trial
+count; the phase loop, frame parse, eye SNR and scoring run once over
+every detected row (`BatchedReaderReceiver.demodulate_batch` takes the
+record tiles as an iterator). Any tiling is bit-identical.
+
+Inside a tile, the row-independent, GIL-free kernels (the per-trial
 noise draws and inverse FFT, the batched preamble correlation, the SI
 suppression's mean removal and `lfilter`, and `apply_doppler` on 2-D
 blocks) run over contiguous row blocks
@@ -62,9 +71,9 @@ functions make no span, metric, probe, cache or public `repro` call;
 telemetry stays on the calling thread. The budget is recorded as the
 `repro.sim.parallel.row_threads` gauge, outside the run identity.
 
-Per-stage wall-clock (channel / reflect / noise / demod, and inside
-demod the batched receiver's suppress / detect / cfo / slice / parse)
-is available from a `SpanTracer` passed as `tracer=`:
+Per-stage wall-clock (channel / reflect / noise / demod / score, and
+inside demod the batched receiver's suppress / detect / cfo / slice /
+parse) is available from a `SpanTracer` passed as `tracer=`:
 `tracer.leaf_totals()` folds its span paths into per-stage totals and
 counts. The repository benchmark is `perfbench/` (`python3
 perfbench/run.py --workload river_batched --seed 2023 --seconds 40`):
@@ -79,8 +88,10 @@ parallel runner:
 
 - **Spans** — `span(name)` brackets nested work; `collect_spans`
   installs a `SpanTracer` that aggregates `path -> (total_s, count)`.
-  The engine emits `point > batch > channel/reflect/noise/demod`,
-  with `suppress/detect/cfo/slice/parse` under `demod`.
+  The engine emits `point > batch > channel/reflect/noise/demod/score`:
+  `channel`, `reflect`, `noise` and a `demod` with
+  `suppress/detect/cfo/slice` per record tile, then one `demod` with
+  `slice/parse` and the `score` per point.
 - **Metrics** — `counter` / `gauge` / `histogram` return named
   instrument handles writing into the active `MetricsRegistry`
   (swap one in with `use_registry`). Engine instruments:
