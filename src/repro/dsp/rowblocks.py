@@ -28,7 +28,9 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.contracts import Effectful
 
@@ -144,3 +146,18 @@ def for_row_blocks(rows: int, fn: Callable[[int, int], None]) -> None:
             raise first
     finally:
         _local.busy = False
+
+
+def output_block(out: Optional[np.ndarray], shape: Tuple[int, ...]) -> np.ndarray:
+    """The block a kernel with an ``out=`` parameter writes its result
+    into: ``out`` checked as a C-contiguous complex128 array of
+    ``shape``, or a fresh (uninitialised) one when it is None."""
+    if out is None:
+        return np.empty(shape, dtype=np.complex128)
+    if (
+        out.shape != shape
+        or out.dtype != np.complex128
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous complex128 {shape} array")
+    return out

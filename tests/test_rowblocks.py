@@ -37,7 +37,7 @@ from repro.obs.probes import probe_mode
 from repro.phy.batch import BatchedReaderReceiver
 from repro.phy.preamble import preamble_template
 from repro.phy.receiver import ReaderReceiver
-from repro.sim import parallel
+from repro.sim import parallel, reader_node_response
 from repro.sim.engine import simulate_point_batch, simulate_trial
 from repro.sim.parallel import default_workers, run_observed_campaign
 from repro.sim.results import BERPoint
@@ -382,6 +382,46 @@ class TestFailurePaths:
         )
         assert seen == [1]
         assert rowblocks.row_budget() == 2  # the scope ends with the chunk
+
+
+OUT_KERNELS = {
+    "colored-noise": lambda out: colored_noise_batch(
+        SAMPLES, 96_000.0, river_psd(), 18_500.0, generators(3), out=out
+    ),
+    "white-noise": lambda out: white_noise_batch(
+        SAMPLES, 2.5, generators(3), out=out
+    ),
+    "doppler": lambda out: apply_doppler(
+        block_of(3), 96_000.0, 18_500.0, 1.2, out=out
+    ),
+    "channel": lambda out: reader_node_response(Scenario.river(330.0)).apply(
+        block_of(3), 96_000.0, out=out
+    ),
+}
+
+
+class TestOutputBlocks:
+    """The kernels that take ``out=`` fill the caller's block with the
+    bits they return without one, and reject the same bad blocks."""
+
+    @pytest.mark.parametrize("name", sorted(OUT_KERNELS))
+    def test_out_receives_the_fresh_result(self, name):
+        kernel = OUT_KERNELS[name]
+        fresh = kernel(None)
+        out = np.full(fresh.shape, np.nan + 0j)
+        assert kernel(out) is out
+        assert out.tobytes() == fresh.tobytes()
+        rows, n = fresh.shape
+        for bad in (
+            np.empty((rows, n + 1), dtype=np.complex128),
+            np.empty((rows, n), dtype=np.complex64),
+            np.empty((n, rows), dtype=np.complex128).T,
+        ):
+            with pytest.raises(
+                ValueError,
+                match=rf"out must be a C-contiguous complex128 \({rows}, {n}\)",
+            ):
+                kernel(bad)
 
 
 class TestUsableCpus:

@@ -1,5 +1,6 @@
 """Tests for the modulation switch, reflection operator, node, and scaling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.geometry.placement import Pose
 from repro.geometry.vec3 import Vec3
 from repro.vanatta.array import VanAttaArray
 from repro.vanatta.node import VanAttaNode
+from repro.vanatta.polarity import PairingScheme
 from repro.vanatta.reflection import reflect_waveform
 from repro.vanatta.retrodirective import monostatic_gain
 from repro.vanatta.scaling import (
@@ -93,6 +95,33 @@ class TestReflectWaveform:
         g = monostatic_gain(arr, F, 0.0, 1500.0)
         np.testing.assert_allclose(out[:16], g)
         np.testing.assert_allclose(out[16:], 0.0)
+
+    def test_gain_memo_keys_on_the_array_value(self):
+        # The monostatic gain is memoized by value: an equal array shares
+        # it, and a change to any field, or an in-place edit of the
+        # positions, gets its own.
+        base = VanAttaArray.uniform(4, frequency_hz=F)
+        edited = dataclasses.replace(base, positions_m=base.positions_m.copy())
+        variants = [
+            base,
+            VanAttaArray.uniform(4, frequency_hz=F),
+            dataclasses.replace(base, line_loss_db=3.0),
+            dataclasses.replace(base, line_phase_rad=0.4),
+            dataclasses.replace(base, pairing=PairingScheme.DIRECT),
+            edited,
+        ]
+
+        def reflected_gain(arr):
+            out = reflect_waveform(
+                np.ones(1, dtype=complex), np.ones(1), arr, F, 20.0
+            )
+            assert out[0] == monostatic_gain(arr, F, 20.0)
+            return out[0]
+
+        gains = [reflected_gain(arr) for arr in variants]
+        edited.positions_m[0] += 0.01
+        gains.append(reflected_gain(edited))
+        assert len(set(gains)) == 5
 
     def test_short_modulation_padded_with_hold(self):
         arr = VanAttaArray.uniform(2, frequency_hz=F)
