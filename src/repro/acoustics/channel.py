@@ -156,6 +156,7 @@ class ChannelResponse:
         )
         out = output_block(out, shape)
         out.fill(0.0)
+        taps = _TapSum(out)
 
         animate = (
             time_varying
@@ -164,56 +165,83 @@ class ChannelResponse:
         )
         if not animate:
             for delay_s, gain in self.baseband_taps(start_time_s):
-                _add_delayed(out, signal, (delay_s - base_delay) * fs, gain)
+                taps.add(signal, (delay_s - base_delay) * fs, gain)
             return out
 
         # Animated taps, vectorized: a tap's *delay* is fixed — only its
         # gain wanders block to block — so instead of adding every
         # (block, tap) chunk separately, build the per-sample gain profile
         # of each tap (block-constant, via np.repeat) and add the whole
-        # gain-modulated signal at the tap's offset in one shot.
+        # gain-modulated signal at the tap's offset in one shot. Every
+        # surface path modulates the signal into the same block.
         block = max(int(block_s * fs), 1)
         starts = np.arange(0, n_samples, block)
         times = start_time_s + starts / fs
         k = 2.0 * math.pi * self.carrier_hz / self.sound_speed
         displacement = np.array([self.surface.displacement(t) for t in times])
+        modulated = np.empty(signal.shape, dtype=np.complex128)
         for p in self.paths:
             if p.surface_bounces > 0:
                 grazing = math.radians(abs(p.arrival_deg)) or 0.1
                 dl = 2.0 * p.surface_bounces * displacement * math.sin(grazing)
                 block_gains = p.gain * np.exp(-1j * k * dl)
                 gains = np.repeat(block_gains, block)[:n_samples]
-                _add_delayed(
-                    out, gains * signal, (p.delay_s - base_delay) * fs, 1.0
-                )
+                np.multiply(gains, signal, out=modulated)
+                taps.add(modulated, (p.delay_s - base_delay) * fs, 1.0)
             else:
-                _add_delayed(out, signal, (p.delay_s - base_delay) * fs, p.gain)
+                taps.add(signal, (p.delay_s - base_delay) * fs, p.gain)
         return out
 
 
-def _add_delayed(
-    out: np.ndarray, signal: np.ndarray, delay_samples: float, gain: complex
-) -> None:
-    """Add ``gain * signal`` into ``out`` at a fractional sample offset.
+class _TapSum:
+    """Adds ``gain * signal`` copies into a zero-filled block at fractional
+    sample offsets, along the last axis (leading batch axes pass through,
+    so a ``(trials, samples)`` block shares one tap set).
 
-    Operates along the last axis; leading (batch) axes pass through
-    unchanged, so a ``(trials, samples)`` block shares one tap set.
+    Each weighted copy is computed into one scratch block, allocated on
+    the first copy that needs it, instead of a fresh temporary per copy.
+    The first copy needs none: it is written straight into the zeroed
+    span, then has ``0.0`` added, which is what adding it to the zero
+    fill computes (the sum turns a ``-0.0`` product into ``+0.0``).
     """
-    if abs(gain) == 0.0:
-        return
-    n_sig = signal.shape[-1]
-    n_out = out.shape[-1]
-    n0 = int(math.floor(delay_samples))
-    frac = delay_samples - n0
-    w0 = (1.0 - frac) * gain
-    w1 = frac * gain
-    end0 = min(n0 + n_sig, n_out)
-    if n0 < end0 and abs(w0) > 0:
-        out[..., n0:end0] += w0 * signal[..., : end0 - n0]
-    n1 = n0 + 1
-    end1 = min(n1 + n_sig, n_out)
-    if n1 < end1 and abs(w1) > 0:
-        out[..., n1:end1] += w1 * signal[..., : end1 - n1]
+
+    def __init__(self, out: np.ndarray) -> None:
+        self.out = out
+        self.scratch: Optional[np.ndarray] = None
+        self.zeroed = True
+
+    def add(self, signal: np.ndarray, delay_samples: float, gain: complex) -> None:
+        if abs(gain) == 0.0:
+            return
+        n_sig = signal.shape[-1]
+        n_out = self.out.shape[-1]
+        n0 = int(math.floor(delay_samples))
+        frac = delay_samples - n0
+        w0 = (1.0 - frac) * gain
+        w1 = frac * gain
+        end0 = min(n0 + n_sig, n_out)
+        if n0 < end0 and abs(w0) > 0:
+            self._accumulate(n0, end0, w0, signal)
+        n1 = n0 + 1
+        end1 = min(n1 + n_sig, n_out)
+        if n1 < end1 and abs(w1) > 0:
+            self._accumulate(n1, end1, w1, signal)
+
+    def _accumulate(
+        self, start: int, end: int, weight: complex, signal: np.ndarray
+    ) -> None:
+        span = self.out[..., start:end]
+        source = signal[..., : end - start]
+        if self.zeroed:
+            self.zeroed = False
+            np.multiply(weight, source, out=span)
+            span += 0.0
+            return
+        if self.scratch is None:
+            self.scratch = np.empty(signal.shape, dtype=np.complex128)
+        product = self.scratch[..., : end - start]
+        np.multiply(weight, source, out=product)
+        span += product
 
 
 @dataclass

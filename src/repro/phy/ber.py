@@ -15,7 +15,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from repro.contracts import DB
 
@@ -26,7 +25,14 @@ def q_function(x: float) -> float:
 
 
 def q_inverse(p: float) -> float:
-    """Inverse of the Q function."""
+    """Inverse of the Q function.
+
+    ``scipy.special`` loads on the first call, not at import: this is its
+    only user, and a process that never demodulates (a pool's parent, an
+    ``obs`` or link-budget process) then loads no SciPy at all.
+    """
+    from scipy import special
+
     if not 0.0 < p < 1.0:
         raise ValueError("probability must be in (0, 1)")
     return math.sqrt(2.0) * float(special.erfcinv(2.0 * p))

@@ -86,6 +86,22 @@ class TestChannelResponse:
         assert abs(y[1]) == pytest.approx(0.5)
         assert abs(y[2]) == pytest.approx(0.5)
 
+    def test_apply_adds_taps_onto_the_zero_fill_bit_for_bit(self):
+        """Each tap product is added to the output's zero fill: a zero
+        sample under a negative weight comes out +0.0, not -0.0."""
+        fs = 8000.0
+        gain = -0.5 - 0.5j
+        h = single_tap_response(gain=gain, delay=1.25 / fs)
+        x = np.array([0.0, 1.0 - 2.0j, 0.0, 3.0j, -1.0], dtype=complex)
+        y = h.apply(x, fs, include_delay=True)
+        delay = 1.25 / fs * fs
+        frac = delay - math.floor(delay)
+        expected = np.zeros_like(y)
+        expected[1:6] += (1.0 - frac) * gain * x
+        expected[2:7] += frac * gain * x
+        assert y.tobytes() == expected.tobytes()
+        assert not np.signbit(y[1].imag)
+
     def test_multipath_superposition(self):
         p1 = Path(15.0, 0.001, 0.5 + 0j, 0, 0, 0.0, 0.0)
         p2 = Path(30.0, 0.002, 0.25 + 0j, 1, 0, 0.0, 0.0)

@@ -18,20 +18,23 @@ import numpy as np
 import pytest
 
 import repro
+from repro.acoustics import doppler
 from repro.acoustics.noise import NoiseConditions, total_noise_psd_db
 from repro.core import Scenario
-from repro.dsp import noisegen
+from repro.dsp import correlate, noisegen
 from repro.dsp.rowblocks import _budget_scope
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.obs.ledger import Ledger, diff_manifests
 from repro.obs.manifest import EventLog, read_events
 from repro.obs.probes import probes
+from repro.phy import crc, preamble
 from repro.phy.receiver import ReaderReceiver
 from repro.sim import cache
 from repro.sim.parallel import run_campaign_parallel, run_observed_campaign
 from repro.sim.results import BERPoint
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign
+from repro.vanatta import reflection
 from repro.vanatta.node import VanAttaNode
 
 RANGES = [50.0, 330.0]
@@ -65,6 +68,24 @@ def _uncached(instruments: dict) -> dict:
 
 def _event_names(path) -> list:
     return [e["event"] for e in read_events(path) if e["event"] != "heartbeat"]
+
+
+def _run_fresh(code: str) -> str:
+    """Stripped stdout of ``code`` run in a fresh interpreter on this
+    checkout's ``repro``."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    return out.stdout.strip()
+
+
+SCIPY_LOADED = (
+    "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+)
+"""Expression naming the SciPy modules a fresh interpreter has loaded."""
 
 
 class TestParallelDeterminism:
@@ -157,13 +178,7 @@ class TestParallelDeterminism:
             "                      TrialCampaign(trials_per_point=2), workers=1)\n"
             "print(loaded, seen)\n"
         )
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": src, "PATH": ""},
-        )
-        assert out.stdout.strip() == "False [True]"
+        assert _run_fresh(code) == "False [True]"
 
     def test_manifest_records_the_effective_worker_count(self, tmp_path):
         scenarios = sweep_range(Scenario.river(), [50.0])
@@ -341,6 +356,55 @@ class TestParallelDeterminism:
         assert "point/batch/demod" in serial.timings
 
 
+class TestProcessRoles:
+    """SciPy loads only in a process that demodulates: importing the
+    runner, the link budget, the observability layer or the CLI loads
+    none, and neither does a pool's parent."""
+
+    def test_importing_the_non_demodulating_modules_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import repro, repro.sim, repro.sim.parallel, repro.sim.linkbudget\n"
+            "import repro.sim.confidence, repro.obs, repro.cli\n"
+            f"print({SCIPY_LOADED})\n"
+        )
+        assert _run_fresh(code) == "[]"
+
+    def test_a_pool_parent_loads_no_scipy_and_matches_serial(self):
+        code = (
+            "import multiprocessing, sys\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from repro.sim.parallel import run_campaign_parallel, run_observed_campaign\n"
+            "from repro.sim.scenario import Scenario\n"
+            "from repro.sim.sweep import sweep_range\n"
+            "from repro.sim.trials import TrialCampaign\n"
+            "scenarios = sweep_range(Scenario.river(), [50.0, 330.0])\n"
+            "campaign = TrialCampaign(trials_per_point=2, seed=5)\n"
+            "spawn = multiprocessing.get_context('spawn')\n"
+            "with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:\n"
+            "    pooled, _ = run_observed_campaign(\n"
+            "        scenarios, campaign, workers=2, pool=pool, progress=False)\n"
+            f"loaded = {SCIPY_LOADED}\n"
+            "serial = run_campaign_parallel(scenarios, campaign, workers=1)\n"
+            "print(loaded, pooled.points == serial.points, len(serial.points))\n"
+        )
+        assert _run_fresh(code) == "[] True 2"
+
+    def test_q_inverse_loads_scipy_special_on_its_first_call(self):
+        code = (
+            "import sys\n"
+            "from repro.phy.ber import q_inverse, required_snr_db\n"
+            f"before = {SCIPY_LOADED}\n"
+            "values = [q_inverse(1e-3), q_inverse(0.25), required_snr_db(1e-3)]\n"
+            "print(before, 'scipy.special' in sys.modules,\n"
+            "      'scipy.signal' in sys.modules, *map(repr, values))\n"
+        )
+        assert _run_fresh(code).split() == [
+            "[]", "True", "False",
+            "3.0902323061678136", "0.6744897501960818", "9.79982256904398",
+        ]
+
+
 class TestFailurePaths:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failing_point_is_named_and_not_recorded(self, tmp_path, workers):
@@ -462,3 +526,36 @@ class TestNoiseShapingCache:
         noisegen.colored_noise(2048, 192_000.0, NoiseConditions().psd_db, 18_500.0, rng)
         entries_after_second, _ = noisegen.noise_cache_info()
         assert entries_after_first == entries_after_second == 1
+
+
+def _clear_every_memo() -> None:
+    """Empty every process-wide memo the point pipeline reads."""
+    cache.clear_channel_cache()
+    noisegen.clear_noise_cache()
+    for memo in (
+        preamble.preamble_chips,
+        preamble.preamble_template,
+        crc._affine_tables,
+        doppler._resampling_plan,
+        reflection._monostatic_gain,
+        correlate._template_spectrum,
+    ):
+        memo.cache_clear()
+
+
+class TestWarmCachesEqualCold:
+    @pytest.mark.parametrize(
+        "scenario", [Scenario.river(330.0), Scenario.ocean(100.0)],
+        ids=["river", "ocean"],
+    )
+    def test_a_point_from_warm_memos_equals_one_from_cleared_memos(
+        self, scenario
+    ):
+        campaign = TrialCampaign(trials_per_point=40, seed=7)
+        campaign.run_trials(scenario, 0)
+        warm = campaign.run_trials(scenario, 0)
+        _clear_every_memo()
+        assert preamble.preamble_template.cache_info().currsize == 0
+        cold = campaign.run_trials(scenario, 0)
+        assert len(warm) == 40
+        assert warm == cold
