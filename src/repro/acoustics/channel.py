@@ -10,8 +10,11 @@ objects becomes a tapped delay line: each path contributes a tap with
   delay shows up as a baseband rotation).
 
 Surface-bounced taps can be animated: the wave displacement modulates the
-path length, producing the slow phase wander / Doppler spread that makes
-the paper's ocean experiments harder than the river ones.
+path length, producing slow phase wander / Doppler spread. The
+``Scenario.ocean`` preset does not exercise it: it traces the direct
+path only (``max_bounces=0``; at 100 m even ``max_bounces=2`` adds one
+bottom path and no surface path). What it does exercise is a 0.15 m/s
+platform-drift Doppler and sea-state ambient noise.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.acoustics.constants import WaterProperties
 from repro.acoustics.propagation import Path, trace_paths
 from repro.acoustics.spreading import PRACTICAL_EXPONENT
 from repro.acoustics.surface import SeaSurface
-from repro.dsp.rowblocks import output_block
+from repro.dsp.buffers import output_block
 from repro.geometry.vec3 import Vec3
 
 

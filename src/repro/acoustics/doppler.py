@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dsp.rowblocks import for_row_blocks, output_block
+from repro.dsp.buffers import output_block
 
 
 def doppler_shift_hz(
@@ -126,20 +126,12 @@ def apply_doppler(
     # gather of a 2-D block comes back in F order) and the weights and
     # the carrier shift are applied in place. Gathers index the last
     # axis, so a (trials, samples) block is warped row by row with
-    # identical arithmetic, and row blocks run on separate threads
-    # (:func:`repro.dsp.rowblocks.for_row_blocks`).
-    rows = signal if signal.ndim > 1 else signal[None, :]
-    dest_rows = warped if signal.ndim > 1 else warped[None, :]
-
-    def block(lo: int, hi: int) -> None:
-        source, dest = rows[lo:hi], dest_rows[lo:hi]
-        _gather_runs(source, runs0, dest)
-        dest *= weight0
-        ahead = np.empty_like(dest)
-        _gather_runs(source, runs1, ahead)
-        ahead *= frac
-        dest += ahead
-        dest *= rotation
-
-    for_row_blocks(len(rows), block)
+    # identical arithmetic.
+    _gather_runs(signal, runs0, warped)
+    warped *= weight0
+    ahead = np.empty_like(warped)
+    _gather_runs(signal, runs1, ahead)
+    ahead *= frac
+    warped += ahead
+    warped *= rotation
     return warped

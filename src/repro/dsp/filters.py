@@ -107,7 +107,7 @@ def _dc_block_rows(x: np.ndarray, alpha: float) -> np.ndarray:
     """The DC blocker's IIR along the last axis of ``x``, rows apart.
 
     The one definition of the filter: :func:`dc_block_fast` and the
-    batched receiver's row blocks both run it.
+    batched receiver's carrier suppression both run it.
     """
     from scipy.signal import lfilter
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.dsp.rowblocks import for_row_blocks, output_block
+from repro.dsp.buffers import output_block
 from repro.rng import fallback_rng
 
 _SHAPE_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
@@ -172,9 +172,6 @@ def _draw_complex_rows(
     planes of ``rows``. Scaling a part by a real factor is the same
     float multiply the complex product would do, so the values are
     bitwise those of the expression form without its temporaries.
-
-    Runs on row-block threads (:mod:`repro.dsp.rowblocks`): the buffer
-    is per call, and each generator belongs to exactly one row.
     """
     draw = np.empty((2, rows.shape[1]))
     real, imag = rows.real, rows.imag
@@ -201,12 +198,7 @@ def white_noise_batch(
     if power < 0:
         raise ValueError("power must be non-negative")
     rows = output_block(out, (len(rngs), n))
-    scale = np.sqrt(power / 2.0)
-
-    def block(lo: int, hi: int) -> None:
-        _draw_complex_rows(rows[lo:hi], scale, rngs[lo:hi])
-
-    for_row_blocks(len(rngs), block)
+    _draw_complex_rows(rows, np.sqrt(power / 2.0), rngs)
     return rows
 
 
@@ -227,23 +219,15 @@ def colored_noise_batch(
     ``sqrt(n)``, so the mean-square value equals the PSD integrated
     across the simulated bandwidth ``fs``. The shaping multiply is
     elementwise and the inverse FFT transforms rows independently, so a
-    row does not depend on its batch neighbours — which is also what
-    lets row blocks draw and transform on separate threads
-    (:func:`repro.dsp.rowblocks.for_row_blocks`), in place. ``out``, a
-    C-contiguous complex ``(len(rngs), n)`` block, receives the rows
-    instead of a fresh one.
+    row does not depend on its batch neighbours; the block is drawn and
+    transformed in place. ``out``, a C-contiguous complex
+    ``(len(rngs), n)`` block, receives the rows instead of a fresh one.
     """
     noise = output_block(out, (len(rngs), max(n, 0)))
     if n <= 0:
         return noise
     amplitude = _shaping_amplitude(n, fs, psd_db_fn, carrier_hz)
-    gain = np.sqrt(n)
-
-    def block(lo: int, hi: int) -> None:
-        bins = noise[lo:hi]
-        _draw_complex_rows(bins, amplitude, rngs[lo:hi])
-        np.fft.ifft(bins, axis=1, out=bins)
-        bins *= gain
-
-    for_row_blocks(len(rngs), block)
+    _draw_complex_rows(noise, amplitude, rngs)
+    np.fft.ifft(noise, axis=1, out=noise)
+    noise *= np.sqrt(n)
     return noise

@@ -5,12 +5,11 @@ and trust what produced it. The ledger files every observed run under a
 **run key** — a digest of everything that determines the numbers (the
 scenario snapshots, the whole campaign with its factories, the seed,
 the schema, package and numeric-engine versions) and nothing that
-doesn't (label, worker count, row-block budget, wall-clock, lint
-tooling). One walk (:func:`repro.obs.manifest._jsonify`) builds it and
-names a factory rather than hashing its code. Re-running the same
-configuration lands on the same key, so repeats of an experiment
-collide into one ledger entry and genuinely different configurations
-never do.
+doesn't (label, worker count, wall-clock, lint tooling). One walk
+(:func:`repro.obs.manifest._jsonify`) builds it and names a factory
+rather than hashing its code. Re-running the same configuration lands
+on the same key, so repeats of an experiment collide into one ledger
+entry and genuinely different configurations never do.
 
 Layout under the root (``$VAB_LEDGER_DIR`` or ``~/.repro/ledger``)::
 

@@ -29,7 +29,7 @@ mode additionally hard-fails with a :class:`ProbeViolation` naming the
 probe and the attributed stage. The overhead budget on the batched
 engine is 2%. The last measurement, a single-shot run of the retired
 benchmark harness, read +6.4% (over budget), and nothing gates it
-today; the paired ``off`` vs ``count`` measurement is ROADMAP item 3.
+today; the paired ``off`` vs ``count`` measurement is ROADMAP item 1.
 
 Mode comes from ``VAB_PROBES`` (``off`` / ``count`` / ``raise``,
 default ``count``) or :func:`set_probe_mode` / the :func:`probes`

@@ -12,14 +12,15 @@ runs every stage across the trial axis at once, in two halves:
    (:func:`repro.phy.preamble.detect_preamble_batch`).
 3. **CFO estimation** — the lag-autocorrelation of every detected
    record's modulation-stripped preamble, as one gather + reduction.
-4. **Integrate-and-dump** — each detected row's data region, derotated
-   by its CFO and summed chip by chip via a gather/reshape/sum.
+4a. **Chip slicing: integrate-and-dump** — each detected row's data
+    region, derotated by its CFO and summed chip by chip via a
+    gather/reshape/sum.
 
 *Once over every detected row:*
 
-4. **Coherent chip slicing** — the decision-directed phase loop,
-   advanced chip-by-chip over all rows (sequential in time but vector
-   across trials).
+4b. **Chip slicing: phase tracking** — the decision-directed phase
+    loop, advanced chip-by-chip over all rows (sequential in time but
+    vector across trials).
 5. **Frame parse + scoring stats** — FM0/CRC per record (vectorised
    decoders in :mod:`repro.phy.coding` / :mod:`repro.phy.crc`).
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.contracts import ComplexShaped
 from repro.dsp.filters import _dc_block_rows
-from repro.dsp.rowblocks import for_row_blocks
 from repro.dsp.timing import symbol_samples, symbol_sum
 from repro.obs.metrics import counter, histogram
 from repro.obs.probes import probe_finite
@@ -84,29 +83,21 @@ def suppress_carrier_rows(
     Each row loses its mean (the static carrier leak is a complex
     constant in baseband), then runs through the DC-blocking IIR with
     pole ``dc_pole`` (0, or any value outside (0, 1), disables it) for
-    slow drift. Rows are filtered independently; row blocks run on
-    separate threads (:func:`repro.dsp.rowblocks.for_row_blocks`), each
-    writing its rows of one output block.
+    slow drift. Rows are filtered independently.
     """
     records = np.asarray(records)
-    pole = dc_pole if dc_pole and 0.0 < dc_pole < 1.0 else None
-    centred = np.empty_like(
-        records, dtype=np.promote_types(records.dtype, np.float64)
+    dtype = np.promote_types(records.dtype, np.float64)
+    if records.size == 0:
+        return np.empty_like(records, dtype=dtype)
+    # ndarray.mean's exact ufunc sequence (sum, then divide by the
+    # count), without its dispatch cost on the 1-row path.
+    centred = np.subtract(
+        records, np.add.reduce(records, axis=1, keepdims=True) / records.shape[1]
     )
-    n = records.shape[1]
-    if centred.size == 0:
-        return centred
-
-    def block(lo: int, hi: int) -> None:
-        rows, out = records[lo:hi], centred[lo:hi]
-        # ndarray.mean's exact ufunc sequence (sum, then divide by the
-        # count), without its dispatch cost on the 1-row path.
-        np.subtract(rows, np.add.reduce(rows, axis=1, keepdims=True) / n, out=out)
-        if pole is not None:
-            out[...] = _dc_block_rows(out, pole)
-
-    for_row_blocks(len(records), block)
-    return centred
+    if dc_pole and 0.0 < dc_pole < 1.0:
+        return _dc_block_rows(centred, dc_pole)
+    # A single-precision block keeps its own subtract, widened after.
+    return centred.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from repro.acoustics.channel import ChannelResponse
 from repro.acoustics.doppler import apply_doppler
 from repro.contracts import IntShaped
 from repro.dsp.noisegen import colored_noise_batch, white_noise_batch
-from repro.dsp.rowblocks import MIN_BLOCK_ROWS
 from repro.obs.probes import probe_signal, probe_unit_interval
 from repro.obs.spans import span
 from repro.phy.batch import BatchedReaderReceiver, batch_supported
@@ -46,15 +45,13 @@ IDLE_CHIPS_BEFORE = 24
 IDLE_CHIPS_AFTER = 8
 """OFF-state chips after the frame (lets channel tails flush through)."""
 
-TILE_ROWS = 2 * MIN_BLOCK_ROWS
+TILE_ROWS = 32
 """Trials a point pushes through its sample-domain stages at once.
 
-Two row blocks: the smallest tile whose kernels still split across two
-row-block threads (:mod:`repro.dsp.rowblocks`). One complex tile block
-of a river record (2,000 samples) is 1 MB, so a tile's temporaries stay
-cache-sized and a 250-trial point holds a few of them instead of a few
-8 MB ``(trials, samples)`` blocks. Not a knob: results do not depend on
-it (any tiling is bitwise-equal).
+One complex tile block of a river record (2,000 samples) is 1 MB, so a
+tile's temporaries stay cache-sized and a 250-trial point holds a few
+of them instead of a few 8 MB ``(trials, samples)`` blocks. Not a knob:
+results do not depend on it (any tiling is bitwise-equal).
 """
 
 

@@ -45,6 +45,7 @@ Example::
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -54,7 +55,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.contracts import Effectful
-from repro.dsp.rowblocks import _budget_scope, row_budget, usable_cpus
 from repro.obs.ledger import Ledger
 from repro.obs.manifest import (
     EventLog,
@@ -79,33 +79,34 @@ CAMPAIGNS_COUNTER = counter(
 WORKERS_GAUGE = gauge(
     "repro.sim.parallel.workers", "worker processes of the last campaign"
 )
-ROW_THREADS_GAUGE = gauge(
-    "repro.sim.parallel.row_threads",
-    "row-block thread budget per point of the last campaign",
-)
 UTILIZATION_GAUGE = gauge(
     "repro.sim.parallel.worker_utilization",
     "busy-fraction of the last campaign (chunk-seconds / wall * workers)",
 )
 
 
+def usable_cpus() -> Effectful[int, "reads:host"]:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one (a cpuset or ``taskset`` narrows it), else ``os.cpu_count()``.
+
+    A host read that tunes scheduling only; no result depends on it.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
+
+
 def default_workers() -> Effectful[int, "reads:host"]:
     """Worker count when unspecified: all usable cores, capped at 8.
 
-    Usable cores are the process's affinity mask
-    (:func:`repro.dsp.rowblocks.usable_cpus`), so a CPU-restricted
-    container starts no more workers than it may run. The host read
-    only tunes scheduling (chunk fan-out), never results: trial
-    outcomes are seeded per-trial, so any worker count replays the same
-    numbers.  The ``reads:host`` grant records exactly that.
+    Usable cores are the process's affinity mask (:func:`usable_cpus`),
+    so a CPU-restricted container starts no more workers than it may
+    run. The host read only tunes scheduling (chunk fan-out), never
+    results: trial outcomes are seeded per-trial, so any worker count
+    replays the same numbers.  The ``reads:host`` grant records exactly
+    that.
     """
     return max(1, min(usable_cpus(), 8))
-
-
-def _chunk_row_threads(workers: int) -> Effectful[int, "reads:host"]:
-    """Row-block budget of one pool chunk: the usable cores left to it
-    when ``workers`` chunks run at once (1 once the pool fills them)."""
-    return max(1, usable_cpus() // max(1, workers))
 
 
 def _run_chunk(
@@ -113,13 +114,11 @@ def _run_chunk(
     scenario: Scenario,
     point_index: int,
     collect: bool,
-    row_threads: int,
     probes_mode: str,
 ) -> Tuple[BERPoint, float, Optional[dict]]:
     """Run one point: the unit of work of serial and pool runs alike.
 
-    The point's row-independent kernels run on at most ``row_threads``
-    threads (:mod:`repro.dsp.rowblocks`), and its runtime probes in
+    The point runs on the calling thread, with its runtime probes in
     ``probes_mode`` (:mod:`repro.obs.probes`): the runner passes its
     own, since a pool worker's is whatever ``$VAB_PROBES`` says.
     Returns the point, its elapsed seconds and, when collecting, the
@@ -135,7 +134,7 @@ def _run_chunk(
     # ``scipy.special`` on its first call).
     import scipy.signal  # noqa: F401
 
-    with _budget_scope(row_threads), probes(probes_mode):
+    with probes(probes_mode):
         if collect:
             tracer = SpanTracer()
             registry = MetricsRegistry()
@@ -220,8 +219,7 @@ def run_campaign_parallel(
         pool is None and (workers <= 1 or len(scenarios) == 0)
     ) or not _is_picklable(campaign)
     effective_workers = 1 if serial else workers
-    row_threads = row_budget() if serial else _chunk_row_threads(workers)
-    chunk_args = (collect, row_threads, probe_mode())
+    chunk_args = (collect, probe_mode())
     if progress is not None:
         progress.start()
     _emit(
@@ -293,7 +291,6 @@ def run_campaign_parallel(
             )
             CAMPAIGNS_COUNTER.inc()
             WORKERS_GAUGE.set(effective_workers)
-            ROW_THREADS_GAUGE.set(row_threads)
     _emit(
         events,
         "campaign_end",

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -22,7 +23,6 @@ from repro.acoustics import doppler
 from repro.acoustics.noise import NoiseConditions, total_noise_psd_db
 from repro.core import Scenario
 from repro.dsp import correlate, noisegen
-from repro.dsp.rowblocks import _budget_scope
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.obs.ledger import Ledger, diff_manifests
 from repro.obs.manifest import EventLog, read_events
@@ -30,12 +30,18 @@ from repro.obs.probes import probes
 from repro.phy import crc, preamble
 from repro.phy.receiver import ReaderReceiver
 from repro.sim import cache
-from repro.sim.parallel import run_campaign_parallel, run_observed_campaign
+from repro.sim.parallel import (
+    default_workers,
+    run_campaign_parallel,
+    run_observed_campaign,
+    usable_cpus,
+)
 from repro.sim.results import BERPoint
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign
 from repro.vanatta import reflection
 from repro.vanatta.node import VanAttaNode
+from tests.test_sim_batched_parity import dfe_cell, dfe_receiver
 
 RANGES = [50.0, 330.0]
 
@@ -330,30 +336,49 @@ class TestParallelDeterminism:
     def test_obs_diff_pairs_a_serial_and_a_pool_run(self):
         scenarios = sweep_range(Scenario.river(), RANGES)
         campaign = TrialCampaign(trials_per_point=4, seed=31)
-        with _budget_scope(1):
-            _, serial = run_observed_campaign(
-                scenarios, campaign, workers=1, progress=False
-            )
+        _, serial = run_observed_campaign(
+            scenarios, campaign, workers=1, progress=False
+        )
         _, pooled = run_observed_campaign(
             scenarios, campaign, workers=2, progress=False
         )
-        # Relabelled, with twice the row-block budget: still one key.
-        with _budget_scope(2):
-            _, relabelled = run_observed_campaign(
-                scenarios, campaign, label="other", workers=1,
-                progress=False,
-            )
-        gauges = [
-            m.metrics["gauges"]["repro.sim.parallel.row_threads"]
-            for m in (serial, relabelled)
-        ]
-        assert gauges == [1, 2]
+        # Relabelled: still one key.
+        _, relabelled = run_observed_campaign(
+            scenarios, campaign, label="other", workers=1, progress=False
+        )
         for other in (pooled, relabelled):
             diff = diff_manifests(serial, other)
             assert diff["same_key"]
             assert diff["config"] == diff["scenarios"] == diff["metrics"] == []
         assert set(pooled.timings) == set(serial.timings)
         assert "point/batch/demod" in serial.timings
+
+
+class TestUsableCpus:
+    def test_affinity_mask_sets_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 1
+        assert default_workers() == 1
+
+    def test_cpu_count_where_there_is_no_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+        assert default_workers() == 3
+
+
+class TestOneThreadPerPoint:
+    def test_a_serial_point_starts_no_thread(self):
+        # Two record tiles of 32 rows: the point runs on this thread.
+        before = threading.active_count()
+        result = run_campaign_parallel(
+            [Scenario.river(200.0)],
+            TrialCampaign(trials_per_point=64, seed=3),
+            workers=1,
+        )
+        assert result.total_trials == 64
+        assert threading.active_count() == before
 
 
 class TestProcessRoles:
@@ -545,13 +570,21 @@ def _clear_every_memo() -> None:
 
 class TestWarmCachesEqualCold:
     @pytest.mark.parametrize(
-        "scenario", [Scenario.river(330.0), Scenario.ocean(100.0)],
-        ids=["river", "ocean"],
+        "scenario,options",
+        [
+            (Scenario.river(330.0), {}),
+            (Scenario.ocean(100.0), {}),
+            (Scenario.ocean(100.0, sea_state=1), {}),
+            (Scenario.ocean(100.0, sea_state=5), {}),
+            # E16's multipath cell: the DFE chain demodulates per row.
+            (dfe_cell(), {"receiver_factory": dfe_receiver}),
+        ],
+        ids=["river", "ocean", "ocean-ss1", "ocean-ss5", "dfe-e16"],
     )
     def test_a_point_from_warm_memos_equals_one_from_cleared_memos(
-        self, scenario
+        self, scenario, options
     ):
-        campaign = TrialCampaign(trials_per_point=40, seed=7)
+        campaign = TrialCampaign(trials_per_point=40, seed=7, **options)
         campaign.run_trials(scenario, 0)
         warm = campaign.run_trials(scenario, 0)
         _clear_every_memo()

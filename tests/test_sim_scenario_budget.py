@@ -51,6 +51,8 @@ class TestScenario:
         ch = sc.channel()
         assert ch.water is sc.water
         assert ch.surface is sc.surface
+        # The ocean preset traces the direct path only: no surface tap.
+        assert len(ch.between(sc.reader.position, sc.node.position).paths) == 1
 
     def test_wavelength(self):
         sc = Scenario.river()

@@ -56,20 +56,10 @@ count; the phase loop, frame parse, eye SNR and scoring run once over
 every detected row (`BatchedReaderReceiver.demodulate_batch` takes the
 record tiles as an iterator). Any tiling is bit-identical.
 
-Inside a tile, the row-independent, GIL-free kernels (the per-trial
-noise draws and inverse FFT, the batched preamble correlation, the SI
-suppression's mean removal and `lfilter`, and `apply_doppler` on 2-D
-blocks) run over contiguous row blocks
-on a process-wide thread pool (`repro.dsp.rowblocks.for_row_blocks`),
-bit-identical for any thread count. The budget is derived, not set:
-the process's usable CPUs (`repro.dsp.rowblocks.usable_cpus`, its
-affinity mask), so `workers=1` uses every usable core for these
-kernels; inside a pool chunk it is `max(1, usable // workers)`, so a
-pool that fills the cores runs single-threaded chunks. Calls under two
-16-row blocks, nested calls and 1-row trials start no thread. Block
-functions make no span, metric, probe, cache or public `repro` call;
-telemetry stays on the calling thread. The budget is recorded as the
-`repro.sim.parallel.row_threads` gauge, outside the run identity.
+A point runs on its calling thread: multi-core scaling is the process
+pool's (`workers=N`, one point per chunk), and `workers` defaults to
+the process's usable CPUs (`repro.sim.parallel.usable_cpus`, its
+affinity mask), capped at 8.
 
 Per-stage wall-clock (channel / reflect / noise / demod / score, and
 inside demod the batched receiver's suppress / detect / cfo / slice /
