@@ -12,12 +12,12 @@ motion. For narrowband signals the two useful operations are:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from repro.dsp.buffers import output_block
+from repro.memo import memoize
 
 
 def doppler_shift_hz(
@@ -53,7 +53,7 @@ def _gather_runs(signal: np.ndarray, runs: tuple, out: np.ndarray) -> None:
         out[..., lo:hi] = signal[..., src : src + hi - lo]
 
 
-@lru_cache(maxsize=16)
+@memoize(16)
 def _resampling_plan(
     n_samples: int,
     fs: float,
@@ -75,8 +75,6 @@ def _resampling_plan(
     weight0 = 1.0 - frac
     f_d = doppler_shift_hz(carrier_hz, radial_velocity_mps, sound_speed_mps)
     rotation = np.exp(2j * np.pi * f_d * n / fs)
-    for array in (weight0, frac, rotation):
-        array.setflags(write=False)
     return _runs(i0), _runs(i1), weight0, frac, rotation
 
 

@@ -102,9 +102,8 @@ FILE_WRITE_METHODS: FrozenSet[str] = frozenset({
 })
 
 MEMOIZED_FUNCS: FrozenSet[str] = frozenset({
-    # The channel-response memo store (repro.sim.cache) caches these
-    # results by value-equality key; the computation must be pure.
-    "repro.sim.cache.cached_between",
+    # The channel-response memo (repro.sim.cache, a repro.memo memo)
+    # caches these results by value; the computation must be pure.
     "repro.sim.cache.reader_node_response",
     "repro.acoustics.channel.AcousticChannel.between",
     # Content-addressed ledger keys: two manifests with equal key fields
@@ -114,10 +113,11 @@ MEMOIZED_FUNCS: FrozenSet[str] = frozenset({
     "repro.obs.ledger.run_id",
 })
 """Functions whose results are memoized or content-addressed — checked
-by VAB017/VAB018 even without a ``functools`` decorator."""
+by VAB017/VAB018 even without a memo decorator."""
 
 MEMO_DECORATORS: FrozenSet[str] = frozenset({
     "functools.lru_cache",
     "functools.cache",
+    "repro.memo.memoize",
 })
 """Decorators that memoize the wrapped function."""

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
+
+from repro.memo import memoize
 
 
 def correlate_full(signal: np.ndarray, template: np.ndarray) -> np.ndarray:
@@ -45,15 +45,12 @@ def normalized_correlation(signal: np.ndarray, template: np.ndarray) -> np.ndarr
     return np.abs(raw) / denom
 
 
-@lru_cache(maxsize=16)
-def _template_spectrum(template_bytes: bytes, n: int) -> np.ndarray:
+@memoize(16)
+def _template_spectrum(template: np.ndarray, n: int) -> np.ndarray:
     """Conjugate ``n``-point spectrum of a complex template, memoized by
     value: every tile of a campaign point correlates against the same
     preamble segment at the same record length."""
-    template = np.frombuffer(template_bytes, dtype=np.complex128)
-    spectrum = np.conj(np.fft.fft(template, n=n))
-    spectrum.setflags(write=False)
-    return spectrum
+    return np.conj(np.fft.fft(template, n=n))
 
 
 def normalized_correlation_batch(
@@ -86,7 +83,7 @@ def normalized_correlation_batch(
     t_energy = float(np.sum(np.abs(template) ** 2))
     if t_energy <= 0:
         raise ValueError("template has zero energy")
-    spectrum_t = _template_spectrum(template.tobytes(), n)
+    spectrum_t = _template_spectrum(template, n)
     valid = n - m + 1
     spectrum = np.fft.fft(signals, n=n, axis=1)
     spectrum *= spectrum_t

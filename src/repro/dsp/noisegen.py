@@ -7,33 +7,20 @@ frequency domain: complex white Gaussian bins shaped by the target PSD.
 
 The PSD shaping amplitude depends only on ``(n, fs, carrier_hz, psd)`` —
 it is identical for every trial of a Monte-Carlo point — so it is
-memoized here (see :func:`clear_noise_cache`). Campaigns that used to
+memoized by value (:mod:`repro.memo`). Campaigns that used to
 spend ~80% of each trial re-evaluating the Wenz curves per FFT bin now
 pay for the shaping filter once per operating point.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.dsp.buffers import output_block
+from repro.memo import memoize
 from repro.rng import fallback_rng
-
-_SHAPE_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_SHAPE_CACHE_MAX = 64
-
-
-def clear_noise_cache() -> None:
-    """Explicitly invalidate the memoized PSD shaping filters."""
-    _SHAPE_CACHE.clear()
-
-
-def noise_cache_info() -> Tuple[int, int]:
-    """(entries, capacity) of the shaping-filter cache."""
-    return len(_SHAPE_CACHE), _SHAPE_CACHE_MAX
 
 
 def white_noise(
@@ -60,28 +47,6 @@ def white_noise(
     return np.sqrt(power) * rng.standard_normal(n)
 
 
-def _psd_fn_cache_key(psd_db_fn: Callable[[float], float]):
-    """A hashable identity for a PSD callable, or None when uncachable.
-
-    Bound methods of value-type objects (e.g. ``NoiseConditions.psd_db``)
-    compare by instance *identity*, which would defeat the cache across
-    equal-but-distinct scenario objects — so key on ``(func, self)``
-    where ``self`` hashes by value.
-    """
-    bound_self = getattr(psd_db_fn, "__self__", None)
-    if bound_self is not None:
-        try:
-            hash(bound_self)
-        except TypeError:
-            return None
-        return (getattr(psd_db_fn, "__func__", psd_db_fn), bound_self)
-    try:
-        hash(psd_db_fn)
-    except TypeError:
-        return None
-    return psd_db_fn
-
-
 def _evaluate_psd_db(
     psd_db_fn: Callable[[float], float], abs_freqs: np.ndarray
 ) -> np.ndarray:
@@ -106,27 +71,15 @@ def _evaluate_psd_db(
     return np.array([psd_db_fn(float(f)) for f in clamped], dtype=np.float64)
 
 
+@memoize(64)
 def _shaping_amplitude(
     n: int, fs: float, psd_db_fn: Callable[[float], float], carrier_hz: float
 ) -> np.ndarray:
-    """Per-bin amplitude scale sqrt(PSD * fs / 2), memoized when possible."""
-    key = None
-    fn_key = _psd_fn_cache_key(psd_db_fn)
-    if fn_key is not None:
-        key = (fn_key, n, float(fs), float(carrier_hz))
-        cached = _SHAPE_CACHE.get(key)
-        if cached is not None:
-            _SHAPE_CACHE.move_to_end(key)
-            return cached
+    """Per-bin amplitude scale sqrt(PSD * fs / 2), memoized by value: a
+    bound ``psd_db`` is keyed on its function and its object's fields."""
     freqs = np.fft.fftfreq(n, d=1.0 / fs)
     psd_linear = 10.0 ** (_evaluate_psd_db(psd_db_fn, carrier_hz + freqs) / 10.0)
-    amplitude = np.sqrt(psd_linear * fs / 2.0)
-    amplitude.setflags(write=False)
-    if key is not None:
-        _SHAPE_CACHE[key] = amplitude
-        if len(_SHAPE_CACHE) > _SHAPE_CACHE_MAX:
-            _SHAPE_CACHE.popitem(last=False)
-    return amplitude
+    return np.sqrt(psd_linear * fs / 2.0)
 
 
 def colored_noise(

@@ -13,11 +13,11 @@ parity.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.memo import memoize
 from repro.phy.bits import as_bits
 
 _POLY = 0x1021
@@ -36,7 +36,7 @@ def _register_bits(register: int) -> list:
     return [(register >> (15 - i)) & 1 for i in range(16)]
 
 
-@lru_cache(maxsize=256)
+@memoize(256)
 def _affine_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(impulse, init)`` of the CRC over ``n`` bits.
 
@@ -52,10 +52,7 @@ def _affine_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
         impulse, init = _step(impulse), _step(init)
         rows.append(_register_bits(impulse))
     table = np.array(rows[::-1], dtype=np.float64).reshape(n, 16)
-    init_row = np.array(_register_bits(init), dtype=np.int64)
-    table.setflags(write=False)
-    init_row.setflags(write=False)
-    return table, init_row
+    return table, np.array(_register_bits(init), dtype=np.int64)
 
 
 def crc16_ccitt_batch(bits: np.ndarray) -> np.ndarray:

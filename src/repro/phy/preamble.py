@@ -11,7 +11,6 @@ phase reference for coherent slicing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -21,12 +20,13 @@ from repro.dsp.correlate import (
     normalized_correlation_batch,
     peak_to_sidelobe,
 )
+from repro.memo import memoize
 
 BARKER13 = np.array([1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1], dtype=np.int64)
 """The length-13 Barker code (as 0/1 chips)."""
 
 
-@lru_cache(maxsize=16)
+@memoize(16)
 def preamble_chips(repeats: int = 2) -> np.ndarray:
     """The frame preamble: ``repeats`` Barker-13 codes back to back.
 
@@ -39,12 +39,10 @@ def preamble_chips(repeats: int = 2) -> np.ndarray:
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    chips = np.tile(BARKER13, repeats)
-    chips.setflags(write=False)
-    return chips
+    return np.tile(BARKER13, repeats)
 
 
-@lru_cache(maxsize=32)
+@memoize(32)
 def preamble_template(
     samples_per_chip: int, repeats: int = 2, depth: float = 1.0
 ) -> np.ndarray:
@@ -58,9 +56,7 @@ def preamble_template(
     # Barker-13 is unbalanced (9 ones / 4 zeros): subtract the true mean,
     # not 0.5, or the template leaks into the suppressed-DC subspace.
     levels = (chips.astype(np.float64) - chips.mean()) * depth
-    template = np.repeat(levels, samples_per_chip)
-    template.setflags(write=False)
-    return template
+    return np.repeat(levels, samples_per_chip)
 
 
 @dataclass(frozen=True)

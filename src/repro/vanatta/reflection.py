@@ -16,11 +16,9 @@ scales, and it keeps the simulator fast enough for 1,500-trial campaigns.
 
 from __future__ import annotations
 
-import dataclasses
-from functools import lru_cache
-
 import numpy as np
 
+from repro.memo import memoize
 from repro.vanatta.array import VanAttaArray
 from repro.vanatta.retrodirective import monostatic_gain
 
@@ -46,37 +44,13 @@ def hold_to_length(modulation: np.ndarray, n: int) -> np.ndarray:
     return modulation[..., :n]
 
 
-class _ByValue:
-    """An array keyed by value for :func:`functools.lru_cache`: its type
-    and every field, ndarrays by dtype, shape and bytes."""
-
-    __slots__ = ("array", "key")
-
-    def __init__(self, array: VanAttaArray) -> None:
-        self.array = array
-        self.key = (type(array),) + tuple(
-            (value.dtype.str, value.shape, value.tobytes())
-            if isinstance(value, np.ndarray)
-            else value
-            for value in (
-                getattr(array, f.name) for f in dataclasses.fields(array)
-            )
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ByValue) and self.key == other.key
-
-
-@lru_cache(maxsize=16)
+@memoize(16)
 def _monostatic_gain(
-    array: _ByValue, frequency_hz: float, theta_deg: float, sound_speed: float
+    array: VanAttaArray, frequency_hz: float, theta_deg: float, sound_speed: float
 ) -> complex:
     """:func:`monostatic_gain` memoized by value: every tile of a
     campaign point reflects off the same array at the same angle."""
-    return monostatic_gain(array.array, frequency_hz, theta_deg, sound_speed)
+    return monostatic_gain(array, frequency_hz, theta_deg, sound_speed)
 
 
 def reflect_waveform(
@@ -107,7 +81,7 @@ def reflect_waveform(
     incident = np.asarray(incident, dtype=np.complex128)
     modulation = hold_to_length(modulation, incident.shape[-1])
     gain = _monostatic_gain(
-        _ByValue(array), float(frequency_hz), float(theta_deg), float(sound_speed)
+        array, float(frequency_hz), float(theta_deg), float(sound_speed)
     )
     reflected = incident * modulation
     reflected *= gain

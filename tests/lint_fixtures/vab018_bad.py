@@ -2,6 +2,8 @@
 
 import functools
 
+from repro.memo import memoize
+
 _CALLS = []
 
 
@@ -18,3 +20,9 @@ def recorded_response(key: str, log: tuple) -> str:
     fh.write(key)
     fh.close()
     return key.upper()
+
+
+@memoize(16)
+def logged_plan(key: str) -> str:
+    _CALLS.append(key)
+    return key.lower()

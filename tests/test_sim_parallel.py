@@ -19,15 +19,15 @@ import numpy as np
 import pytest
 
 import repro
-from repro.acoustics import doppler
 from repro.acoustics.noise import NoiseConditions, total_noise_psd_db
 from repro.core import Scenario
-from repro.dsp import correlate, noisegen
-from repro.obs import MetricsRegistry, SpanTracer
+from repro.dsp import noisegen
+from repro.memo import clear_memos
+from repro.obs import MetricsRegistry, SpanTracer, collect_spans
 from repro.obs.ledger import Ledger, diff_manifests
 from repro.obs.manifest import EventLog, read_events
 from repro.obs.probes import probes
-from repro.phy import crc, preamble
+from repro.phy import preamble
 from repro.phy.receiver import ReaderReceiver
 from repro.sim import cache
 from repro.sim.parallel import (
@@ -39,7 +39,6 @@ from repro.sim.parallel import (
 from repro.sim.results import BERPoint
 from repro.sim.sweep import sweep_range
 from repro.sim.trials import TrialCampaign
-from repro.vanatta import reflection
 from repro.vanatta.node import VanAttaNode
 from tests.test_sim_batched_parity import dfe_cell, dfe_receiver
 
@@ -525,7 +524,7 @@ class TestNoiseShapingCache:
     def test_cached_noise_bitwise_matches_pointwise_path(self):
         conditions = NoiseConditions()
         n, fs, carrier = 4096, 192_000.0, 18_500.0
-        noisegen.clear_noise_cache()
+        noisegen._shaping_amplitude.clear()
         cached = noisegen.colored_noise(
             n, fs, conditions.psd_db, carrier, np.random.default_rng(3)
         )
@@ -544,28 +543,14 @@ class TestNoiseShapingCache:
         np.testing.assert_allclose(cached, pointwise, rtol=1e-10)
 
     def test_shaping_filter_is_reused_across_equal_conditions(self):
-        noisegen.clear_noise_cache()
+        memo = noisegen._shaping_amplitude
+        memo.clear()
         rng = np.random.default_rng(0)
         noisegen.colored_noise(2048, 192_000.0, NoiseConditions().psd_db, 18_500.0, rng)
-        entries_after_first, _ = noisegen.noise_cache_info()
+        entries_after_first = memo.info()[2]
         noisegen.colored_noise(2048, 192_000.0, NoiseConditions().psd_db, 18_500.0, rng)
-        entries_after_second, _ = noisegen.noise_cache_info()
-        assert entries_after_first == entries_after_second == 1
-
-
-def _clear_every_memo() -> None:
-    """Empty every process-wide memo the point pipeline reads."""
-    cache.clear_channel_cache()
-    noisegen.clear_noise_cache()
-    for memo in (
-        preamble.preamble_chips,
-        preamble.preamble_template,
-        crc._affine_tables,
-        doppler._resampling_plan,
-        reflection._monostatic_gain,
-        correlate._template_spectrum,
-    ):
-        memo.cache_clear()
+        assert entries_after_first == memo.info()[2] == 1
+        assert memo.info()[:2] == (1, 1)
 
 
 class TestWarmCachesEqualCold:
@@ -586,9 +571,14 @@ class TestWarmCachesEqualCold:
     ):
         campaign = TrialCampaign(trials_per_point=40, seed=7, **options)
         campaign.run_trials(scenario, 0)
-        warm = campaign.run_trials(scenario, 0)
-        _clear_every_memo()
-        assert preamble.preamble_template.cache_info().currsize == 0
-        cold = campaign.run_trials(scenario, 0)
+        with collect_spans() as warm_spans:
+            warm = campaign.run_trials(scenario, 0)
+        clear_memos()
+        assert preamble.preamble_template.info()[2] == 0
+        with collect_spans() as cold_spans:
+            cold = campaign.run_trials(scenario, 0)
         assert len(warm) == 40
         assert warm == cold
+        # A memo miss records no spans, so the cold point records the
+        # warm one's span paths, as many times each.
+        assert cold_spans.counts == warm_spans.counts

@@ -35,17 +35,19 @@ Serial and pool runs record the same spans, events and runner
 instruments.
 
 Speed comes mostly from memoization, which is on by default and
-invisible in the returned numbers:
+invisible in the returned numbers. Every per-point invariant (traced
+channel, noise-shaping filter, Doppler plan, template spectrum, array
+gain, preamble, CRC tables) is a `repro.memo` memo:
 
-- `repro.sim.cache` memoizes traced channel responses per deployment
-  geometry (`reader_node_response`, `channel_cache_info`,
-  `clear_channel_cache`).
-- `repro.dsp.noisegen` caches the Wenz PSD shaping filter per
-  `(n, fs, conditions, carrier)` (`clear_noise_cache`,
-  `noise_cache_info`).
+- keyed by value (`repro.memo.key_of`: every dataclass field, arrays
+  by dtype, shape and bytes, a bound method as `(func, self)`);
+- its cached arrays are read-only, and a miss records no spans;
+- `repro.memo.clear_memos()` empties every memo;
+  `repro.sim.cache` keeps `reader_node_response`,
+  `channel_cache_info` and `clear_channel_cache` for the channel memo.
 
-Caches are process-local and keyed by value; invalidate explicitly
-after mutating water/surface tables in place.
+Memos are process-local; invalidate explicitly after mutating
+water/surface tables in place.
 
 A point runs in two phases (`repro.sim.engine.simulate_point_batch`).
 Its sample-domain stages (modulate, reflect, channel, Doppler, noise,
@@ -253,7 +255,7 @@ contracts in `repro.contracts`::
 
     from repro.contracts import Effectful, Pure
 
-    def _site_key(channel, source, receiver) -> Pure[tuple]: ...
+    def path_gain(range_m: float) -> Pure[float]: ...
 
     def default_workers() -> Effectful[int, "reads:host"]: ...
 
