@@ -29,7 +29,8 @@ def q_inverse(p: float) -> float:
 
     ``scipy.special`` loads on the first call, not at import: this is its
     only user, and a process that never demodulates (a pool's parent, an
-    ``obs`` or link-budget process) then loads no SciPy at all.
+    ``obs`` or link-budget process) then loads no SciPy package: at most
+    the DC blocker's compiled kernel (:mod:`repro.dsp.filters`).
     """
     from scipy import special
 

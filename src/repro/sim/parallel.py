@@ -127,13 +127,6 @@ def _run_chunk(
     """
     telemetry = None
     t0 = time.perf_counter()
-    # The DC blocker's scipy.signal costs about a second to import. Load
-    # it here, before the point's spans open, so the first point of each
-    # process does not bill it to its suppress span. A pool's parent
-    # never demodulates and loads no SciPy at all (``q_inverse`` imports
-    # ``scipy.special`` on its first call).
-    import scipy.signal  # noqa: F401
-
     with probes(probes_mode):
         if collect:
             tracer = SpanTracer()

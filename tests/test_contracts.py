@@ -37,7 +37,7 @@ def test_runtime_imports_load_no_analysis_module():
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": src, "PATH": ""},
+        env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert json.loads(out.stdout) == []
 

@@ -1,9 +1,13 @@
 """Tests for FIR design and the DC blocker."""
 
+from importlib.metadata import version
+
 import numpy as np
 import pytest
 
+from repro.dsp import filters
 from repro.dsp.filters import (
+    _dc_block_rows,
     bandpass_fir,
     dc_block,
     dc_block_fast,
@@ -128,3 +132,52 @@ class TestDCBlock:
 
     def test_empty_input(self):
         assert len(dc_block_fast(np.zeros(0))) == 0
+
+
+def _records(dtype, rows, samples):
+    """A seeded ``(rows, samples)`` block of ``dtype``."""
+    rng = np.random.default_rng(rows * 10_007 + samples)
+    shape = (rows, samples)
+    if np.issubdtype(dtype, np.integer):
+        return rng.integers(-1000, 1000, size=shape).astype(dtype)
+    x = 2.0 + rng.standard_normal(shape)
+    if np.issubdtype(dtype, np.complexfloating):
+        x = x + 1j * rng.standard_normal(shape)
+    return x.astype(dtype)
+
+
+class TestIIRKernel:
+    """The DC blocker calls SciPy's compiled IIR kernel directly; its
+    output must be ``scipy.signal.lfilter``'s, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.complex128, np.float64, np.int64, np.int16, np.float32, np.complex64],
+    )
+    @pytest.mark.parametrize("rows", [0, 1, 32, 250])
+    @pytest.mark.parametrize("samples", [0, 1, 2000, 4000])
+    def test_rows_equal_lfilter_bit_for_bit(self, dtype, rows, samples):
+        from scipy.signal import lfilter
+
+        x = _records(dtype, rows, samples)
+        for alpha in (0.95, 0.0, 1.5):
+            want = lfilter([1.0, -1.0], [1.0, -alpha], x)
+            got = _dc_block_rows(x, alpha)
+            assert got.dtype == want.dtype
+            # alpha = 1.5 is unstable: long rows overflow to inf and NaN.
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_a_missing_kernel_names_scipy_and_the_kernel(self, monkeypatch):
+        class NoKernel:
+            def __init__(self, path, *loaders):
+                pass
+
+            def find_spec(self, fullname):
+                return None
+
+        monkeypatch.setattr(filters, "FileFinder", NoKernel)
+        with pytest.raises(ImportError) as excinfo:
+            filters._load_linear_filter()
+        message = str(excinfo.value)
+        assert f"SciPy {version('scipy')}" in message
+        assert "_sigtools._linear_filter" in message

@@ -82,15 +82,20 @@ def _run_fresh(code: str) -> str:
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": src, "PATH": ""},
+        env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     return out.stdout.strip()
 
 
 SCIPY_LOADED = (
-    "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    "sorted(m for m in __import__('sys').modules if m.split('.')[0] == 'scipy')"
 )
-"""Expression naming the SciPy modules a fresh interpreter has loaded."""
+"""Expression naming the SciPy modules an interpreter has loaded; it
+needs no import, so a pool worker can ``eval`` it too."""
+
+SIGTOOLS = "['scipy.signal._sigtools']"
+"""The DC blocker's compiled IIR kernel: all that importing
+:mod:`repro.dsp.filters` loads from SciPy."""
 
 
 class TestParallelDeterminism:
@@ -161,29 +166,6 @@ class TestParallelDeterminism:
                     )
         assert checks["off", 1] == checks["off", 2] == 0
         assert checks["count", 1] == checks["count", 2] > 0
-
-    def test_scipy_signal_loads_before_the_first_point_span(self):
-        """The DC blocker's ~1 s ``scipy.signal`` import is not billed to
-        the first point's suppress span, and importing the runner (all a
-        pool's parent does) does not load it."""
-        code = (
-            "import sys\n"
-            "from repro.sim.parallel import run_campaign_parallel\n"
-            "from repro.sim.scenario import Scenario\n"
-            "from repro.sim.sweep import sweep_range\n"
-            "from repro.sim.trials import TrialCampaign\n"
-            "loaded = 'scipy.signal' in sys.modules\n"
-            "seen = []\n"
-            "run_point = TrialCampaign.run_point\n"
-            "def spy(self, scenario, point_index=0):\n"
-            "    seen.append('scipy.signal' in sys.modules)\n"
-            "    return run_point(self, scenario, point_index)\n"
-            "TrialCampaign.run_point = spy\n"
-            "run_campaign_parallel(sweep_range(Scenario.river(), [50.0]),\n"
-            "                      TrialCampaign(trials_per_point=2), workers=1)\n"
-            "print(loaded, seen)\n"
-        )
-        assert _run_fresh(code) == "False [True]"
 
     def test_manifest_records_the_effective_worker_count(self, tmp_path):
         scenarios = sweep_range(Scenario.river(), [50.0])
@@ -381,22 +363,48 @@ class TestOneThreadPerPoint:
 
 
 class TestProcessRoles:
-    """SciPy loads only in a process that demodulates: importing the
-    runner, the link budget, the observability layer or the CLI loads
-    none, and neither does a pool's parent."""
+    """No process loads the ``scipy.signal`` package. Importing
+    :mod:`repro.dsp.filters` (so the runner and the link budget too)
+    loads only SciPy's compiled IIR kernel, ``scipy.signal._sigtools``,
+    which is all a point needs; ``scipy.special`` loads on the first
+    call of ``q_inverse``. Importing ``repro``, the observability layer
+    or the CLI loads no SciPy."""
 
-    def test_importing_the_non_demodulating_modules_loads_no_scipy(self):
+    def test_non_demodulating_modules_load_no_scipy_package(self):
         code = (
-            "import sys\n"
-            "import repro, repro.sim, repro.sim.parallel, repro.sim.linkbudget\n"
-            "import repro.sim.confidence, repro.obs, repro.cli\n"
+            "import repro, repro.obs, repro.cli\n"
+            f"print({SCIPY_LOADED})\n"
+            "import repro.sim, repro.sim.parallel, repro.sim.linkbudget\n"
+            "import repro.sim.confidence\n"
             f"print({SCIPY_LOADED})\n"
         )
-        assert _run_fresh(code) == "[]"
+        assert _run_fresh(code).splitlines() == ["[]", SIGTOOLS]
 
-    def test_a_pool_parent_loads_no_scipy_and_matches_serial(self):
+    def test_a_river_point_loads_only_the_iir_kernel_from_scipy(self):
+        """Run serially and in a spawn-pool worker, a river point loads
+        nothing of SciPy beyond the kernel that importing the runner
+        already loaded."""
         code = (
-            "import multiprocessing, sys\n"
+            "import multiprocessing\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from repro.sim.parallel import run_campaign_parallel\n"
+            "from repro.sim.scenario import Scenario\n"
+            "from repro.sim.sweep import sweep_range\n"
+            "from repro.sim.trials import TrialCampaign\n"
+            "scenarios = sweep_range(Scenario.river(), [50.0])\n"
+            "campaign = TrialCampaign(trials_per_point=2, seed=5)\n"
+            "spawn = multiprocessing.get_context('spawn')\n"
+            "with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:\n"
+            "    run_campaign_parallel(scenarios, campaign, workers=2, pool=pool)\n"
+            f"    worker = pool.submit(eval, {SCIPY_LOADED!r}).result()\n"
+            "run_campaign_parallel(scenarios, campaign, workers=1)\n"
+            f"print(worker, {SCIPY_LOADED})\n"
+        )
+        assert _run_fresh(code) == f"{SIGTOOLS} {SIGTOOLS}"
+
+    def test_a_pool_parent_loads_only_the_iir_kernel_and_matches_serial(self):
+        code = (
+            "import multiprocessing\n"
             "from concurrent.futures import ProcessPoolExecutor\n"
             "from repro.sim.parallel import run_campaign_parallel, run_observed_campaign\n"
             "from repro.sim.scenario import Scenario\n"
@@ -412,7 +420,7 @@ class TestProcessRoles:
             "serial = run_campaign_parallel(scenarios, campaign, workers=1)\n"
             "print(loaded, pooled.points == serial.points, len(serial.points))\n"
         )
-        assert _run_fresh(code) == "[] True 2"
+        assert _run_fresh(code) == f"{SIGTOOLS} True 2"
 
     def test_q_inverse_loads_scipy_special_on_its_first_call(self):
         code = (
@@ -424,7 +432,7 @@ class TestProcessRoles:
             "      'scipy.signal' in sys.modules, *map(repr, values))\n"
         )
         assert _run_fresh(code).split() == [
-            "[]", "True", "False",
+            SIGTOOLS, "True", "False",
             "3.0902323061678136", "0.6744897501960818", "9.79982256904398",
         ]
 
